@@ -5,7 +5,7 @@ temporal-fusion paths, a scripted motion-QA benchmark, and an ablation harness.
 from .autodiff import MASK_BLOCKED, Tape, Tensor, backward, set_debug_checks
 from .compressor import CompressorConfig, TokenBudget, compress, token_budget
 from .decoder import DecoderConfig, MCQBatch
-from .encoder import AttentionScope, EncoderConfig, build_scope_mask, encode
+from .encoder import EncoderConfig, build_scope_mask, encode
 from .errors import FrameFuseError, NumericalError, ValidationError
 from .frontend import COMPRESSION_METHODS, FusionMethod, VideoClip
 from .grid import ExperimentSpec, GridAxis, RunResult, run_grid
@@ -19,7 +19,7 @@ __all__ = [
     "MASK_BLOCKED", "Tape", "Tensor", "backward", "set_debug_checks",
     "CompressorConfig", "TokenBudget", "compress", "token_budget",
     "DecoderConfig", "MCQBatch",
-    "AttentionScope", "EncoderConfig", "build_scope_mask", "encode",
+    "EncoderConfig", "build_scope_mask", "encode",
     "FrameFuseError", "NumericalError", "ValidationError",
     "COMPRESSION_METHODS", "FusionMethod", "VideoClip",
     "ExperimentSpec", "GridAxis", "RunResult", "run_grid",

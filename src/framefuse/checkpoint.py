@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import BadMagic, ShapeMismatch, TruncatedFile, UnknownParameter
+from .errors import (BadConfig, BadMagic, ShapeMismatch, TruncatedFile,
+                     UnknownParameter)
 
 CHECKPOINT_MAGIC = b"TFZ1"
 
@@ -39,7 +40,10 @@ def save_checkpoint(params: dict[str, Tensor], path, meta: dict | None = None) -
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as err:
+        raise BadConfig(f"cannot read checkpoint {path}: {err}") from err
     if blob[:4] != CHECKPOINT_MAGIC:
         raise BadMagic(f"{path}: not a TFZ1 checkpoint")
     out: dict[str, np.ndarray] = {}
@@ -72,7 +76,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 def load_checkpoint_meta(path) -> dict:
     sidecar = Path(path).with_suffix(Path(path).suffix + ".json")
-    return json.loads(sidecar.read_text())
+    try:
+        return json.loads(sidecar.read_text())
+    except (OSError, json.JSONDecodeError) as err:
+        raise BadConfig(f"cannot read checkpoint sidecar {sidecar}: {err}") from err
 
 
 def apply_checkpoint(params: dict[str, Tensor], loaded: dict[str, np.ndarray]) -> None:

@@ -15,7 +15,7 @@ from .checkpoint import (apply_checkpoint, load_checkpoint,
                          load_checkpoint_meta, save_checkpoint)
 from .compressor import token_budget
 from .errors import BadConfig, GradientCheckFailed, NumericalError, ValidationError
-from .frontend import COMPRESSION_METHODS, FusionMethod
+from .frontend import FusionMethod, parse_method
 from .gradcheck import SUITE_GROUPS, run_gradient_suite
 from .grid import ExperimentSpec, GridAxis, results_to_csv, run_grid
 from .pipeline import ModelConfig, build_model, config_from_dict, config_to_dict
@@ -40,7 +40,7 @@ def _train_config(d: dict) -> TrainConfig:
 
 
 def _parse_methods(text: str) -> tuple[FusionMethod, ...]:
-    return tuple(FusionMethod(name.strip()) for name in text.split(",") if name.strip())
+    return tuple(parse_method(name.strip()) for name in text.split(",") if name.strip())
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -108,7 +108,7 @@ def cmd_grid(args) -> int:
     if "train" in kwargs:
         kwargs["train"] = _train_config(kwargs["train"])
     if "methods" in kwargs:
-        kwargs["methods"] = tuple(FusionMethod(m) for m in kwargs["methods"])
+        kwargs["methods"] = tuple(parse_method(m) for m in kwargs["methods"])
     if "k_values" in kwargs:
         kwargs["k_values"] = tuple(kwargs["k_values"])
     if "axis" in kwargs:

@@ -14,9 +14,9 @@ import numpy as np
 
 from .autodiff import (Tensor, add, constant, gelu, linear, mean_over_axis,
                        permute, reshape, rms_norm)
-from .encoder import AttentionScope, multihead_attention
+from .encoder import multihead_attention
 from .errors import (BadConfig, IndivisibleFrames, NonIntegralBudget,
-                     NonSquareGrid, OddGridSide, ScopeMismatch, ShapeMismatch)
+                     NonSquareGrid, OddGridSide, ShapeMismatch)
 from .frontend import FusionMethod
 from .rng import RngState
 
@@ -178,12 +178,6 @@ def qformer_compress(per_frame: Tensor, k: int, queries: Tensor,
     return q
 
 
-def required_scope(method: FusionMethod) -> AttentionScope:
-    if method is FusionMethod.THROUGH_ENCODER:
-        return AttentionScope.PER_GROUP
-    return AttentionScope.PER_FRAME
-
-
 def init_compressor_params(cfg: CompressorConfig, encoder_hidden: int, l: int,
                            rng: RngState, prefix: str = "comp",
                            std: float = 0.02) -> dict[str, Tensor]:
@@ -231,20 +225,15 @@ def init_compressor_params(cfg: CompressorConfig, encoder_hidden: int, l: int,
     return params
 
 
-def compress(method: FusionMethod, encoder_output: Tensor, cfg: CompressorConfig,
-             params: dict[str, Tensor], scope: AttentionScope,
-             prefix: str = "comp") -> Tensor:
-    """Dispatch to the method's compression path.
+def compress(encoder_output: Tensor, cfg: CompressorConfig,
+             params: dict[str, Tensor], prefix: str = "comp") -> Tensor:
+    """Run cfg.method's compression path.
 
-    encoder_output is [..., G, k*T, h] for through-encoder fusion (PerGroup
-    scope) and [..., F', T, h] otherwise (PerFrame scope). Returns
+    encoder_output is [..., G, k*T, h] for through-encoder fusion (frames
+    grouped before the encoder) and [..., F', T, h] otherwise. Returns
     [..., N_input/k', l, out] with k'=1 for the baseline and k otherwise.
     """
-    if method is not cfg.method:
-        raise BadConfig(f"compress called for {method}, config built for {cfg.method}")
-    if scope is not required_scope(method):
-        raise ScopeMismatch(f"{method.value} needs {required_scope(method).value} encoder scope, got {scope.value}")
-    k = cfg.k
+    method, k = cfg.method, cfg.k
     w, b = params[f"{prefix}.proj_w"], params[f"{prefix}.proj_b"]
     if method is FusionMethod.BASELINE or method is FusionMethod.PRE_ENCODER_CHANNEL_MERGE:
         # temporal work (none / channel merge) already happened upstream
@@ -260,8 +249,6 @@ def compress(method: FusionMethod, encoder_output: Tensor, cfg: CompressorConfig
     per_frame = spatial_downsample_with_proj(encoder_output, w, b)
     if method is FusionMethod.POST_POOL_PLLAVA:
         return pllava_temporal_pool(per_frame, k)
-    if method is FusionMethod.POST_QFORMER:
-        return qformer_compress(per_frame, k, params[f"{prefix}.queries"], params,
-                                layers=cfg.qformer_layers, heads=cfg.qformer_heads,
-                                norm_eps=cfg.norm_eps, prefix=prefix)
-    raise BadConfig(f"no compression path for {method}")
+    return qformer_compress(per_frame, k, params[f"{prefix}.queries"], params,
+                            layers=cfg.qformer_layers, heads=cfg.qformer_heads,
+                            norm_eps=cfg.norm_eps, prefix=prefix)

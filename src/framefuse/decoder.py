@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (MASK_BLOCKED, Tensor, add, attention, concat_axis,
-                       cross_entropy, gelu, linear, multiply, narrow, reshape,
-                       rms_norm, scale)
+                       cross_entropy, embedding_lookup, gelu, linear, multiply,
+                       narrow, reshape, rms_norm, scale)
 from .encoder import merge_heads, split_heads
 from .errors import SequenceTooLong, ShapeMismatch
 from .rng import RngState
@@ -118,8 +118,6 @@ def init_decoder_params(cfg: DecoderConfig, video_hidden: int, rng: RngState,
 def decode_hidden(batch: MCQBatch, cfg: DecoderConfig, params: dict[str, Tensor],
                   prefix: str = "dec") -> Tensor:
     """All-position hidden states [B, S, hidden] after the final norm."""
-    from .autodiff import embedding_lookup
-
     video = linear(batch.video_tokens, params[f"{prefix}.video_proj_w"],
                    params[f"{prefix}.video_proj_b"])
     question = embedding_lookup(params[f"{prefix}.embed"], batch.question_ids)

@@ -1,11 +1,12 @@
-"""Pre-norm transformer encoder with block-diagonal attention scope.
+"""Pre-norm transformer encoder.
 
-One dense masked-attention code path serves both scopes; PerFrame and
-PerGroup differ only in the block size baked into the mask.
+The pipeline folds each attention scope (one frame, or one group of k frames)
+into the batch axis and encodes unmasked. build_scope_mask gives the
+block-diagonal mask under which one flat sequence encodes exactly like those
+folded scopes; the tests use it as the reference.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,18 +17,12 @@ from .errors import IndivisibleTokens, ShapeMismatch
 from .rng import RngState
 
 
-class AttentionScope(enum.Enum):
-    PER_FRAME = "per-frame"
-    PER_GROUP = "per-group"
-
-
 @dataclass(frozen=True)
 class EncoderConfig:
     layers: int = 2
     hidden: int = 32
     heads: int = 4
     ffn_hidden: int = 64
-    scope: AttentionScope = AttentionScope.PER_FRAME
     norm_eps: float = 1e-6
 
     def __post_init__(self):
@@ -35,22 +30,14 @@ class EncoderConfig:
             raise ShapeMismatch(f"hidden {self.hidden} not divisible by heads {self.heads}")
 
 
-@dataclass
-class ScopeMask:
+def build_scope_mask(total_tokens: int, block: int) -> Tensor:
     """Additive [S, S] mask: 0 inside each diagonal block, MASK_BLOCKED outside."""
-
-    mask: Tensor
-    block: int
-    total: int
-
-
-def build_scope_mask(total_tokens: int, block: int) -> ScopeMask:
     if block < 1 or total_tokens % block:
         raise IndivisibleTokens(f"{total_tokens} tokens not divisible by block {block}")
     owner = np.arange(total_tokens) // block
     allowed = owner[:, None] == owner[None, :]
     data = np.where(allowed, 0.0, MASK_BLOCKED)
-    return ScopeMask(mask=Tensor(data), block=block, total=total_tokens)
+    return Tensor(data)
 
 
 def init_encoder_params(cfg: EncoderConfig, rng: RngState, prefix: str = "enc",
@@ -117,19 +104,18 @@ def multihead_attention(xq: Tensor, xkv: Tensor, mask: Tensor | None,
     return out
 
 
-def encode(tokens: Tensor, cfg: EncoderConfig, mask: ScopeMask,
+def encode(tokens: Tensor, cfg: EncoderConfig, mask: Tensor | None,
            params: dict[str, Tensor], prefix: str = "enc") -> Tensor:
-    """Run the encoder stack over flattened tokens [S, h] or [B, S, h]."""
+    """Run the encoder stack over tokens [S, h] or [B, S, h]; `mask` is an
+    additive [S, S] attention mask or None for full attention."""
     squeeze = tokens.ndim == 2
     x = reshape(tokens, (1,) + tokens.shape) if squeeze else tokens
     if x.ndim != 3 or x.shape[-1] != cfg.hidden:
         raise ShapeMismatch(f"encoder tokens {tokens.shape} for hidden {cfg.hidden}")
-    if mask.total != x.shape[1]:
-        raise ShapeMismatch(f"mask built for {mask.total} tokens, sequence has {x.shape[1]}")
     for i in range(cfg.layers):
         p = f"{prefix}.{i}"
         attn_in = rms_norm(x, params[f"{p}.norm1"], cfg.norm_eps)
-        x = add(x, multihead_attention(attn_in, attn_in, mask.mask, params, p, cfg.heads))
+        x = add(x, multihead_attention(attn_in, attn_in, mask, params, p, cfg.heads))
         ffn_in = rms_norm(x, params[f"{p}.norm2"], cfg.norm_eps)
         hidden = gelu(linear(ffn_in, params[f"{p}.ffn_w1"], params[f"{p}.ffn_b1"]))
         x = add(x, linear(hidden, params[f"{p}.ffn_w2"], params[f"{p}.ffn_b2"]))

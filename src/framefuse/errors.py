@@ -37,14 +37,6 @@ class IndivisibleFrames(ValidationError):
     pass
 
 
-class DoublePositioning(ValidationError):
-    """A positional table would be added a second time."""
-
-
-class NotPositioned(ValidationError):
-    """Grouping requires the spatial table to have been added first."""
-
-
 # -- encoder --
 
 class IndivisibleTokens(ValidationError):
@@ -59,10 +51,6 @@ class NonSquareGrid(ValidationError):
 
 class OddGridSide(ValidationError):
     pass
-
-
-class ScopeMismatch(ValidationError):
-    """Compression path fed an encoder output produced under the wrong attention scope."""
 
 
 class NonIntegralBudget(ValidationError):

@@ -1,4 +1,4 @@
-"""Clip-to-token frontend: patchify, temporal channel merge, positional tables,
+"""Clip-to-token frontend: patch extraction, temporal channel merge,
 neighbor-frame grouping, and the CLP1 clip file format."""
 from __future__ import annotations
 
@@ -8,10 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, linear, reshape
-from .errors import (BadMagic, DoublePositioning, IndivisibleFrames,
-                     IndivisibleResolution, NotPositioned, ShapeMismatch,
-                     TruncatedFile)
+from .autodiff import Tensor, add, reshape
+from .errors import (BadConfig, BadMagic, IndivisibleFrames,
+                     IndivisibleResolution, ShapeMismatch, TruncatedFile)
 
 CLIP_MAGIC = b"CLP1"
 
@@ -36,6 +35,15 @@ COMPRESSION_METHODS = (
     FusionMethod.POST_QFORMER,
     FusionMethod.THROUGH_ENCODER,
 )
+
+
+def parse_method(name) -> FusionMethod:
+    """The fusion method named `name`; an unknown name is a BadConfig."""
+    try:
+        return FusionMethod(name)
+    except ValueError:
+        known = ", ".join(m.value for m in FusionMethod)
+        raise BadConfig(f"unknown method {name!r}; expected one of {known}") from None
 
 
 @dataclass
@@ -65,24 +73,6 @@ class VideoClip:
         return self.pixels.shape[3]
 
 
-@dataclass
-class TokenGrid:
-    """Per-frame token sequences [F, T, h]; tracks whether the spatial table
-    has been added (it must be added exactly once)."""
-
-    tokens: Tensor
-    spatially_positioned: bool = False
-
-
-@dataclass
-class GroupedTokens:
-    """Adjacent frames merged along the token axis: [G, k*T, h]. Construction
-    through merge_neighbor_frames adds the temporal table exactly once."""
-
-    tokens: Tensor
-    group_size: int
-
-
 def extract_patches(pixels: np.ndarray, patch: int) -> np.ndarray:
     """[..., C, H, W] -> [..., T, C*patch*patch].
 
@@ -100,52 +90,34 @@ def extract_patches(pixels: np.ndarray, patch: int) -> np.ndarray:
     return np.ascontiguousarray(x).reshape(*lead, gh * gw, c * patch * patch)
 
 
-def patchify(clip: VideoClip, patch: int, w: Tensor, b: Tensor | None = None) -> TokenGrid:
-    """Non-overlapping patches projected to hidden width: [F, T, h]."""
-    vecs = extract_patches(clip.pixels.data, patch)
-    if w.shape[0] != vecs.shape[-1]:
-        raise ShapeMismatch(f"patch projection expects {vecs.shape[-1]} inputs, got {w.shape}")
-    return TokenGrid(tokens=linear(Tensor(vecs), w, b), spatially_positioned=False)
-
-
-def merge_temporal_channels(clip: VideoClip, k: int) -> VideoClip:
-    """Stack k consecutive frames along the channel axis: [F/k, k*C, H, W].
+def merge_temporal_channels(pixels: np.ndarray, k: int) -> np.ndarray:
+    """Stack k consecutive frames along the channel axis:
+    [..., F, C, H, W] -> [..., F/k, k*C, H, W].
 
     Output frame i carries input frames i*k .. i*k+k-1 in temporal order, so
     channels 0..C-1 come from the first frame of the window.
     """
-    f, c, h, wd = clip.pixels.shape
+    *lead, f, c, h, w = pixels.shape
     if k < 1 or f % k:
         raise IndivisibleFrames(f"{f} frames not divisible by k={k}")
-    return VideoClip(pixels=reshape(clip.pixels, (f // k, k * c, h, wd)))
+    return pixels.reshape(*lead, f // k, k * c, h, w)
 
 
-def add_spatial_pos(grid: TokenGrid, table: Tensor) -> TokenGrid:
-    """Add the learned [T, h] table to every frame. Second add is an error."""
-    if grid.spatially_positioned:
-        raise DoublePositioning("spatial table already added to this grid")
-    f, t, h = grid.tokens.shape
-    if table.shape != (t, h):
-        raise ShapeMismatch(f"spatial table {table.shape} for tokens {grid.tokens.shape}")
-    return TokenGrid(tokens=add(grid.tokens, table), spatially_positioned=True)
-
-
-def merge_neighbor_frames(grid: TokenGrid, k: int, temporal_table: Tensor) -> GroupedTokens:
+def merge_neighbor_frames(tokens: Tensor, k: int, temporal_table: Tensor) -> Tensor:
     """Group adjacent k frames along the token axis and add the absolute
-    temporal table (one row per in-group frame offset).
+    temporal table (one row per in-group frame offset):
+    [..., F, T, h] -> [..., F/k, k*T, h].
 
     Token (g, j*T + p) equals input token (frame g*k + j, p) + table[j].
     """
-    if not grid.spatially_positioned:
-        raise NotPositioned("add the spatial table before grouping frames")
-    f, t, h = grid.tokens.shape
+    *lead, f, t, h = tokens.shape
     if k < 1 or f % k:
         raise IndivisibleFrames(f"{f} frames not divisible by k={k}")
     if temporal_table.shape != (k, h):
         raise ShapeMismatch(f"temporal table {temporal_table.shape}, expected {(k, h)}")
-    x = reshape(grid.tokens, (f // k, k, t, h))
+    x = reshape(tokens, (*lead, f // k, k, t, h))
     x = add(x, reshape(temporal_table, (k, 1, h)))
-    return GroupedTokens(tokens=reshape(x, (f // k, k * t, h)), group_size=k)
+    return reshape(x, (*lead, f // k, k * t, h))
 
 
 # ---- CLP1 clip files: magic, F/C/H/W u32 LE, then f32 LE pixels ----

@@ -15,8 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from .compressor import token_budget
-from .errors import BadConfig, NonIntegralBudget
+from .errors import BadConfig
 from .frontend import COMPRESSION_METHODS, FusionMethod
 from .pipeline import ModelConfig, build_model, model_flops_per_clip
 from .rng import derive_seed
@@ -105,16 +104,12 @@ def run_cell(spec: ExperimentSpec, method: FusionMethod, k: int, n_input: int,
     train_ds, eval_ds = datasets[n_input]
     cfg = ModelConfig(method=method, k=k, n_input=n_input, height=spec.height,
                       width=spec.width, patch=spec.patch)
-    budget = token_budget(n_input, cfg.tokens_per_group, k)
-    if cfg.budget.l_decoder != budget.l_decoder:
-        raise NonIntegralBudget(f"cell ({method.value}, k={k}): model budget "
-                                f"{cfg.budget.l_decoder} != audit {budget.l_decoder}")
     cell_seed = derive_seed(spec.train.seed, method.value, k)
     bundle = build_model(cfg, cell_seed)
     outcome = train(bundle, train_ds, replace(spec.train, seed=cell_seed))
     score = evaluate(bundle, eval_ds)
     return RunResult(method=method.value, k=k, n_input=n_input,
-                     l_decoder=budget.l_decoder, per_category=score.per_category,
+                     l_decoder=cfg.budget.l_decoder, per_category=score.per_category,
                      accuracy=score.accuracy, final_loss=outcome.final_loss,
                      wall_seconds=outcome.wall_seconds,
                      flops_per_clip=model_flops_per_clip(cfg),
@@ -124,18 +119,6 @@ def run_cell(spec: ExperimentSpec, method: FusionMethod, k: int, n_input: int,
 def run_grid(spec: ExperimentSpec) -> list[RunResult]:
     datasets: dict = {}
     return [run_cell(spec, m, k, n, datasets) for m, k, n in _cells(spec)]
-
-
-def run_grid_fixed_budget(spec: ExperimentSpec) -> list[RunResult]:
-    if spec.axis is not GridAxis.FIXED_BUDGET:
-        raise BadConfig(f"spec axis is {spec.axis.value}")
-    return run_grid(spec)
-
-
-def run_grid_fixed_frames(spec: ExperimentSpec) -> list[RunResult]:
-    if spec.axis is not GridAxis.FIXED_FRAMES:
-        raise BadConfig(f"spec axis is {spec.axis.value}")
-    return run_grid(spec)
 
 
 def results_to_csv(results, include_flops: bool = False) -> str:

@@ -1,9 +1,10 @@
 """End-to-end model assembly: pixels -> patches -> encoder -> compression ->
 decoder logits, wired per fusion method.
 
-Per-frame attention is run with frames folded into the batch axis, which is
-bitwise identical to block-diagonal masking over the flat sequence because
-blocked attention weights underflow to exactly zero.
+Each attention scope (a frame, or a through-encoder group of k frames) is
+folded into the batch axis and encoded unmasked, which is bitwise identical
+to block-diagonal masking over the flat sequence because blocked attention
+weights underflow to exactly zero.
 """
 from __future__ import annotations
 
@@ -14,13 +15,14 @@ import numpy as np
 
 from .autodiff import Tensor, add, reshape
 from .compressor import (CompressorConfig, TokenBudget, compress,
-                         init_compressor_params, required_scope, token_budget)
+                         init_compressor_params, token_budget)
 from .decoder import (DecoderConfig, MCQBatch, answer_logits, causal_decode,
                       init_decoder_params, mcq_loss)
-from .encoder import (AttentionScope, EncoderConfig, build_scope_mask, encode,
-                      init_encoder_params)
-from .errors import BadConfig, IndivisibleFrames, ShapeMismatch
-from .frontend import FusionMethod, extract_patches
+from .encoder import EncoderConfig, encode, init_encoder_params
+from .errors import (BadConfig, IndivisibleFrames, IndivisibleResolution,
+                     ShapeMismatch)
+from .frontend import (FusionMethod, extract_patches, merge_neighbor_frames,
+                       merge_temporal_channels, parse_method)
 from .rng import RngState, derive_seed
 from .synthclips import QUESTION_LEN, VOCAB
 
@@ -54,7 +56,6 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.height % self.patch or self.width % self.patch:
-            from .errors import IndivisibleResolution
             raise IndivisibleResolution(
                 f"{self.height}x{self.width} not divisible by patch {self.patch}")
         side = math.isqrt(self.tokens_per_frame)
@@ -97,7 +98,7 @@ class ModelConfig:
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(layers=self.enc_layers, hidden=self.enc_hidden,
                              heads=self.enc_heads, ffn_hidden=self.enc_ffn,
-                             scope=required_scope(self.method), norm_eps=self.norm_eps)
+                             norm_eps=self.norm_eps)
 
     def compressor_config(self) -> CompressorConfig:
         return CompressorConfig(method=self.method, k=self.k,
@@ -175,28 +176,18 @@ def video_token_forward(bundle: ModelBundle, pixels: np.ndarray) -> Tensor:
     b = pixels.shape[0]
     k, t, h = cfg.k, cfg.tokens_per_frame, cfg.enc_hidden
     if cfg.method is FusionMethod.PRE_ENCODER_CHANNEL_MERGE:
-        pixels = pixels.reshape(b, cfg.n_input // k, k * cfg.channels,
-                                cfg.height, cfg.width)
+        pixels = merge_temporal_channels(pixels, k)
     vecs = extract_patches(pixels, cfg.patch)  # [B, F', T, pd]
     tokens = add(Tensor(vecs) @ bundle.params["patch_proj.w"],
                  bundle.params["patch_proj.b"])
     tokens = add(tokens, bundle.params["pos.spatial"])
-    frames = cfg.encoder_frames
+    seqs = reshape(tokens, (b * cfg.encoder_frames, t, h))
     if cfg.method is FusionMethod.THROUGH_ENCODER:
-        grouped = reshape(tokens, (b, frames // k, k, t, h))
-        grouped = add(grouped, reshape(bundle.params["pos.temporal"], (k, 1, h)))
-        seqs = reshape(grouped, (b * (frames // k), k * t, h))
-        mask = build_scope_mask(k * t, k * t)
-        enc = encode(seqs, bundle.enc_cfg, mask, bundle.params, "enc")
-        enc = reshape(enc, (b, frames // k, k * t, h))
-        scope = AttentionScope.PER_GROUP
-    else:
-        seqs = reshape(tokens, (b * frames, t, h))
-        mask = build_scope_mask(t, t)
-        enc = encode(seqs, bundle.enc_cfg, mask, bundle.params, "enc")
-        enc = reshape(enc, (b, frames, t, h))
-        scope = AttentionScope.PER_FRAME
-    out = compress(cfg.method, enc, bundle.comp_cfg, bundle.params, scope, "comp")
+        # k divides each clip's frames, so no group spans two clips
+        seqs = merge_neighbor_frames(seqs, k, bundle.params["pos.temporal"])
+    enc = encode(seqs, bundle.enc_cfg, None, bundle.params, "enc")
+    enc = reshape(enc, (b, enc.shape[0] // b) + enc.shape[1:])
+    out = compress(enc, bundle.comp_cfg, bundle.params, "comp")
     bb, g, l, oh = out.shape
     if g * l != cfg.budget.l_decoder:
         raise ShapeMismatch(f"compressed to {g}*{l} tokens, budget says {cfg.budget.l_decoder}")
@@ -234,7 +225,7 @@ def config_from_dict(d: dict) -> ModelConfig:
     if unknown:
         raise BadConfig(f"unknown model config keys {unknown}")
     kwargs = dict(d)
-    kwargs["method"] = FusionMethod(kwargs["method"])
+    kwargs["method"] = parse_method(kwargs.get("method"))
     return ModelConfig(**kwargs)
 
 

@@ -605,12 +605,16 @@ def save_dataset(samples, out_dir, gcfg: GenConfig, stats: DatasetStats | None =
 
 def load_dataset(in_dir):
     src = Path(in_dir)
-    meta = json.loads((src / "meta.json").read_text())
-    gcfg = GenConfig(frames=meta["frames"], height=meta["height"],
-                     width=meta["width"], channels=meta["channels"], fps=meta["fps"])
-    samples = []
-    with open(src / "records.csv", newline="") as fh:
-        reader = csv.DictReader(fh)
+    try:
+        meta = json.loads((src / "meta.json").read_text())
+        records = open(src / "records.csv", newline="")
+    except (OSError, json.JSONDecodeError) as err:
+        raise BadConfig(f"cannot read dataset {src}: {err}") from err
+    with records:
+        gcfg = GenConfig(frames=meta["frames"], height=meta["height"],
+                         width=meta["width"], channels=meta["channels"], fps=meta["fps"])
+        samples = []
+        reader = csv.DictReader(records)
         if tuple(reader.fieldnames or ()) != RECORD_FIELDS:
             raise SchemaMismatch(f"records.csv columns {reader.fieldnames}")
         for row in reader:

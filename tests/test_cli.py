@@ -5,7 +5,9 @@ import pytest
 
 from framefuse import cli
 from framefuse.checkpoint import load_checkpoint_meta
+from framefuse.frontend import FusionMethod
 from framefuse.gradcheck import FiniteDiffReport
+from framefuse.pipeline import ModelConfig, config_to_dict
 
 FIXTURE = Path(__file__).parent / "data" / "ablation_16frame.csv"
 
@@ -184,3 +186,47 @@ def test_grid_requires_axis(capsys, tmp_path):
                        "--out", str(tmp_path / "x.csv"))
     assert code == 1
     assert "--axis" in err
+
+
+def assert_one_error_line(err, *fragments):
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_grid_unknown_method(capsys, tmp_path):
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps({"methods": ["pllava-pool", "nope"]}))
+    for extra in (("--methods", "pllava-pool,nope"), ("--config", str(cfg_path))):
+        code, out, err = run(capsys, "grid", "--axis", "fixed-frames", "--n-input", "8",
+                             "--out", str(tmp_path / "x.csv"), *extra)
+        assert code == 1
+        assert out == ""
+        assert_one_error_line(err, "unknown method 'nope'")
+
+
+def test_eval_sidecar_unknown_method(capsys, tmp_path):
+    ckpt = tmp_path / "model.tfz"
+    (tmp_path / "model.tfz.json").write_text(json.dumps({"model": {"method": "nope"}}))
+    code, out, err = run(capsys, "eval", "--ckpt", str(ckpt),
+                         "--data", str(tmp_path / "ds"))
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err, "unknown method 'nope'")
+
+
+def test_missing_input_paths_are_validation_errors(capsys, tmp_path):
+    missing_ckpt = str(tmp_path / "missing.tfz")
+    missing_data = str(tmp_path / "missing")
+    # a sidecar whose binary checkpoint is missing
+    sidecar_only = tmp_path / "missing_blob.tfz"
+    model = config_to_dict(ModelConfig(method=FusionMethod.BASELINE))
+    (tmp_path / "missing_blob.tfz.json").write_text(json.dumps({"model": model}))
+    for argv in (("eval", "--ckpt", missing_ckpt, "--data", missing_data),
+                 ("eval", "--ckpt", str(sidecar_only), "--data", missing_data),
+                 ("stats", "--data", missing_data)):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert_one_error_line(err, "missing")

@@ -8,12 +8,10 @@ from framefuse.compressor import (CompressorConfig, TokenBudget,
                                   init_compressor_params,
                                   kangaroo_identity_mlp, kangaroo_temporal_mlp,
                                   pllava_temporal_pool, qformer_compress,
-                                  required_scope, spatial_downsample_with_proj,
-                                  te_concat_and_project, token_budget, compress)
-from framefuse.encoder import AttentionScope
+                                  spatial_downsample_with_proj,
+                                  te_concat_and_project, token_budget)
 from framefuse.errors import (BadConfig, IndivisibleFrames, NonIntegralBudget,
-                              NonSquareGrid, OddGridSide, ScopeMismatch,
-                              ShapeMismatch)
+                              NonSquareGrid, OddGridSide, ShapeMismatch)
 from framefuse.frontend import COMPRESSION_METHODS, FusionMethod
 from framefuse.rng import RngState
 
@@ -218,29 +216,6 @@ def test_qformer_rejects_queries_not_matching_budget():
                            out_hidden=8, qformer_queries=5)
     with pytest.raises(BadConfig):
         init_compressor_params(cfg, encoder_hidden=8, l=4, rng=RngState(0))
-
-
-def test_required_scope():
-    assert required_scope(FusionMethod.THROUGH_ENCODER) is AttentionScope.PER_GROUP
-    for m in FusionMethod:
-        if m is not FusionMethod.THROUGH_ENCODER:
-            assert required_scope(m) is AttentionScope.PER_FRAME
-
-
-def test_compress_scope_mismatch():
-    cfg = CompressorConfig(method=FusionMethod.BASELINE, k=1, out_hidden=4)
-    params = init_compressor_params(cfg, encoder_hidden=4, l=4, rng=RngState(1))
-    with pytest.raises(ScopeMismatch):
-        compress(FusionMethod.BASELINE, Tensor(np.zeros((2, 16, 4))), cfg,
-                 params, AttentionScope.PER_GROUP)
-
-
-def test_compress_method_config_mismatch():
-    cfg = CompressorConfig(method=FusionMethod.BASELINE, k=1, out_hidden=4)
-    params = init_compressor_params(cfg, encoder_hidden=4, l=4, rng=RngState(2))
-    with pytest.raises(BadConfig):
-        compress(FusionMethod.POST_POOL_PLLAVA, Tensor(np.zeros((2, 16, 4))),
-                 cfg, params, AttentionScope.PER_FRAME)
 
 
 def test_compression_methods_order():

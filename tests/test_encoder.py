@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from framefuse.autodiff import MASK_BLOCKED, Tensor
-from framefuse.encoder import (AttentionScope, EncoderConfig, build_scope_mask,
-                               encode, init_encoder_params, merge_heads,
+from framefuse.encoder import (EncoderConfig, build_scope_mask, encode,
+                               init_encoder_params, merge_heads,
                                multihead_attention, split_heads)
 from framefuse.errors import IndivisibleTokens, ShapeMismatch
 from framefuse.rng import RngState
@@ -16,24 +16,21 @@ def small_encoder(layers=1, hidden=8, heads=2, ffn=12, seed=0):
 
 
 def test_scope_mask_small_case():
-    sm = build_scope_mask(4, 2)
-    allowed = sm.mask.data == 0.0
+    mask = build_scope_mask(4, 2)
+    allowed = mask.data == 0.0
     expect = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]],
                       dtype=bool)
     assert np.array_equal(allowed, expect)
-    assert sm.block == 2
-    assert sm.total == 4
 
 
 def test_scope_mask_allowed_pair_count():
-    sm = build_scope_mask(6, 3)
-    assert int((sm.mask.data == 0.0).sum()) == 18
-    assert np.all(sm.mask.data[(sm.mask.data != 0.0)] == MASK_BLOCKED)
+    mask = build_scope_mask(6, 3).data
+    assert int((mask == 0.0).sum()) == 18
+    assert np.all(mask[mask != 0.0] == MASK_BLOCKED)
 
 
 def test_scope_mask_single_block_is_dense():
-    sm = build_scope_mask(5, 5)
-    assert np.all(sm.mask.data == 0.0)
+    assert np.all(build_scope_mask(5, 5).data == 0.0)
 
 
 def test_scope_mask_indivisible():
@@ -126,8 +123,3 @@ def test_encoder_has_no_key_bias():
     _, params = small_encoder(layers=2)
     assert not any(name.endswith(".bk") for name in params)
     assert "enc.0.bq" in params and "enc.1.bo" in params
-
-
-def test_scope_enum_values():
-    assert AttentionScope.PER_FRAME.value == "per-frame"
-    assert AttentionScope.PER_GROUP.value == "per-group"

@@ -4,12 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from framefuse.autodiff import Tensor
-from framefuse.errors import (BadMagic, DoublePositioning, IndivisibleFrames,
-                              IndivisibleResolution, NotPositioned,
-                              ShapeMismatch, TruncatedFile)
-from framefuse.frontend import (VideoClip, add_spatial_pos, extract_patches,
-                                load_clip, merge_neighbor_frames,
-                                merge_temporal_channels, patchify, save_clip)
+from framefuse.errors import (BadMagic, IndivisibleFrames,
+                              IndivisibleResolution, ShapeMismatch,
+                              TruncatedFile)
+from framefuse.frontend import (VideoClip, extract_patches, load_clip,
+                                merge_neighbor_frames, merge_temporal_channels,
+                                save_clip)
 
 
 def rand_clip(rng, f=4, c=3, h=8, w=8):
@@ -48,20 +48,18 @@ def test_extract_patches_indivisible():
 def test_patchify_shapes():
     rng = np.random.default_rng(0)
     clip = rand_clip(rng, f=8, c=3, h=28, w=28)
-    w = Tensor(rng.normal(size=(3 * 7 * 7, 16)))
-    grid = patchify(clip, 7, w)
-    assert grid.tokens.shape == (8, 16, 16)
-    assert not grid.spatially_positioned
+    vecs = extract_patches(clip.pixels.data, 7)
+    assert vecs.shape == (8, 16, 3 * 7 * 7)
 
 
 def test_patchify_single_patch_equals_projection():
     rng = np.random.default_rng(1)
     clip = rand_clip(rng, f=1, c=3, h=4, w=4)
-    w = Tensor(rng.normal(size=(48, 5)))
-    grid = patchify(clip, 4, w)
-    assert grid.tokens.shape == (1, 1, 5)
-    expect = clip.pixels.data.reshape(1, 1, 48) @ w.data
-    assert np.allclose(grid.tokens.data, expect)
+    w = rng.normal(size=(48, 5))
+    tokens = extract_patches(clip.pixels.data, 4) @ w
+    assert tokens.shape == (1, 1, 5)
+    expect = clip.pixels.data.reshape(1, 1, 48) @ w
+    assert np.allclose(tokens, expect)
 
 
 def test_patchify_paper_scale_token_count():
@@ -73,93 +71,76 @@ def test_patchify_paper_scale_token_count():
 
 def test_merge_temporal_channels_shape_and_layout():
     rng = np.random.default_rng(2)
-    clip = rand_clip(rng, f=8, c=3)
-    merged = merge_temporal_channels(clip, 2)
-    assert merged.pixels.shape == (4, 6, 8, 8)
-    assert np.array_equal(merged.pixels.data[1, :3], clip.pixels.data[2])
-    assert np.array_equal(merged.pixels.data[1, 3:], clip.pixels.data[3])
+    pixels = rand_clip(rng, f=8, c=3).pixels.data
+    merged = merge_temporal_channels(pixels, 2)
+    assert merged.shape == (4, 6, 8, 8)
+    assert np.array_equal(merged[1, :3], pixels[2])
+    assert np.array_equal(merged[1, 3:], pixels[3])
 
 
 def test_merge_temporal_channels_identity_at_k1():
     rng = np.random.default_rng(3)
-    clip = rand_clip(rng)
-    merged = merge_temporal_channels(clip, 1)
-    assert np.array_equal(merged.pixels.data, clip.pixels.data)
+    pixels = rand_clip(rng).pixels.data
+    merged = merge_temporal_channels(pixels, 1)
+    assert np.array_equal(merged, pixels)
 
 
 def test_merge_temporal_channels_indivisible():
     with pytest.raises(IndivisibleFrames):
-        merge_temporal_channels(rand_clip(np.random.default_rng(0), f=6), 4)
+        merge_temporal_channels(rand_clip(np.random.default_rng(0), f=6).pixels.data, 4)
 
 
-def test_add_spatial_pos_zero_table_is_noop():
-    rng = np.random.default_rng(4)
-    clip = rand_clip(rng)
-    grid = patchify(clip, 4, Tensor(rng.normal(size=(48, 8))))
-    out = add_spatial_pos(grid, Tensor(np.zeros((4, 8))))
-    assert np.array_equal(out.tokens.data, grid.tokens.data)
-    assert out.spatially_positioned
-
-
-def test_add_spatial_pos_broadcasts_per_frame():
-    table = np.arange(8, dtype=np.float64).reshape(2, 4)
-    from framefuse.frontend import TokenGrid
-    grid = TokenGrid(tokens=Tensor(np.zeros((3, 2, 4))))
-    out = add_spatial_pos(grid, Tensor(table))
-    for f in range(3):
-        assert np.array_equal(out.tokens.data[f], table)
-
-
-def test_add_spatial_pos_twice_rejected():
-    from framefuse.frontend import TokenGrid
-    grid = TokenGrid(tokens=Tensor(np.zeros((2, 2, 4))), spatially_positioned=True)
-    with pytest.raises(DoublePositioning):
-        add_spatial_pos(grid, Tensor(np.zeros((2, 4))))
-
-
-def test_add_spatial_pos_table_shape_checked():
-    from framefuse.frontend import TokenGrid
-    grid = TokenGrid(tokens=Tensor(np.zeros((2, 2, 4))))
-    with pytest.raises(ShapeMismatch):
-        add_spatial_pos(grid, Tensor(np.zeros((3, 4))))
+def test_merge_temporal_channels_batched():
+    # a leading batch axis: each clip's windows stay inside that clip
+    rng = np.random.default_rng(8)
+    pixels = rng.random((2, 4, 3, 8, 8))
+    merged = merge_temporal_channels(pixels, 2)
+    assert merged.shape == (2, 2, 6, 8, 8)
+    for b in range(2):
+        assert np.array_equal(merged[b], merge_temporal_channels(pixels[b], 2))
 
 
 def test_merge_neighbor_frames_shapes():
-    from framefuse.frontend import TokenGrid
-    grid = TokenGrid(tokens=Tensor(np.zeros((8, 16, 4))), spatially_positioned=True)
-    grouped = merge_neighbor_frames(grid, 2, Tensor(np.zeros((2, 4))))
-    assert grouped.tokens.shape == (4, 32, 4)
-    assert grouped.group_size == 2
+    grouped = merge_neighbor_frames(Tensor(np.zeros((8, 16, 4))), 2,
+                                    Tensor(np.zeros((2, 4))))
+    assert grouped.shape == (4, 32, 4)
 
 
 def test_merge_neighbor_frames_token_layout():
-    from framefuse.frontend import TokenGrid
     tokens = np.arange(2 * 2 * 3 * 1, dtype=np.float64).reshape(4, 3, 1)
     table = np.array([[10.0], [20.0]])
-    grid = TokenGrid(tokens=Tensor(tokens), spatially_positioned=True)
-    grouped = merge_neighbor_frames(grid, 2, Tensor(table))
+    grouped = merge_neighbor_frames(Tensor(tokens), 2, Tensor(table))
     # token (g, j*T + p) = input (g*2 + j, p) + table[j]
     for g in range(2):
         for j in range(2):
             for p in range(3):
-                got = grouped.tokens.data[g, j * 3 + p, 0]
+                got = grouped.data[g, j * 3 + p, 0]
                 assert got == tokens[g * 2 + j, p, 0] + table[j, 0]
 
 
 def test_merge_neighbor_frames_k1_zero_table_identity():
-    from framefuse.frontend import TokenGrid
     rng = np.random.default_rng(5)
     tokens = rng.normal(size=(4, 6, 3))
-    grid = TokenGrid(tokens=Tensor(tokens), spatially_positioned=True)
-    grouped = merge_neighbor_frames(grid, 1, Tensor(np.zeros((1, 3))))
-    assert np.array_equal(grouped.tokens.data, tokens)
+    grouped = merge_neighbor_frames(Tensor(tokens), 1, Tensor(np.zeros((1, 3))))
+    assert np.array_equal(grouped.data, tokens)
 
 
-def test_merge_neighbor_frames_requires_positioning():
-    from framefuse.frontend import TokenGrid
-    grid = TokenGrid(tokens=Tensor(np.zeros((4, 6, 3))))
-    with pytest.raises(NotPositioned):
-        merge_neighbor_frames(grid, 2, Tensor(np.zeros((2, 3))))
+def test_merge_neighbor_frames_batched():
+    rng = np.random.default_rng(9)
+    tokens = rng.normal(size=(3, 4, 6, 2))
+    table = Tensor(rng.normal(size=(2, 2)))
+    grouped = merge_neighbor_frames(Tensor(tokens), 2, table)
+    assert grouped.shape == (3, 2, 12, 2)
+    for b in range(3):
+        alone = merge_neighbor_frames(Tensor(tokens[b]), 2, table)
+        assert np.array_equal(grouped.data[b], alone.data)
+
+
+def test_merge_neighbor_frames_checks_divisibility_and_table():
+    with pytest.raises(IndivisibleFrames):
+        merge_neighbor_frames(Tensor(np.zeros((6, 4, 3))), 4, Tensor(np.zeros((4, 3))))
+    with pytest.raises(ShapeMismatch):
+        merge_neighbor_frames(Tensor(np.zeros((4, 6, 3))), 2, Tensor(np.zeros((3, 3))))
 
 
 def test_clip_round_trip(tmp_path):

@@ -3,8 +3,7 @@ import pytest
 from framefuse.errors import BadConfig
 from framefuse.frontend import COMPRESSION_METHODS, FusionMethod
 from framefuse.grid import (ExperimentSpec, GridAxis, RunResult, _cells,
-                            results_to_csv, run_cell, run_grid,
-                            run_grid_fixed_budget, run_grid_fixed_frames)
+                            results_to_csv, run_cell, run_grid)
 from framefuse.rng import derive_seed
 from framefuse.training import TrainConfig
 
@@ -80,15 +79,6 @@ def test_cell_seeds_distinct():
     seeds = {derive_seed(0, m.value, k)
              for m in COMPRESSION_METHODS for k in (2, 4, 8, 16)}
     assert len(seeds) == 20
-
-
-def test_axis_guards():
-    fb = tiny_spec(GridAxis.FIXED_BUDGET, n_over_k=4)
-    ff = tiny_spec(GridAxis.FIXED_FRAMES, n_input=8)
-    with pytest.raises(BadConfig):
-        run_grid_fixed_budget(ff)
-    with pytest.raises(BadConfig):
-        run_grid_fixed_frames(fb)
 
 
 def fake_result(method="baseline", k=1, loss=1.25):
