@@ -452,8 +452,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
 # ---- attention ----
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor | None = None,
-              return_weights: bool = False):
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor | None = None) -> Tensor:
     """softmax(q k^T / sqrt(d) + mask) v with an additive 0/MASK_BLOCKED mask.
 
     q [..., Tq, d], k [..., Tk, d], v [..., Tk, dv]; mask broadcasts onto the
@@ -478,10 +477,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor | None = None,
         blocked = np.broadcast_to(mask.data <= MASK_BLOCKED * 0.5, weights.shape)
         if blocked.any() and weights.data[blocked].max(initial=0.0) >= 1e-20:
             raise FloatingPointError("blocked attention weight above 1e-20")
-    out = matmul(weights, v)
-    if return_weights:
-        return out, weights
-    return out
+    return matmul(weights, v)
 
 
 # ---- construction helpers ----

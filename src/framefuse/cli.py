@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .checkpoint import (apply_checkpoint, load_checkpoint,
@@ -19,7 +18,7 @@ from .frontend import FusionMethod, parse_method
 from .gradcheck import SUITE_GROUPS, run_gradient_suite
 from .grid import ExperimentSpec, GridAxis, results_to_csv, run_grid
 from .pipeline import ModelConfig, build_model, config_from_dict, config_to_dict
-from .report import ReportTable, read_table_csv, render_table
+from .report import read_table_csv, render_table
 from .synthclips import (CATEGORY_ORDER, GenConfig, dataset_stats, gen_dataset,
                          load_dataset, save_dataset)
 from .training import TrainConfig, evaluate, train

@@ -14,7 +14,8 @@ import numpy as np
 
 from .autodiff import (Tensor, add, constant, gelu, linear, mean_over_axis,
                        permute, reshape, rms_norm)
-from .encoder import multihead_attention
+from .encoder import (ParamInit, feed_forward, multihead_attention,
+                      self_attention)
 from .errors import (BadConfig, IndivisibleFrames, NonIntegralBudget,
                      NonSquareGrid, OddGridSide, ShapeMismatch)
 from .frontend import FusionMethod
@@ -44,7 +45,6 @@ class CompressorConfig:
     method: FusionMethod
     k: int
     out_hidden: int = 64
-    qformer_queries: int | None = None  # must equal l for the qformer path
     qformer_layers: int = 2
     qformer_heads: int = 4
     norm_eps: float = 1e-6
@@ -145,8 +145,7 @@ def pllava_temporal_pool(per_frame: Tensor, k: int) -> Tensor:
 
 def qformer_compress(per_frame: Tensor, k: int, queries: Tensor,
                      params: dict[str, Tensor], layers: int = 2, heads: int = 4,
-                     norm_eps: float = 1e-6, prefix: str = "comp",
-                     return_weights: bool = False):
+                     norm_eps: float = 1e-6, prefix: str = "comp") -> Tensor:
     """Learned queries attend to each window of k frames' tokens.
 
     [..., F, l, out] with queries [l, out] -> [..., F/k, l, out]. Each block is
@@ -160,21 +159,12 @@ def qformer_compress(per_frame: Tensor, k: int, queries: Tensor,
         raise ShapeMismatch(f"queries {queries.shape}, expected {(l, out)}")
     window = reshape(per_frame, (*lead, f // k, k * l, out))
     q = add(constant(np.zeros((*lead, f // k, l, out))), queries)
-    cross_weights = []
     for i in range(layers):
         p = f"{prefix}.qf.{i}"
-        sq = rms_norm(q, params[f"{p}.norm1"], norm_eps)
-        q = add(q, multihead_attention(sq, sq, None, params, f"{p}.self", heads))
+        q = self_attention(q, params[f"{p}.norm1"], params, f"{p}.self", heads, norm_eps)
         cq = rms_norm(q, params[f"{p}.norm2"], norm_eps)
-        ctx, wts = multihead_attention(cq, window, None, params, f"{p}.cross", heads,
-                                       return_weights=True)
-        cross_weights.append(wts)
-        q = add(q, ctx)
-        fq = rms_norm(q, params[f"{p}.norm3"], norm_eps)
-        hid = gelu(linear(fq, params[f"{p}.ffn_w1"], params[f"{p}.ffn_b1"]))
-        q = add(q, linear(hid, params[f"{p}.ffn_w2"], params[f"{p}.ffn_b2"]))
-    if return_weights:
-        return q, cross_weights
+        q = add(q, multihead_attention(cq, window, None, params, f"{p}.cross", heads))
+        q = feed_forward(q, params[f"{p}.norm3"], params, p, norm_eps)
     return q
 
 
@@ -182,47 +172,26 @@ def init_compressor_params(cfg: CompressorConfig, encoder_hidden: int, l: int,
                            rng: RngState, prefix: str = "comp",
                            std: float = 0.02) -> dict[str, Tensor]:
     h, out = encoder_hidden, cfg.out_hidden
-    params: dict[str, Tensor] = {}
-
-    def normal(name, shape):
-        params[f"{prefix}.{name}"] = Tensor(rng.normal_array(shape, std), requires_grad=True)
-
-    def zeros(name, shape):
-        params[f"{prefix}.{name}"] = Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(name, shape):
-        params[f"{prefix}.{name}"] = Tensor(np.ones(shape), requires_grad=True)
-
-    if cfg.method is FusionMethod.THROUGH_ENCODER:
-        normal("proj_w", (4 * cfg.k * h, out))
-        zeros("proj_b", (out,))
-    else:
-        normal("proj_w", (4 * h, out))
-        zeros("proj_b", (out,))
+    init = ParamInit(rng, std)
+    # through-encoder projects the k frames' vectors of each 2x2 window at once
+    width = cfg.k * h if cfg.method is FusionMethod.THROUGH_ENCODER else h
+    init.normal(f"{prefix}.proj_w", (4 * width, out))
+    init.zeros(f"{prefix}.proj_b", (out,))
     if cfg.method is FusionMethod.POST_MLP_KANGAROO:
-        normal("mlp_w1", (cfg.k * h, 2 * h))
-        zeros("mlp_b1", (2 * h,))
-        normal("mlp_w2", (2 * h, h))
-        zeros("mlp_b2", (h,))
+        init.normal(f"{prefix}.mlp_w1", (cfg.k * h, 2 * h))
+        init.zeros(f"{prefix}.mlp_b1", (2 * h,))
+        init.normal(f"{prefix}.mlp_w2", (2 * h, h))
+        init.zeros(f"{prefix}.mlp_b2", (h,))
     if cfg.method is FusionMethod.POST_QFORMER:
-        if cfg.qformer_queries is not None and cfg.qformer_queries != l:
-            raise BadConfig(f"qformer needs {l} queries to hold the budget, got {cfg.qformer_queries}")
-        normal("queries", (l, out))
+        init.normal(f"{prefix}.queries", (l, out))
         for i in range(cfg.qformer_layers):
-            p = f"qf.{i}"
-            ones(f"{p}.norm1", (out,))
-            ones(f"{p}.norm2", (out,))
-            ones(f"{p}.norm3", (out,))
-            for blk in ("self", "cross"):
-                for proj in ("wq", "wk", "wv", "wo"):
-                    normal(f"{p}.{blk}.{proj}", (out, out))
-                for bias in ("bq", "bv", "bo"):
-                    zeros(f"{p}.{blk}.{bias}", (out,))
-            normal(f"{p}.ffn_w1", (out, 2 * out))
-            zeros(f"{p}.ffn_b1", (2 * out,))
-            normal(f"{p}.ffn_w2", (2 * out, out))
-            zeros(f"{p}.ffn_b2", (out,))
-    return params
+            p = f"{prefix}.qf.{i}"
+            for norm in ("norm1", "norm2", "norm3"):
+                init.ones(f"{p}.{norm}", (out,))
+            init.attention(f"{p}.self", out)
+            init.attention(f"{p}.cross", out)
+            init.ffn(p, out, 2 * out)
+    return init.params
 
 
 def compress(encoder_output: Tensor, cfg: CompressorConfig,

@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (MASK_BLOCKED, Tensor, add, attention, concat_axis,
-                       cross_entropy, embedding_lookup, gelu, linear, multiply,
-                       narrow, reshape, rms_norm, scale)
-from .encoder import merge_heads, split_heads
+from .autodiff import (MASK_BLOCKED, Tensor, concat_axis, cross_entropy,
+                       embedding_lookup, linear, narrow, reshape, rms_norm)
+from .encoder import ParamInit, block
 from .errors import SequenceTooLong, ShapeMismatch
 from .rng import RngState
 
@@ -63,16 +62,6 @@ def rotary_tables(seq_len: int, head_dim: int, base: float) -> tuple[np.ndarray,
     return cos, sin
 
 
-def _apply_rotary(x: Tensor, cos: Tensor, sin: Tensor) -> Tensor:
-    """x [..., S, dh] rotated positionwise: x*cos + rotate_half(x)*sin."""
-    dh = x.shape[-1]
-    half = dh // 2
-    x1 = narrow(x, -1, 0, half)
-    x2 = narrow(x, -1, half, half)
-    rotated = concat_axis([scale(x2, -1.0), x1], -1)
-    return add(multiply(x, cos), multiply(rotated, sin))
-
-
 def build_causal_mask(seq_len: int) -> Tensor:
     """[S, S] additive mask: position i may read positions <= i."""
     allowed = np.tril(np.ones((seq_len, seq_len), dtype=bool))
@@ -81,38 +70,17 @@ def build_causal_mask(seq_len: int) -> Tensor:
 
 def init_decoder_params(cfg: DecoderConfig, video_hidden: int, rng: RngState,
                         prefix: str = "dec", std: float = 0.02) -> dict[str, Tensor]:
-    h, f = cfg.hidden, cfg.ffn_hidden
-    params: dict[str, Tensor] = {}
-
-    def normal(name, shape):
-        params[f"{prefix}.{name}"] = Tensor(rng.normal_array(shape, std), requires_grad=True)
-
-    def zeros(name, shape):
-        params[f"{prefix}.{name}"] = Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(name, shape):
-        params[f"{prefix}.{name}"] = Tensor(np.ones(shape), requires_grad=True)
-
-    normal("video_proj_w", (video_hidden, h))
-    zeros("video_proj_b", (h,))
-    normal("embed", (cfg.vocab, h))
+    h = cfg.hidden
+    init = ParamInit(rng, std)
+    init.normal(f"{prefix}.video_proj_w", (video_hidden, h))
+    init.zeros(f"{prefix}.video_proj_b", (h,))
+    init.normal(f"{prefix}.embed", (cfg.vocab, h))
     for i in range(cfg.layers):
-        p = f"{i}"
-        ones(f"{p}.norm1", (h,))
-        for proj in ("wq", "wk", "wv", "wo"):
-            normal(f"{p}.{proj}", (h, h))
-        # key bias omitted: softmax shift-invariance makes it (near-)inert
-        for bias in ("bq", "bv", "bo"):
-            zeros(f"{p}.{bias}", (h,))
-        ones(f"{p}.norm2", (h,))
-        normal(f"{p}.ffn_w1", (h, f))
-        zeros(f"{p}.ffn_b1", (f,))
-        normal(f"{p}.ffn_w2", (f, h))
-        zeros(f"{p}.ffn_b2", (h,))
-    ones("final_norm", (h,))
-    normal("head_w", (h, 4))
-    zeros("head_b", (4,))
-    return params
+        init.block(f"{prefix}.{i}", h, cfg.ffn_hidden)
+    init.ones(f"{prefix}.final_norm", (h,))
+    init.normal(f"{prefix}.head_w", (h, 4))
+    init.zeros(f"{prefix}.head_b", (4,))
+    return init.params
 
 
 def decode_hidden(batch: MCQBatch, cfg: DecoderConfig, params: dict[str, Tensor],
@@ -126,20 +94,10 @@ def decode_hidden(batch: MCQBatch, cfg: DecoderConfig, params: dict[str, Tensor]
     if seq > cfg.max_seq:
         raise SequenceTooLong(f"sequence {seq} exceeds max_seq {cfg.max_seq}")
     mask = build_causal_mask(seq)
-    dh = cfg.hidden // cfg.heads
-    cos_np, sin_np = rotary_tables(seq, dh, cfg.rotary_base)
-    cos, sin = Tensor(cos_np), Tensor(sin_np)
+    cos, sin = rotary_tables(seq, cfg.hidden // cfg.heads, cfg.rotary_base)
+    rotary = (Tensor(cos), Tensor(sin))
     for i in range(cfg.layers):
-        p = f"{prefix}.{i}"
-        a = rms_norm(x, params[f"{p}.norm1"], cfg.norm_eps)
-        q = _apply_rotary(split_heads(linear(a, params[f"{p}.wq"], params[f"{p}.bq"]), cfg.heads), cos, sin)
-        k = _apply_rotary(split_heads(linear(a, params[f"{p}.wk"]), cfg.heads), cos, sin)
-        v = split_heads(linear(a, params[f"{p}.wv"], params[f"{p}.bv"]), cfg.heads)
-        ctx = merge_heads(attention(q, k, v, mask))
-        x = add(x, linear(ctx, params[f"{p}.wo"], params[f"{p}.bo"]))
-        f_in = rms_norm(x, params[f"{p}.norm2"], cfg.norm_eps)
-        hid = gelu(linear(f_in, params[f"{p}.ffn_w1"], params[f"{p}.ffn_b1"]))
-        x = add(x, linear(hid, params[f"{p}.ffn_w2"], params[f"{p}.ffn_b2"]))
+        x = block(x, params, f"{prefix}.{i}", cfg.heads, cfg.norm_eps, mask, rotary)
     return rms_norm(x, params[f"{prefix}.final_norm"], cfg.norm_eps)
 
 

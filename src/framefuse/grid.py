@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from .errors import BadConfig
+from .errors import BadConfig, check_fields
 from .frontend import COMPRESSION_METHODS, FusionMethod
 from .pipeline import ModelConfig, build_model, model_flops_per_clip
 from .rng import derive_seed
@@ -44,6 +44,7 @@ class ExperimentSpec:
     patch: int = 14
 
     def __post_init__(self):
+        check_fields(self, positive=("train_per_category", "eval_per_category"))
         if self.axis is GridAxis.FIXED_BUDGET and not self.n_over_k:
             raise BadConfig("fixed-budget axis needs n_over_k")
         if self.axis is GridAxis.FIXED_FRAMES and not self.n_input:
@@ -51,8 +52,8 @@ class ExperimentSpec:
         if FusionMethod.BASELINE in self.methods:
             raise BadConfig("baseline is implied by k=1; list only compression methods")
         for k in self.k_values:
-            if k < 1:
-                raise BadConfig(f"compression ratio {k}")
+            if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+                raise BadConfig(f"k_values: compression ratio {k!r}")
             if self.axis is GridAxis.FIXED_FRAMES and self.n_input % k:
                 raise BadConfig(f"k={k} does not divide n_input={self.n_input}")
 

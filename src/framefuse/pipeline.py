@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, add, reshape
+from .autodiff import Tensor, add, param, reshape
 from .compressor import (CompressorConfig, TokenBudget, compress,
                          init_compressor_params, token_budget)
 from .decoder import (DecoderConfig, MCQBatch, answer_logits, causal_decode,
                       init_decoder_params, mcq_loss)
 from .encoder import EncoderConfig, encode, init_encoder_params
 from .errors import (BadConfig, IndivisibleFrames, IndivisibleResolution,
-                     ShapeMismatch)
+                     ShapeMismatch, check_fields)
 from .frontend import (FusionMethod, extract_patches, merge_neighbor_frames,
                        merge_temporal_channels, parse_method)
 from .rng import RngState, derive_seed
@@ -55,6 +55,7 @@ class ModelConfig:
     norm_eps: float = 1e-6
 
     def __post_init__(self):
+        check_fields(self, ("k", "n_input", "patch", "enc_heads", "dec_heads", "qformer_heads"))
         if self.height % self.patch or self.width % self.patch:
             raise IndivisibleResolution(
                 f"{self.height}x{self.width} not divisible by patch {self.patch}")
@@ -103,7 +104,6 @@ class ModelConfig:
     def compressor_config(self) -> CompressorConfig:
         return CompressorConfig(method=self.method, k=self.k,
                                 out_hidden=self.out_hidden,
-                                qformer_queries=self.tokens_per_group,
                                 qformer_layers=self.qformer_layers,
                                 qformer_heads=self.qformer_heads,
                                 norm_eps=self.norm_eps)
@@ -139,16 +139,12 @@ def build_model(cfg: ModelConfig, seed: int, init_std: float = 0.02) -> ModelBun
     h = cfg.enc_hidden
     params: dict[str, Tensor] = {}
     front = RngState(derive_seed(seed, "front"))
-    params["patch_proj.w"] = Tensor(front.normal_array((cfg.patch_dim, h), init_std),
-                                    requires_grad=True)
-    params["patch_proj.b"] = Tensor(np.zeros(h), requires_grad=True)
-    params["pos.spatial"] = Tensor(
-        RngState(derive_seed(seed, "pos")).normal_array((t, h), init_std),
-        requires_grad=True)
+    params["patch_proj.w"] = param(front.normal_array((cfg.patch_dim, h), init_std))
+    params["patch_proj.b"] = param(np.zeros(h))
+    params["pos.spatial"] = param(RngState(derive_seed(seed, "pos")).normal_array((t, h), init_std))
     if cfg.method is FusionMethod.THROUGH_ENCODER:
-        params["pos.temporal"] = Tensor(
-            RngState(derive_seed(seed, "pos-temporal")).normal_array((cfg.k, h), init_std),
-            requires_grad=True)
+        params["pos.temporal"] = param(
+            RngState(derive_seed(seed, "pos-temporal")).normal_array((cfg.k, h), init_std))
     params.update(init_encoder_params(cfg.encoder_config(),
                                       RngState(derive_seed(seed, "enc")), "enc", init_std))
     params.update(init_compressor_params(cfg.compressor_config(), h,

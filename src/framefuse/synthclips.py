@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import BadConfig, SchemaMismatch, ZeroDuration
+from .errors import BadConfig, SchemaMismatch, ZeroDuration, check_fields
 from .frontend import VideoClip, load_clip, save_clip
 from .rng import RngState, derive_seed
 
@@ -44,6 +44,7 @@ class GenConfig:
     fps: float = 8.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.channels != 3:
             raise BadConfig("generator paints RGB clips (channels=3)")
         if min(self.height, self.width) < 14:
@@ -611,8 +612,10 @@ def load_dataset(in_dir):
     except (OSError, json.JSONDecodeError) as err:
         raise BadConfig(f"cannot read dataset {src}: {err}") from err
     with records:
-        gcfg = GenConfig(frames=meta["frames"], height=meta["height"],
-                         width=meta["width"], channels=meta["channels"], fps=meta["fps"])
+        try:
+            gcfg = GenConfig(**{name: meta[name] for name in GenConfig.__dataclass_fields__})
+        except (KeyError, TypeError) as err:
+            raise BadConfig(f"{src / 'meta.json'}: missing or bad key {err}") from err
         samples = []
         reader = csv.DictReader(records)
         if tuple(reader.fieldnames or ()) != RECORD_FIELDS:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape, backward
-from .errors import BadConfig, DivergedLoss
+from .errors import BadConfig, DivergedLoss, check_fields
 from .pipeline import ModelBundle, batch_loss, forward_logits
 from .decoder import predict
 from .rng import RngState, derive_seed
@@ -28,6 +28,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.total_steps < 0 or self.warmup_steps < 0 or self.batch < 1:
             raise BadConfig("steps and batch must be non-negative / positive")
         if self.total_steps > 0 and self.warmup_steps >= self.total_steps:

@@ -230,3 +230,40 @@ def test_missing_input_paths_are_validation_errors(capsys, tmp_path):
         assert code == 1
         assert out == ""
         assert_one_error_line(err, "missing")
+
+
+def test_mistyped_config_fields_are_validation_errors(capsys, tmp_path):
+    model = config_to_dict(ModelConfig(method=FusionMethod.BASELINE))
+    cases = []
+    for i, (key, value) in enumerate((("k", "2"), ("patch", 0), ("n_input", True))):
+        (tmp_path / f"m{i}.tfz.json").write_text(json.dumps({"model": {**model, key: value}}))
+        cases.append((key, ("eval", "--ckpt", str(tmp_path / f"m{i}.tfz"),
+                            "--data", str(tmp_path / "ds"))))
+    for i, (key, value) in enumerate((("total_steps", "5"), ("lr", False))):
+        cfg_path = tmp_path / f"train{i}.json"
+        cfg_path.write_text(json.dumps({**TINY_TRAIN, key: value}))
+        cases.append((key, ("train", "--method", "baseline", "--k", "1", "--n-input", "8",
+                            "--config", str(cfg_path), "--out", str(tmp_path / "x.tfz"))))
+    for i, (key, value) in enumerate((("train_per_category", "2"), ("eval_per_category", 0),
+                                      ("n_input", "8"), ("k_values", ["2"]))):
+        cfg_path = tmp_path / f"grid{i}.json"
+        cfg_path.write_text(json.dumps({"axis": "fixed-frames", "n_input": 8, key: value}))
+        cases.append((key, ("grid", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))))
+    for key, argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert_one_error_line(err, key)
+
+
+def test_broken_dataset_meta_is_validation_error(capsys, tmp_path):
+    data = tmp_path / "ds"
+    run(capsys, "gen-data", "--per-category", "1", "--seed", "5",
+        "--out", str(data), "--frames", "8")
+    meta = json.loads((data / "meta.json").read_text())
+    for broken, fragment in (({"frames": 8}, "height"), ({**meta, "fps": "8"}, "fps")):
+        (data / "meta.json").write_text(json.dumps(broken))
+        code, out, err = run(capsys, "stats", "--data", str(data))
+        assert code == 1
+        assert out == ""
+        assert_one_error_line(err, fragment)

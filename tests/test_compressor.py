@@ -184,8 +184,7 @@ def test_pllava_pool_indivisible():
 
 def qformer_params(out, layers, rng, std=0.1):
     cfg = CompressorConfig(method=FusionMethod.POST_QFORMER, k=2, out_hidden=out,
-                           qformer_queries=None, qformer_layers=layers,
-                           qformer_heads=2)
+                           qformer_layers=layers, qformer_heads=2)
     return init_compressor_params(cfg, encoder_hidden=8, l=4, rng=rng, std=std)
 
 
@@ -209,13 +208,6 @@ def test_qformer_query_shape_checked():
     with pytest.raises(ShapeMismatch):
         qformer_compress(per_frame, 2, Tensor(np.zeros((3, 8))), params,
                          layers=1, heads=2)
-
-
-def test_qformer_rejects_queries_not_matching_budget():
-    cfg = CompressorConfig(method=FusionMethod.POST_QFORMER, k=2,
-                           out_hidden=8, qformer_queries=5)
-    with pytest.raises(BadConfig):
-        init_compressor_params(cfg, encoder_hidden=8, l=4, rng=RngState(0))
 
 
 def test_compression_methods_order():

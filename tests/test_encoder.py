@@ -108,17 +108,6 @@ def test_multihead_attention_shapes():
     assert out.shape == (2, 4, 8)
 
 
-def test_multihead_attention_weights_expose_heads():
-    cfg, params = small_encoder()
-    rng = np.random.default_rng(6)
-    x = Tensor(rng.normal(size=(4, 8)))
-    out, weights = multihead_attention(x, x, None, params, "enc.0", cfg.heads,
-                                       return_weights=True)
-    assert out.shape == (4, 8)
-    assert weights.shape == (2, 4, 4)
-    assert np.allclose(weights.data.sum(axis=-1), 1.0)
-
-
 def test_encoder_has_no_key_bias():
     _, params = small_encoder(layers=2)
     assert not any(name.endswith(".bk") for name in params)

@@ -177,3 +177,52 @@ def test_micro_gradcheck_cases_cover_three_paradigms():
         assert loss.shape == ()
         assert np.isfinite(loss.item())
         assert all(p.requires_grad for p in params.values())
+
+
+# TFZ1 checkpoints key on these names and shapes; the order is the init order.
+# Config: micro_cfg(method, k, out_hidden=10, dec_hidden=12, dec_ffn=20).
+ENC_PARAMS = [
+    ("enc.0.norm1", (8,)), ("enc.0.wq", (8, 8)), ("enc.0.wk", (8, 8)),
+    ("enc.0.wv", (8, 8)), ("enc.0.wo", (8, 8)), ("enc.0.bq", (8,)),
+    ("enc.0.bv", (8,)), ("enc.0.bo", (8,)), ("enc.0.norm2", (8,)),
+    ("enc.0.ffn_w1", (8, 12)), ("enc.0.ffn_b1", (12,)),
+    ("enc.0.ffn_w2", (12, 8)), ("enc.0.ffn_b2", (8,))]
+DEC_PARAMS = [
+    ("dec.video_proj_w", (10, 12)), ("dec.video_proj_b", (12,)),
+    ("dec.embed", (38, 12)), ("dec.0.norm1", (12,)), ("dec.0.wq", (12, 12)),
+    ("dec.0.wk", (12, 12)), ("dec.0.wv", (12, 12)), ("dec.0.wo", (12, 12)),
+    ("dec.0.bq", (12,)), ("dec.0.bv", (12,)), ("dec.0.bo", (12,)),
+    ("dec.0.norm2", (12,)), ("dec.0.ffn_w1", (12, 20)), ("dec.0.ffn_b1", (20,)),
+    ("dec.0.ffn_w2", (20, 12)), ("dec.0.ffn_b2", (12,)),
+    ("dec.final_norm", (12,)), ("dec.head_w", (12, 4)), ("dec.head_b", (4,))]
+FRONT_PARAMS = [("patch_proj.w", (12, 8)), ("patch_proj.b", (8,)),
+                ("pos.spatial", (16, 8))]
+PROJ_PARAMS = [("comp.proj_w", (32, 10)), ("comp.proj_b", (10,))]
+QFORMER_ATTN = [
+    (f"comp.qf.0.{blk}.{name}", shape) for blk in ("self", "cross")
+    for name, shape in (("wq", (10, 10)), ("wk", (10, 10)), ("wv", (10, 10)),
+                        ("wo", (10, 10)), ("bq", (10,)), ("bv", (10,)), ("bo", (10,)))]
+PINNED_PARAMS = {  # method: (frontend params, compressor params)
+    "baseline": (FRONT_PARAMS, PROJ_PARAMS),
+    "channel-merge": ([("patch_proj.w", (24, 8))] + FRONT_PARAMS[1:], PROJ_PARAMS),
+    "pllava-pool": (FRONT_PARAMS, PROJ_PARAMS),
+    "kangaroo-mlp": (FRONT_PARAMS, PROJ_PARAMS + [
+        ("comp.mlp_w1", (16, 16)), ("comp.mlp_b1", (16,)),
+        ("comp.mlp_w2", (16, 8)), ("comp.mlp_b2", (8,))]),
+    "qformer": (FRONT_PARAMS, PROJ_PARAMS + [
+        ("comp.queries", (4, 10)), ("comp.qf.0.norm1", (10,)),
+        ("comp.qf.0.norm2", (10,)), ("comp.qf.0.norm3", (10,))] + QFORMER_ATTN + [
+        ("comp.qf.0.ffn_w1", (10, 20)), ("comp.qf.0.ffn_b1", (20,)),
+        ("comp.qf.0.ffn_w2", (20, 10)), ("comp.qf.0.ffn_b2", (10,))]),
+    "through-encoder": (FRONT_PARAMS + [("pos.temporal", (2, 8))],
+                        [("comp.proj_w", (64, 10)), ("comp.proj_b", (10,))]),
+}
+
+
+@pytest.mark.parametrize("method", list(FusionMethod))
+def test_parameter_names_and_shapes_pinned(method):
+    k = 1 if method is FusionMethod.BASELINE else 2
+    bundle = build_model(micro_cfg(method, k, out_hidden=10, dec_hidden=12, dec_ffn=20), 0)
+    front, comp = PINNED_PARAMS[method.value]
+    got = [(name, p.shape) for name, p in bundle.params.items()]
+    assert got == front + ENC_PARAMS + comp + DEC_PARAMS
