@@ -3,9 +3,9 @@ temporal-fusion paths, a scripted motion-QA benchmark, and an ablation harness.
 """
 
 from .autodiff import MASK_BLOCKED, Tape, Tensor, backward, set_debug_checks
-from .compressor import CompressorConfig, TokenBudget, compress, token_budget
-from .decoder import DecoderConfig, MCQBatch
-from .encoder import EncoderConfig, build_scope_mask, encode
+from .compressor import TokenBudget, compress, token_budget
+from .decoder import MCQBatch
+from .encoder import build_scope_mask, encode
 from .errors import FrameFuseError, NumericalError, ValidationError
 from .frontend import COMPRESSION_METHODS, FusionMethod, VideoClip
 from .grid import ExperimentSpec, GridAxis, RunResult, run_grid
@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MASK_BLOCKED", "Tape", "Tensor", "backward", "set_debug_checks",
-    "CompressorConfig", "TokenBudget", "compress", "token_budget",
-    "DecoderConfig", "MCQBatch",
-    "EncoderConfig", "build_scope_mask", "encode",
+    "TokenBudget", "compress", "token_budget",
+    "MCQBatch",
+    "build_scope_mask", "encode",
     "FrameFuseError", "NumericalError", "ValidationError",
     "COMPRESSION_METHODS", "FusionMethod", "VideoClip",
     "ExperimentSpec", "GridAxis", "RunResult", "run_grid",

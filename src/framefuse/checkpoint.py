@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import (BadConfig, BadMagic, ShapeMismatch, TruncatedFile,
-                     UnknownParameter)
+                     UnknownParameter, check_json)
 
 CHECKPOINT_MAGIC = b"TFZ1"
 
@@ -77,9 +77,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 def load_checkpoint_meta(path) -> dict:
     sidecar = Path(path).with_suffix(Path(path).suffix + ".json")
     try:
-        return json.loads(sidecar.read_text())
+        meta = json.loads(sidecar.read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise BadConfig(f"cannot read checkpoint sidecar {sidecar}: {err}") from err
+    return check_json(meta, dict, f"checkpoint sidecar {sidecar}")
 
 
 def apply_checkpoint(params: dict[str, Tensor], loaded: dict[str, np.ndarray]) -> None:

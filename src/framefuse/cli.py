@@ -13,7 +13,8 @@ from pathlib import Path
 from .checkpoint import (apply_checkpoint, load_checkpoint,
                          load_checkpoint_meta, save_checkpoint)
 from .compressor import token_budget
-from .errors import BadConfig, GradientCheckFailed, NumericalError, ValidationError
+from .errors import (BadConfig, GradientCheckFailed, NumericalError,
+                     ValidationError, check_json)
 from .frontend import FusionMethod, parse_method
 from .gradcheck import SUITE_GROUPS, run_gradient_suite
 from .grid import ExperimentSpec, GridAxis, results_to_csv, run_grid
@@ -26,12 +27,14 @@ from .training import TrainConfig, evaluate, train
 
 def _load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        d = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as err:
         raise BadConfig(f"cannot read config {path}: {err}") from err
+    return check_json(d, dict, f"config {path}")
 
 
 def _train_config(d: dict) -> TrainConfig:
+    check_json(d, dict, "train config")
     unknown = sorted(set(d) - set(TrainConfig.__dataclass_fields__))
     if unknown:
         raise BadConfig(f"unknown train config keys {unknown}")
@@ -43,7 +46,18 @@ def _parse_methods(text: str) -> tuple[FusionMethod, ...]:
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise BadConfig(f"--k {text!r} is not a comma-separated list of integers") from None
+
+
+def _parse_axis(value) -> GridAxis:
+    try:
+        return GridAxis(value)
+    except ValueError:
+        known = ", ".join(a.value for a in GridAxis)
+        raise BadConfig(f"unknown axis {value!r}; expected one of {known}") from None
 
 
 def cmd_gen_data(args) -> int:
@@ -107,11 +121,12 @@ def cmd_grid(args) -> int:
     if "train" in kwargs:
         kwargs["train"] = _train_config(kwargs["train"])
     if "methods" in kwargs:
-        kwargs["methods"] = tuple(parse_method(m) for m in kwargs["methods"])
+        methods = check_json(kwargs["methods"], list, "methods")
+        kwargs["methods"] = tuple(parse_method(m) for m in methods)
     if "k_values" in kwargs:
-        kwargs["k_values"] = tuple(kwargs["k_values"])
+        kwargs["k_values"] = tuple(check_json(kwargs["k_values"], list, "k_values"))
     if "axis" in kwargs:
-        kwargs["axis"] = GridAxis(kwargs["axis"])
+        kwargs["axis"] = _parse_axis(kwargs["axis"])
     if args.axis:
         kwargs["axis"] = GridAxis(args.axis)
     if args.methods:

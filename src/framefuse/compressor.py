@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -16,10 +17,13 @@ from .autodiff import (Tensor, add, constant, gelu, linear, mean_over_axis,
                        permute, reshape, rms_norm)
 from .encoder import (ParamInit, feed_forward, multihead_attention,
                       self_attention)
-from .errors import (BadConfig, IndivisibleFrames, NonIntegralBudget,
-                     NonSquareGrid, OddGridSide, ShapeMismatch)
+from .errors import (IndivisibleFrames, NonIntegralBudget, NonSquareGrid,
+                     OddGridSide, ShapeMismatch)
 from .frontend import FusionMethod
 from .rng import RngState
+
+if TYPE_CHECKING:
+    from .pipeline import ModelConfig
 
 
 @dataclass(frozen=True)
@@ -40,22 +44,6 @@ def token_budget(n_input: int, l: int, k: int) -> TokenBudget:
                        l_decoder=n_input * l // k)
 
 
-@dataclass(frozen=True)
-class CompressorConfig:
-    method: FusionMethod
-    k: int
-    out_hidden: int = 64
-    qformer_layers: int = 2
-    qformer_heads: int = 4
-    norm_eps: float = 1e-6
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise BadConfig(f"compression ratio k={self.k}")
-        if self.method is FusionMethod.BASELINE and self.k != 1:
-            raise BadConfig("baseline path has no compression ratio; use k=1")
-
-
 def _window_concat(x: Tensor) -> Tensor:
     """[..., T, c] -> [..., T/4, 4c]: concatenate each 2x2 window of the square
     token grid, row-major within the window."""
@@ -74,10 +62,7 @@ def _window_concat(x: Tensor) -> Tensor:
 
 def spatial_downsample_with_proj(tokens: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """[..., T, h] -> [..., T/4, out] through 2x2 window concat + projection."""
-    vecs = _window_concat(tokens)
-    if w.shape[0] != vecs.shape[-1]:
-        raise ShapeMismatch(f"downsample projection expects {vecs.shape[-1]} inputs, got {w.shape}")
-    return linear(vecs, w, b)
+    return linear(_window_concat(tokens), w, b)
 
 
 def _ungroup_time(grouped: Tensor, k: int) -> Tensor:
@@ -168,10 +153,9 @@ def qformer_compress(per_frame: Tensor, k: int, queries: Tensor,
     return q
 
 
-def init_compressor_params(cfg: CompressorConfig, encoder_hidden: int, l: int,
-                           rng: RngState, prefix: str = "comp",
+def init_compressor_params(cfg: ModelConfig, rng: RngState, prefix: str = "comp",
                            std: float = 0.02) -> dict[str, Tensor]:
-    h, out = encoder_hidden, cfg.out_hidden
+    h, out, l = cfg.enc_hidden, cfg.out_hidden, cfg.tokens_per_group
     init = ParamInit(rng, std)
     # through-encoder projects the k frames' vectors of each 2x2 window at once
     width = cfg.k * h if cfg.method is FusionMethod.THROUGH_ENCODER else h
@@ -194,7 +178,7 @@ def init_compressor_params(cfg: CompressorConfig, encoder_hidden: int, l: int,
     return init.params
 
 
-def compress(encoder_output: Tensor, cfg: CompressorConfig,
+def compress(encoder_output: Tensor, cfg: ModelConfig,
              params: dict[str, Tensor], prefix: str = "comp") -> Tensor:
     """Run cfg.method's compression path.
 

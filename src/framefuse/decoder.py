@@ -7,6 +7,7 @@ position's hidden state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -16,23 +17,10 @@ from .encoder import ParamInit, block
 from .errors import SequenceTooLong, ShapeMismatch
 from .rng import RngState
 
+if TYPE_CHECKING:
+    from .pipeline import ModelConfig
 
-@dataclass(frozen=True)
-class DecoderConfig:
-    layers: int = 2
-    hidden: int = 64
-    heads: int = 4
-    ffn_hidden: int = 128
-    vocab: int = 64
-    max_seq: int = 512
-    rotary_base: float = 10000.0
-    norm_eps: float = 1e-6
-
-    def __post_init__(self):
-        if self.hidden % self.heads:
-            raise ShapeMismatch(f"hidden {self.hidden} not divisible by heads {self.heads}")
-        if (self.hidden // self.heads) % 2:
-            raise ShapeMismatch("rotary needs an even per-head dimension")
+ROTARY_BASE = 10000.0
 
 
 @dataclass
@@ -68,22 +56,22 @@ def build_causal_mask(seq_len: int) -> Tensor:
     return Tensor(np.where(allowed, 0.0, MASK_BLOCKED))
 
 
-def init_decoder_params(cfg: DecoderConfig, video_hidden: int, rng: RngState,
-                        prefix: str = "dec", std: float = 0.02) -> dict[str, Tensor]:
-    h = cfg.hidden
+def init_decoder_params(cfg: ModelConfig, rng: RngState, prefix: str = "dec",
+                        std: float = 0.02) -> dict[str, Tensor]:
+    h = cfg.dec_hidden
     init = ParamInit(rng, std)
-    init.normal(f"{prefix}.video_proj_w", (video_hidden, h))
+    init.normal(f"{prefix}.video_proj_w", (cfg.out_hidden, h))
     init.zeros(f"{prefix}.video_proj_b", (h,))
     init.normal(f"{prefix}.embed", (cfg.vocab, h))
-    for i in range(cfg.layers):
-        init.block(f"{prefix}.{i}", h, cfg.ffn_hidden)
+    for i in range(cfg.dec_layers):
+        init.block(f"{prefix}.{i}", h, cfg.dec_ffn)
     init.ones(f"{prefix}.final_norm", (h,))
     init.normal(f"{prefix}.head_w", (h, 4))
     init.zeros(f"{prefix}.head_b", (4,))
     return init.params
 
 
-def decode_hidden(batch: MCQBatch, cfg: DecoderConfig, params: dict[str, Tensor],
+def decode_hidden(batch: MCQBatch, cfg: ModelConfig, params: dict[str, Tensor],
                   prefix: str = "dec") -> Tensor:
     """All-position hidden states [B, S, hidden] after the final norm."""
     video = linear(batch.video_tokens, params[f"{prefix}.video_proj_w"],
@@ -94,14 +82,14 @@ def decode_hidden(batch: MCQBatch, cfg: DecoderConfig, params: dict[str, Tensor]
     if seq > cfg.max_seq:
         raise SequenceTooLong(f"sequence {seq} exceeds max_seq {cfg.max_seq}")
     mask = build_causal_mask(seq)
-    cos, sin = rotary_tables(seq, cfg.hidden // cfg.heads, cfg.rotary_base)
+    cos, sin = rotary_tables(seq, cfg.dec_hidden // cfg.dec_heads, ROTARY_BASE)
     rotary = (Tensor(cos), Tensor(sin))
-    for i in range(cfg.layers):
-        x = block(x, params, f"{prefix}.{i}", cfg.heads, cfg.norm_eps, mask, rotary)
+    for i in range(cfg.dec_layers):
+        x = block(x, params, f"{prefix}.{i}", cfg.dec_heads, cfg.norm_eps, mask, rotary)
     return rms_norm(x, params[f"{prefix}.final_norm"], cfg.norm_eps)
 
 
-def causal_decode(batch: MCQBatch, cfg: DecoderConfig, params: dict[str, Tensor],
+def causal_decode(batch: MCQBatch, cfg: ModelConfig, params: dict[str, Tensor],
                   prefix: str = "dec") -> Tensor:
     """Last-position hidden state [B, hidden]."""
     states = decode_hidden(batch, cfg, params, prefix)

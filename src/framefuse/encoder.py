@@ -8,7 +8,7 @@ folded scopes; the tests use it as the reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,18 +18,8 @@ from .autodiff import (MASK_BLOCKED, Tensor, add, attention, concat_axis, gelu,
 from .errors import IndivisibleTokens, ShapeMismatch
 from .rng import RngState
 
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    layers: int = 2
-    hidden: int = 32
-    heads: int = 4
-    ffn_hidden: int = 64
-    norm_eps: float = 1e-6
-
-    def __post_init__(self):
-        if self.hidden % self.heads:
-            raise ShapeMismatch(f"hidden {self.hidden} not divisible by heads {self.heads}")
+if TYPE_CHECKING:
+    from .pipeline import ModelConfig
 
 
 def build_scope_mask(total_tokens: int, block: int) -> Tensor:
@@ -80,11 +70,11 @@ class ParamInit:
         self.ffn(prefix, h, f)
 
 
-def init_encoder_params(cfg: EncoderConfig, rng: RngState, prefix: str = "enc",
+def init_encoder_params(cfg: ModelConfig, rng: RngState, prefix: str = "enc",
                         std: float = 0.02) -> dict[str, Tensor]:
     init = ParamInit(rng, std)
-    for i in range(cfg.layers):
-        init.block(f"{prefix}.{i}", cfg.hidden, cfg.ffn_hidden)
+    for i in range(cfg.enc_layers):
+        init.block(f"{prefix}.{i}", cfg.enc_hidden, cfg.enc_ffn)
     return init.params
 
 
@@ -154,14 +144,14 @@ def block(x: Tensor, params: dict[str, Tensor], prefix: str, heads: int, eps: fl
     return feed_forward(x, params[f"{prefix}.norm2"], params, prefix, eps)
 
 
-def encode(tokens: Tensor, cfg: EncoderConfig, mask: Tensor | None,
+def encode(tokens: Tensor, cfg: ModelConfig, mask: Tensor | None,
            params: dict[str, Tensor], prefix: str = "enc") -> Tensor:
     """Run the encoder stack over tokens [S, h] or [B, S, h]; `mask` is an
     additive [S, S] attention mask or None for full attention."""
     squeeze = tokens.ndim == 2
     x = reshape(tokens, (1,) + tokens.shape) if squeeze else tokens
-    if x.ndim != 3 or x.shape[-1] != cfg.hidden:
-        raise ShapeMismatch(f"encoder tokens {tokens.shape} for hidden {cfg.hidden}")
-    for i in range(cfg.layers):
-        x = block(x, params, f"{prefix}.{i}", cfg.heads, cfg.norm_eps, mask)
+    if x.ndim != 3 or x.shape[-1] != cfg.enc_hidden:
+        raise ShapeMismatch(f"encoder tokens {tokens.shape} for hidden {cfg.enc_hidden}")
+    for i in range(cfg.enc_layers):
+        x = block(x, params, f"{prefix}.{i}", cfg.enc_heads, cfg.norm_eps, mask)
     return reshape(x, tokens.shape) if squeeze else x

@@ -84,6 +84,15 @@ def check_fields(cfg, positive: tuple[str, ...] = ()) -> None:
             raise BadConfig(f"{f.name} must be at least 1, got {value}")
 
 
+def check_json(value, kind: type, what: str):
+    """Return `value` if it is a JSON object (kind=dict) or list (kind=list), else
+    raise BadConfig naming `what`."""
+    if not isinstance(value, kind):
+        shape = "object" if kind is dict else "list"
+        raise BadConfig(f"{what} must be a JSON {shape}, got {value!r}")
+    return value
+
+
 class ZeroDuration(ValidationError):
     pass
 

@@ -9,18 +9,18 @@ weights underflow to exactly zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, add, param, reshape
-from .compressor import (CompressorConfig, TokenBudget, compress,
-                         init_compressor_params, token_budget)
-from .decoder import (DecoderConfig, MCQBatch, answer_logits, causal_decode,
+from .compressor import (TokenBudget, compress, init_compressor_params,
+                         token_budget)
+from .decoder import (MCQBatch, answer_logits, causal_decode,
                       init_decoder_params, mcq_loss)
-from .encoder import EncoderConfig, encode, init_encoder_params
+from .encoder import encode, init_encoder_params
 from .errors import (BadConfig, IndivisibleFrames, IndivisibleResolution,
-                     ShapeMismatch, check_fields)
+                     ShapeMismatch, check_fields, check_json)
 from .frontend import (FusionMethod, extract_patches, merge_neighbor_frames,
                        merge_temporal_channels, parse_method)
 from .rng import RngState, derive_seed
@@ -56,6 +56,16 @@ class ModelConfig:
 
     def __post_init__(self):
         check_fields(self, ("k", "n_input", "patch", "enc_heads", "dec_heads", "qformer_heads"))
+        if self.method is FusionMethod.BASELINE and self.k != 1:
+            raise BadConfig("baseline path has no compression ratio; use k=1")
+        if self.enc_hidden % self.enc_heads:
+            raise ShapeMismatch(f"enc_hidden {self.enc_hidden} not divisible by "
+                                f"enc_heads {self.enc_heads}")
+        if self.dec_hidden % self.dec_heads:
+            raise ShapeMismatch(f"dec_hidden {self.dec_hidden} not divisible by "
+                                f"dec_heads {self.dec_heads}")
+        if (self.dec_hidden // self.dec_heads) % 2:
+            raise ShapeMismatch("rotary needs an even per-head dimension (dec_hidden / dec_heads)")
         if self.height % self.patch or self.width % self.patch:
             raise IndivisibleResolution(
                 f"{self.height}x{self.width} not divisible by patch {self.patch}")
@@ -63,7 +73,7 @@ class ModelConfig:
         if side * side != self.tokens_per_frame or side % 2:
             raise BadConfig(f"patch grid {self.height // self.patch}x"
                             f"{self.width // self.patch} must be square with even side")
-        if self.method is not FusionMethod.BASELINE and self.n_input % self.k:
+        if self.n_input % self.k:
             raise IndivisibleFrames(f"{self.n_input} frames not divisible by k={self.k}")
         if self.vocab < len(VOCAB):
             raise BadConfig(f"vocab {self.vocab} smaller than question vocabulary {len(VOCAB)}")
@@ -96,37 +106,11 @@ class ModelConfig:
             c *= self.k
         return c * self.patch * self.patch
 
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(layers=self.enc_layers, hidden=self.enc_hidden,
-                             heads=self.enc_heads, ffn_hidden=self.enc_ffn,
-                             norm_eps=self.norm_eps)
-
-    def compressor_config(self) -> CompressorConfig:
-        return CompressorConfig(method=self.method, k=self.k,
-                                out_hidden=self.out_hidden,
-                                qformer_layers=self.qformer_layers,
-                                qformer_heads=self.qformer_heads,
-                                norm_eps=self.norm_eps)
-
-    def decoder_config(self) -> DecoderConfig:
-        return DecoderConfig(layers=self.dec_layers, hidden=self.dec_hidden,
-                             heads=self.dec_heads, ffn_hidden=self.dec_ffn,
-                             vocab=self.vocab, max_seq=self.max_seq,
-                             norm_eps=self.norm_eps)
-
 
 @dataclass
 class ModelBundle:
     cfg: ModelConfig
     params: dict[str, Tensor]
-    enc_cfg: EncoderConfig = field(init=False)
-    comp_cfg: CompressorConfig = field(init=False)
-    dec_cfg: DecoderConfig = field(init=False)
-
-    def __post_init__(self):
-        self.enc_cfg = self.cfg.encoder_config()
-        self.comp_cfg = self.cfg.compressor_config()
-        self.dec_cfg = self.cfg.decoder_config()
 
     def parameter_count(self) -> int:
         return sum(t.size for t in self.params.values())
@@ -145,13 +129,9 @@ def build_model(cfg: ModelConfig, seed: int, init_std: float = 0.02) -> ModelBun
     if cfg.method is FusionMethod.THROUGH_ENCODER:
         params["pos.temporal"] = param(
             RngState(derive_seed(seed, "pos-temporal")).normal_array((cfg.k, h), init_std))
-    params.update(init_encoder_params(cfg.encoder_config(),
-                                      RngState(derive_seed(seed, "enc")), "enc", init_std))
-    params.update(init_compressor_params(cfg.compressor_config(), h,
-                                         cfg.tokens_per_group,
-                                         RngState(derive_seed(seed, "comp")), "comp", init_std))
-    params.update(init_decoder_params(cfg.decoder_config(), cfg.out_hidden,
-                                      RngState(derive_seed(seed, "dec")), "dec", init_std))
+    for part, init in (("enc", init_encoder_params), ("comp", init_compressor_params),
+                       ("dec", init_decoder_params)):
+        params.update(init(cfg, RngState(derive_seed(seed, part)), part, init_std))
     return ModelBundle(cfg=cfg, params=params)
 
 
@@ -181,12 +161,10 @@ def video_token_forward(bundle: ModelBundle, pixels: np.ndarray) -> Tensor:
     if cfg.method is FusionMethod.THROUGH_ENCODER:
         # k divides each clip's frames, so no group spans two clips
         seqs = merge_neighbor_frames(seqs, k, bundle.params["pos.temporal"])
-    enc = encode(seqs, bundle.enc_cfg, None, bundle.params, "enc")
+    enc = encode(seqs, cfg, None, bundle.params, "enc")
     enc = reshape(enc, (b, enc.shape[0] // b) + enc.shape[1:])
-    out = compress(enc, bundle.comp_cfg, bundle.params, "comp")
+    out = compress(enc, cfg, bundle.params, "comp")
     bb, g, l, oh = out.shape
-    if g * l != cfg.budget.l_decoder:
-        raise ShapeMismatch(f"compressed to {g}*{l} tokens, budget says {cfg.budget.l_decoder}")
     return reshape(out, (bb, g * l, oh))
 
 
@@ -199,7 +177,7 @@ def forward_logits(bundle: ModelBundle, pixels: np.ndarray,
     answers = np.zeros(video.shape[0], dtype=np.int64) if answer_idx is None \
         else np.asarray(answer_idx)
     batch = MCQBatch(video_tokens=video, question_ids=question_ids, answer_idx=answers)
-    return answer_logits(causal_decode(batch, bundle.dec_cfg, bundle.params, "dec"),
+    return answer_logits(causal_decode(batch, bundle.cfg, bundle.params, "dec"),
                          bundle.params, "dec")
 
 
@@ -216,6 +194,7 @@ def config_to_dict(cfg: ModelConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ModelConfig:
+    check_json(d, dict, "model config")
     known = set(ModelConfig.__dataclass_fields__)
     unknown = sorted(set(d) - known)
     if unknown:

@@ -16,8 +16,7 @@ from framefuse.autodiff import Tensor
 from framefuse.compressor import (kangaroo_identity_mlp, kangaroo_temporal_mlp,
                                   pllava_temporal_pool,
                                   spatial_downsample_with_proj, token_budget)
-from framefuse.encoder import (EncoderConfig, build_scope_mask, encode,
-                               init_encoder_params)
+from framefuse.encoder import build_scope_mask, encode, init_encoder_params
 from framefuse.errors import IndivisibleFrames
 from framefuse.frontend import COMPRESSION_METHODS, FusionMethod
 from framefuse.gradcheck import run_gradient_suite
@@ -104,7 +103,8 @@ def test_criterion_2_budget_exactness():
 
 def _perturbation_blocks_changed(layers, block, frames=4, tokens=4, hidden=8):
     """Encode, bump one frame's tokens, return which frames' outputs moved."""
-    cfg = EncoderConfig(layers=layers, hidden=hidden, heads=2, ffn_hidden=12)
+    cfg = ModelConfig(method=FusionMethod.BASELINE, enc_layers=layers, enc_hidden=hidden,
+                      enc_heads=2, enc_ffn=12)
     params = init_encoder_params(cfg, RngState(derive_seed(9, "scope", layers)))
     mask = build_scope_mask(frames * tokens, block)
     base = RngState(derive_seed(9, "x", layers)).normal_array(

@@ -2,12 +2,16 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from framefuse import cli
 from framefuse.checkpoint import load_checkpoint_meta
 from framefuse.frontend import FusionMethod
 from framefuse.gradcheck import FiniteDiffReport
+from framefuse.grid import ExperimentSpec
 from framefuse.pipeline import ModelConfig, config_to_dict
+from framefuse.training import TrainConfig
 
 FIXTURE = Path(__file__).parent / "data" / "ablation_16frame.csv"
 
@@ -235,8 +239,11 @@ def test_missing_input_paths_are_validation_errors(capsys, tmp_path):
 def test_mistyped_config_fields_are_validation_errors(capsys, tmp_path):
     model = config_to_dict(ModelConfig(method=FusionMethod.BASELINE))
     cases = []
-    for i, (key, value) in enumerate((("k", "2"), ("patch", 0), ("n_input", True))):
-        (tmp_path / f"m{i}.tfz.json").write_text(json.dumps({"model": {**model, key: value}}))
+    for i, (fields, key) in enumerate((({"k": "2"}, "k"), ({"patch": 0}, "patch"),
+                                       ({"n_input": True}, "n_input"),
+                                       ({"k": 2}, "baseline"),
+                                       ({"enc_hidden": 10, "enc_heads": 4}, "enc_hidden"))):
+        (tmp_path / f"m{i}.tfz.json").write_text(json.dumps({"model": {**model, **fields}}))
         cases.append((key, ("eval", "--ckpt", str(tmp_path / f"m{i}.tfz"),
                             "--data", str(tmp_path / "ds"))))
     for i, (key, value) in enumerate((("total_steps", "5"), ("lr", False))):
@@ -245,7 +252,9 @@ def test_mistyped_config_fields_are_validation_errors(capsys, tmp_path):
         cases.append((key, ("train", "--method", "baseline", "--k", "1", "--n-input", "8",
                             "--config", str(cfg_path), "--out", str(tmp_path / "x.tfz"))))
     for i, (key, value) in enumerate((("train_per_category", "2"), ("eval_per_category", 0),
-                                      ("n_input", "8"), ("k_values", ["2"]))):
+                                      ("n_input", "8"), ("k_values", ["2"]), ("k_values", 2),
+                                      ("train", 5), ("axis", "bogus"), ("axis", 3),
+                                      ("methods", "qformer"))):
         cfg_path = tmp_path / f"grid{i}.json"
         cfg_path.write_text(json.dumps({"axis": "fixed-frames", "n_input": 8, key: value}))
         cases.append((key, ("grid", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))))
@@ -267,3 +276,73 @@ def test_broken_dataset_meta_is_validation_error(capsys, tmp_path):
         assert code == 1
         assert out == ""
         assert_one_error_line(err, fragment)
+
+
+def test_malformed_config_inputs_are_validation_errors(capsys, tmp_path):
+    (tmp_path / "five.json").write_text("5")
+    (tmp_path / "m.tfz.json").write_text(json.dumps({"model": 5}))
+    out = ("--out", str(tmp_path / "x.out"))
+    for fragment, argv in (
+            ("must be a JSON object", ("grid", "--config", str(tmp_path / "five.json"), *out)),
+            ("must be a JSON object", ("train", "--method", "baseline", "--k", "1",
+                                       "--n-input", "8", "--config",
+                                       str(tmp_path / "five.json"), *out)),
+            ("model config", ("eval", "--ckpt", str(tmp_path / "m.tfz"),
+                              "--data", str(tmp_path / "ds"))),
+            ("--k", ("grid", "--axis", "fixed-frames", "--n-input", "8", "--k", "a,b", *out))):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        assert_one_error_line(err, fragment)
+
+
+SCALARS = (st.none() | st.booleans() | st.integers(-2, 20) | st.floats() | st.text(max_size=6)
+           | st.sampled_from(["fixed-frames", "fixed-budget", "qformer", "baseline"]))
+
+
+def json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+
+
+JSON_VALUES = st.recursive(SCALARS, json_containers, max_leaves=6)
+
+
+def one_field(fields, base=None):
+    """JSON objects that hold `base` with one of `fields` set to any JSON value."""
+    return st.builds(lambda key, value: {**(base or {}), key: value},
+                     st.sampled_from(sorted(fields)), JSON_VALUES)
+
+
+def assert_exit_contract(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert_one_error_line(err)
+
+
+FUZZ = settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(JSON_VALUES | one_field(ExperimentSpec.__dataclass_fields__,
+                               {"axis": "fixed-frames", "n_input": 8}))
+@example({"axis": "fixed-frames", "n_input": 8, "k_values": 2})
+def test_grid_config_json_keeps_exit_contract(capsys, tmp_path, monkeypatch, config):
+    monkeypatch.setattr(cli, "run_grid", lambda spec: [])
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps(config))
+    assert_exit_contract(capsys, ("grid", "--config", str(cfg_path),
+                                  "--out", str(tmp_path / "x.csv")))
+
+
+@FUZZ
+@given(JSON_VALUES | one_field(TrainConfig.__dataclass_fields__, TINY_TRAIN))
+@example(5)
+def test_train_config_json_keeps_exit_contract(capsys, tmp_path, config):
+    # the data directory is missing, so a valid config also stops before training
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(config))
+    assert_exit_contract(capsys, ("train", "--method", "baseline", "--k", "1",
+                                  "--n-input", "8", "--config", str(cfg_path),
+                                  "--data", str(tmp_path / "missing"),
+                                  "--out", str(tmp_path / "x.tfz")))

@@ -4,8 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from framefuse.autodiff import Tensor
-from framefuse.compressor import (CompressorConfig, TokenBudget,
-                                  init_compressor_params,
+from framefuse.compressor import (TokenBudget, init_compressor_params,
                                   kangaroo_identity_mlp, kangaroo_temporal_mlp,
                                   pllava_temporal_pool, qformer_compress,
                                   spatial_downsample_with_proj,
@@ -13,6 +12,7 @@ from framefuse.compressor import (CompressorConfig, TokenBudget,
 from framefuse.errors import (BadConfig, IndivisibleFrames, NonIntegralBudget,
                               NonSquareGrid, OddGridSide, ShapeMismatch)
 from framefuse.frontend import COMPRESSION_METHODS, FusionMethod
+from framefuse.pipeline import ModelConfig
 from framefuse.rng import RngState
 
 
@@ -47,10 +47,10 @@ def test_token_budget_formula(n, l, k):
 
 def test_compressor_config_validation():
     with pytest.raises(BadConfig):
-        CompressorConfig(method=FusionMethod.THROUGH_ENCODER, k=0)
+        ModelConfig(method=FusionMethod.THROUGH_ENCODER, k=0)
     with pytest.raises(BadConfig):
-        CompressorConfig(method=FusionMethod.BASELINE, k=2)
-    CompressorConfig(method=FusionMethod.BASELINE, k=1)
+        ModelConfig(method=FusionMethod.BASELINE, k=2)
+    ModelConfig(method=FusionMethod.BASELINE, k=1)
 
 
 def test_spatial_downsample_quarters_tokens():
@@ -183,9 +183,10 @@ def test_pllava_pool_indivisible():
 
 
 def qformer_params(out, layers, rng, std=0.1):
-    cfg = CompressorConfig(method=FusionMethod.POST_QFORMER, k=2, out_hidden=out,
-                           qformer_layers=layers, qformer_heads=2)
-    return init_compressor_params(cfg, encoder_hidden=8, l=4, rng=rng, std=std)
+    # patch 7 on the 28px canvas: a 4x4 grid, so l = 4 tokens per group
+    cfg = ModelConfig(method=FusionMethod.POST_QFORMER, k=2, patch=7, enc_hidden=8,
+                      out_hidden=out, qformer_layers=layers, qformer_heads=2)
+    return init_compressor_params(cfg, rng=rng, std=std)
 
 
 def test_qformer_residual_identity_with_zero_outputs():

@@ -1,22 +1,26 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from framefuse.autodiff import Tensor
-from framefuse.decoder import (DecoderConfig, MCQBatch, answer_logits,
-                               build_causal_mask, causal_decode, decode_hidden,
+from framefuse.decoder import (MCQBatch, answer_logits, build_causal_mask,
+                               causal_decode, decode_hidden,
                                init_decoder_params, mcq_loss, predict,
                                rotary_tables)
 from framefuse.errors import SequenceTooLong, ShapeMismatch
+from framefuse.frontend import FusionMethod
+from framefuse.pipeline import ModelConfig
 from framefuse.rng import RngState
 
-CFG = DecoderConfig(layers=1, hidden=8, heads=2, ffn_hidden=12, vocab=40,
-                    max_seq=32)
+CFG = ModelConfig(method=FusionMethod.BASELINE, out_hidden=6, dec_layers=1,
+                  dec_hidden=8, dec_heads=2, dec_ffn=12, vocab=40, max_seq=32)
 
 
-def small_decoder(cfg=CFG, video_hidden=6, seed=0):
-    return init_decoder_params(cfg, video_hidden, RngState(seed))
+def small_decoder(cfg=CFG, seed=0):
+    return init_decoder_params(cfg, RngState(seed))
 
 
 def batch_of(rng, b=2, l=3, q=5, video_hidden=6, vocab=40):
@@ -27,9 +31,9 @@ def batch_of(rng, b=2, l=3, q=5, video_hidden=6, vocab=40):
 
 def test_config_rejects_odd_head_dim():
     with pytest.raises(ShapeMismatch):
-        DecoderConfig(hidden=6, heads=2)
+        ModelConfig(method=FusionMethod.BASELINE, dec_hidden=6, dec_heads=2)
     with pytest.raises(ShapeMismatch):
-        DecoderConfig(hidden=10, heads=4)
+        ModelConfig(method=FusionMethod.BASELINE, dec_hidden=10, dec_heads=4)
 
 
 def test_mcq_batch_validation():
@@ -83,9 +87,8 @@ def test_causal_decode_returns_last_position():
 
 
 def test_sequence_too_long():
-    cfg = DecoderConfig(layers=1, hidden=8, heads=2, ffn_hidden=12, vocab=40,
-                        max_seq=6)
-    params = init_decoder_params(cfg, 6, RngState(0))
+    cfg = replace(CFG, max_seq=6)
+    params = init_decoder_params(cfg, RngState(0))
     rng = np.random.default_rng(3)
     with pytest.raises(SequenceTooLong):
         causal_decode(batch_of(rng, l=4, q=5), cfg, params)
@@ -97,8 +100,7 @@ def test_output_independent_of_max_seq():
     rng = np.random.default_rng(4)
     batch = batch_of(rng)
     small = causal_decode(batch, CFG, params)
-    big_cfg = DecoderConfig(layers=1, hidden=8, heads=2, ffn_hidden=12,
-                            vocab=40, max_seq=512)
+    big_cfg = replace(CFG, max_seq=512)
     big = causal_decode(batch, big_cfg, params)
     assert np.array_equal(small.data, big.data)
 

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from framefuse.autodiff import MASK_BLOCKED, Tensor
-from framefuse.encoder import (EncoderConfig, build_scope_mask, encode,
-                               init_encoder_params, merge_heads,
-                               multihead_attention, split_heads)
+from framefuse.encoder import (build_scope_mask, encode, init_encoder_params,
+                               merge_heads, multihead_attention, split_heads)
 from framefuse.errors import IndivisibleTokens, ShapeMismatch
+from framefuse.frontend import FusionMethod
+from framefuse.pipeline import ModelConfig
 from framefuse.rng import RngState
 
 
 def small_encoder(layers=1, hidden=8, heads=2, ffn=12, seed=0):
-    cfg = EncoderConfig(layers=layers, hidden=hidden, heads=heads, ffn_hidden=ffn)
+    cfg = ModelConfig(method=FusionMethod.BASELINE, enc_layers=layers, enc_hidden=hidden,
+                      enc_heads=heads, enc_ffn=ffn)
     params = init_encoder_params(cfg, RngState(seed))
     return cfg, params
 
@@ -42,7 +44,7 @@ def test_scope_mask_indivisible():
 
 def test_encoder_config_head_divisibility():
     with pytest.raises(ShapeMismatch):
-        EncoderConfig(hidden=10, heads=4)
+        ModelConfig(method=FusionMethod.BASELINE, enc_hidden=10, enc_heads=4)
 
 
 def test_split_merge_heads_round_trip():
@@ -104,7 +106,7 @@ def test_multihead_attention_shapes():
     cfg, params = small_encoder()
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(2, 4, 8)))
-    out = multihead_attention(x, x, None, params, "enc.0", cfg.heads)
+    out = multihead_attention(x, x, None, params, "enc.0", cfg.enc_heads)
     assert out.shape == (2, 4, 8)
 
 
