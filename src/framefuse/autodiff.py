@@ -343,9 +343,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x [..., nin] @ w [nin, nout] (+ b [nout])."""
     if w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeMismatch(f"linear {x.shape} @ {w.shape}")
-    out = matmul(x, w) if x.ndim >= 2 else matmul(reshape(x, (1, x.shape[-1])), w)
-    if x.ndim < 2:
-        out = reshape(out, (w.shape[1],))
+    out = matmul(x, w)
     if b is not None:
         if b.shape != (w.shape[1],):
             raise ShapeMismatch(f"linear bias {b.shape} for {w.shape}")
@@ -422,10 +420,9 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-likelihood. logits [B, C] (or [C]), integer targets [B]."""
-    squeeze = logits.ndim == 1
-    ld = logits.data.reshape(1, -1) if squeeze else logits.data
-    targets = np.atleast_1d(np.asarray(targets))
+    """Mean negative log-likelihood. logits [B, C], integer targets [B]."""
+    ld = logits.data
+    targets = np.asarray(targets)
     if not np.issubdtype(targets.dtype, np.integer):
         raise ShapeMismatch("cross_entropy targets must be integers")
     if ld.ndim != 2 or targets.shape != (ld.shape[0],):
@@ -439,13 +436,12 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     nll = lse - ld[np.arange(bsz), targets]
     out = np.asarray(nll.mean())
     p = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
-    lshape = logits.shape
 
     def grad_fn(g):
         gl = p.copy()
         gl[np.arange(bsz), targets] -= 1.0
         gl *= float(g) / bsz
-        return (gl.reshape(lshape),)
+        return (gl,)
 
     return _finish("cross_entropy", (logits,), out, grad_fn)
 

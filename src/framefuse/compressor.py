@@ -3,7 +3,8 @@
 All paths funnel the encoder output down to N_input/k groups of l tokens,
 where l = T / 4 after the 2x2 spatial merge, so the decoder sees exactly
 N_input * l / k video tokens. Ops accept any number of leading batch axes in
-front of their documented core shape.
+front of their documented core shape. ModelConfig checks the shapes a model
+will see; the tensor ops reject any other with ShapeMismatch.
 """
 from __future__ import annotations
 
@@ -17,8 +18,7 @@ from .autodiff import (Tensor, add, constant, gelu, linear, mean_over_axis,
                        permute, reshape, rms_norm)
 from .encoder import (ParamInit, feed_forward, multihead_attention,
                       self_attention)
-from .errors import (IndivisibleFrames, NonIntegralBudget, NonSquareGrid,
-                     OddGridSide, ShapeMismatch)
+from .errors import NonIntegralBudget
 from .frontend import FusionMethod
 from .rng import RngState
 
@@ -49,10 +49,6 @@ def _window_concat(x: Tensor) -> Tensor:
     token grid, row-major within the window."""
     *lead, t, c = x.shape
     side = math.isqrt(t)
-    if side * side != t:
-        raise NonSquareGrid(f"{t} tokens is not a square grid")
-    if side % 2:
-        raise OddGridSide(f"grid side {side} not divisible by 2")
     nd = len(lead)
     x = reshape(x, (*lead, side // 2, 2, side // 2, 2, c))
     axes = tuple(range(nd)) + (nd, nd + 2, nd + 1, nd + 3, nd + 4)
@@ -69,8 +65,6 @@ def _ungroup_time(grouped: Tensor, k: int) -> Tensor:
     """[..., G, k*T, h] -> [..., G, T, k*h]: per spatial position, concatenate
     the k in-group frames' hidden vectors in temporal order."""
     *lead, g, kt, h = grouped.shape
-    if kt % k:
-        raise IndivisibleFrames(f"group length {kt} not divisible by k={k}")
     t = kt // k
     nd = len(lead)
     x = reshape(grouped, (*lead, g, k, t, h))
@@ -90,17 +84,16 @@ def te_concat_and_project(grouped: Tensor, k: int, w: Tensor,
     return spatial_downsample_with_proj(_ungroup_time(grouped, k), w, b)
 
 
-def kangaroo_temporal_mlp(grouped: Tensor, k: int, params: dict[str, Tensor],
-                          prefix: str = "comp") -> Tensor:
+def kangaroo_temporal_mlp(grouped: Tensor, k: int, params: dict[str, Tensor]) -> Tensor:
     """Temporal merge by a 2-layer gelu perceptron (k*h -> 2h -> h) applied per
     spatial position, then the shared spatial downsample.
 
     [..., G, k*T, h] -> [..., G, T/4, out].
     """
     x = _ungroup_time(grouped, k)
-    u = gelu(linear(x, params[f"{prefix}.mlp_w1"], params[f"{prefix}.mlp_b1"]))
-    y = linear(u, params[f"{prefix}.mlp_w2"], params[f"{prefix}.mlp_b2"])
-    return spatial_downsample_with_proj(y, params[f"{prefix}.proj_w"], params[f"{prefix}.proj_b"])
+    u = gelu(linear(x, params["comp.mlp_w1"], params["comp.mlp_b1"]))
+    y = linear(u, params["comp.mlp_w2"], params["comp.mlp_b2"])
+    return spatial_downsample_with_proj(y, params["comp.proj_w"], params["comp.proj_b"])
 
 
 def kangaroo_identity_mlp(h: int) -> dict[str, np.ndarray]:
@@ -122,15 +115,11 @@ def pllava_temporal_pool(per_frame: Tensor, k: int) -> Tensor:
     [..., F, l, out] -> [..., F/k, l, out]; k=1 is the identity.
     """
     *lead, f, l, out = per_frame.shape
-    if f % k:
-        raise IndivisibleFrames(f"{f} frames not divisible by k={k}")
     x = reshape(per_frame, (*lead, f // k, k, l, out))
     return mean_over_axis(x, len(lead) + 1)
 
 
-def qformer_compress(per_frame: Tensor, k: int, queries: Tensor,
-                     params: dict[str, Tensor], layers: int = 2, heads: int = 4,
-                     norm_eps: float = 1e-6, prefix: str = "comp") -> Tensor:
+def qformer_compress(per_frame: Tensor, cfg: ModelConfig, params: dict[str, Tensor]) -> Tensor:
     """Learned queries attend to each window of k frames' tokens.
 
     [..., F, l, out] with queries [l, out] -> [..., F/k, l, out]. Each block is
@@ -138,38 +127,35 @@ def qformer_compress(per_frame: Tensor, k: int, queries: Tensor,
     a gelu feed-forward, all with residuals.
     """
     *lead, f, l, out = per_frame.shape
-    if f % k:
-        raise IndivisibleFrames(f"{f} frames not divisible by k={k}")
-    if queries.shape != (l, out):
-        raise ShapeMismatch(f"queries {queries.shape}, expected {(l, out)}")
+    k, heads, eps = cfg.k, cfg.qformer_heads, cfg.norm_eps
     window = reshape(per_frame, (*lead, f // k, k * l, out))
-    q = add(constant(np.zeros((*lead, f // k, l, out))), queries)
-    for i in range(layers):
-        p = f"{prefix}.qf.{i}"
-        q = self_attention(q, params[f"{p}.norm1"], params, f"{p}.self", heads, norm_eps)
-        cq = rms_norm(q, params[f"{p}.norm2"], norm_eps)
+    q = add(constant(np.zeros((*lead, f // k, l, out))), params["comp.queries"])
+    for i in range(cfg.qformer_layers):
+        p = f"comp.qf.{i}"
+        q = self_attention(q, params[f"{p}.norm1"], params, f"{p}.self", heads, eps)
+        cq = rms_norm(q, params[f"{p}.norm2"], eps)
         q = add(q, multihead_attention(cq, window, None, params, f"{p}.cross", heads))
-        q = feed_forward(q, params[f"{p}.norm3"], params, p, norm_eps)
+        q = feed_forward(q, params[f"{p}.norm3"], params, p, eps)
     return q
 
 
-def init_compressor_params(cfg: ModelConfig, rng: RngState, prefix: str = "comp",
+def init_compressor_params(cfg: ModelConfig, rng: RngState,
                            std: float = 0.02) -> dict[str, Tensor]:
     h, out, l = cfg.enc_hidden, cfg.out_hidden, cfg.tokens_per_group
     init = ParamInit(rng, std)
     # through-encoder projects the k frames' vectors of each 2x2 window at once
     width = cfg.k * h if cfg.method is FusionMethod.THROUGH_ENCODER else h
-    init.normal(f"{prefix}.proj_w", (4 * width, out))
-    init.zeros(f"{prefix}.proj_b", (out,))
+    init.normal("comp.proj_w", (4 * width, out))
+    init.zeros("comp.proj_b", (out,))
     if cfg.method is FusionMethod.POST_MLP_KANGAROO:
-        init.normal(f"{prefix}.mlp_w1", (cfg.k * h, 2 * h))
-        init.zeros(f"{prefix}.mlp_b1", (2 * h,))
-        init.normal(f"{prefix}.mlp_w2", (2 * h, h))
-        init.zeros(f"{prefix}.mlp_b2", (h,))
+        init.normal("comp.mlp_w1", (cfg.k * h, 2 * h))
+        init.zeros("comp.mlp_b1", (2 * h,))
+        init.normal("comp.mlp_w2", (2 * h, h))
+        init.zeros("comp.mlp_b2", (h,))
     if cfg.method is FusionMethod.POST_QFORMER:
-        init.normal(f"{prefix}.queries", (l, out))
+        init.normal("comp.queries", (l, out))
         for i in range(cfg.qformer_layers):
-            p = f"{prefix}.qf.{i}"
+            p = f"comp.qf.{i}"
             for norm in ("norm1", "norm2", "norm3"):
                 init.ones(f"{p}.{norm}", (out,))
             init.attention(f"{p}.self", out)
@@ -178,8 +164,7 @@ def init_compressor_params(cfg: ModelConfig, rng: RngState, prefix: str = "comp"
     return init.params
 
 
-def compress(encoder_output: Tensor, cfg: ModelConfig,
-             params: dict[str, Tensor], prefix: str = "comp") -> Tensor:
+def compress(encoder_output: Tensor, cfg: ModelConfig, params: dict[str, Tensor]) -> Tensor:
     """Run cfg.method's compression path.
 
     encoder_output is [..., G, k*T, h] for through-encoder fusion (frames
@@ -187,21 +172,17 @@ def compress(encoder_output: Tensor, cfg: ModelConfig,
     [..., N_input/k', l, out] with k'=1 for the baseline and k otherwise.
     """
     method, k = cfg.method, cfg.k
-    w, b = params[f"{prefix}.proj_w"], params[f"{prefix}.proj_b"]
+    w, b = params["comp.proj_w"], params["comp.proj_b"]
     if method is FusionMethod.BASELINE or method is FusionMethod.PRE_ENCODER_CHANNEL_MERGE:
         # temporal work (none / channel merge) already happened upstream
         return spatial_downsample_with_proj(encoder_output, w, b)
     if method is FusionMethod.THROUGH_ENCODER:
         return te_concat_and_project(encoder_output, k, w, b)
     *lead, f, t, h = encoder_output.shape
-    if f % k:
-        raise IndivisibleFrames(f"{f} frames not divisible by k={k}")
     if method is FusionMethod.POST_MLP_KANGAROO:
         grouped = reshape(encoder_output, (*lead, f // k, k * t, h))
-        return kangaroo_temporal_mlp(grouped, k, params, prefix)
+        return kangaroo_temporal_mlp(grouped, k, params)
     per_frame = spatial_downsample_with_proj(encoder_output, w, b)
     if method is FusionMethod.POST_POOL_PLLAVA:
         return pllava_temporal_pool(per_frame, k)
-    return qformer_compress(per_frame, k, params[f"{prefix}.queries"], params,
-                            layers=cfg.qformer_layers, heads=cfg.qformer_heads,
-                            norm_eps=cfg.norm_eps, prefix=prefix)
+    return qformer_compress(per_frame, cfg, params)

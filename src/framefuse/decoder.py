@@ -56,27 +56,24 @@ def build_causal_mask(seq_len: int) -> Tensor:
     return Tensor(np.where(allowed, 0.0, MASK_BLOCKED))
 
 
-def init_decoder_params(cfg: ModelConfig, rng: RngState, prefix: str = "dec",
-                        std: float = 0.02) -> dict[str, Tensor]:
+def init_decoder_params(cfg: ModelConfig, rng: RngState, std: float = 0.02) -> dict[str, Tensor]:
     h = cfg.dec_hidden
     init = ParamInit(rng, std)
-    init.normal(f"{prefix}.video_proj_w", (cfg.out_hidden, h))
-    init.zeros(f"{prefix}.video_proj_b", (h,))
-    init.normal(f"{prefix}.embed", (cfg.vocab, h))
+    init.normal("dec.video_proj_w", (cfg.out_hidden, h))
+    init.zeros("dec.video_proj_b", (h,))
+    init.normal("dec.embed", (cfg.vocab, h))
     for i in range(cfg.dec_layers):
-        init.block(f"{prefix}.{i}", h, cfg.dec_ffn)
-    init.ones(f"{prefix}.final_norm", (h,))
-    init.normal(f"{prefix}.head_w", (h, 4))
-    init.zeros(f"{prefix}.head_b", (4,))
+        init.block(f"dec.{i}", h, cfg.dec_ffn)
+    init.ones("dec.final_norm", (h,))
+    init.normal("dec.head_w", (h, 4))
+    init.zeros("dec.head_b", (4,))
     return init.params
 
 
-def decode_hidden(batch: MCQBatch, cfg: ModelConfig, params: dict[str, Tensor],
-                  prefix: str = "dec") -> Tensor:
+def decode_hidden(batch: MCQBatch, cfg: ModelConfig, params: dict[str, Tensor]) -> Tensor:
     """All-position hidden states [B, S, hidden] after the final norm."""
-    video = linear(batch.video_tokens, params[f"{prefix}.video_proj_w"],
-                   params[f"{prefix}.video_proj_b"])
-    question = embedding_lookup(params[f"{prefix}.embed"], batch.question_ids)
+    video = linear(batch.video_tokens, params["dec.video_proj_w"], params["dec.video_proj_b"])
+    question = embedding_lookup(params["dec.embed"], batch.question_ids)
     x = concat_axis([video, question], 1)
     seq = x.shape[1]
     if seq > cfg.max_seq:
@@ -85,22 +82,20 @@ def decode_hidden(batch: MCQBatch, cfg: ModelConfig, params: dict[str, Tensor],
     cos, sin = rotary_tables(seq, cfg.dec_hidden // cfg.dec_heads, ROTARY_BASE)
     rotary = (Tensor(cos), Tensor(sin))
     for i in range(cfg.dec_layers):
-        x = block(x, params, f"{prefix}.{i}", cfg.dec_heads, cfg.norm_eps, mask, rotary)
-    return rms_norm(x, params[f"{prefix}.final_norm"], cfg.norm_eps)
+        x = block(x, params, f"dec.{i}", cfg.dec_heads, cfg.norm_eps, mask, rotary)
+    return rms_norm(x, params["dec.final_norm"], cfg.norm_eps)
 
 
-def causal_decode(batch: MCQBatch, cfg: ModelConfig, params: dict[str, Tensor],
-                  prefix: str = "dec") -> Tensor:
+def causal_decode(batch: MCQBatch, cfg: ModelConfig, params: dict[str, Tensor]) -> Tensor:
     """Last-position hidden state [B, hidden]."""
-    states = decode_hidden(batch, cfg, params, prefix)
+    states = decode_hidden(batch, cfg, params)
     b, s, h = states.shape
     return reshape(narrow(states, 1, s - 1, 1), (b, h))
 
 
-def answer_logits(final_hidden: Tensor, params: dict[str, Tensor],
-                  prefix: str = "dec") -> Tensor:
+def answer_logits(final_hidden: Tensor, params: dict[str, Tensor]) -> Tensor:
     """[B, hidden] -> [B, 4]."""
-    return linear(final_hidden, params[f"{prefix}.head_w"], params[f"{prefix}.head_b"])
+    return linear(final_hidden, params["dec.head_w"], params["dec.head_b"])
 
 
 def predict(logits: Tensor) -> np.ndarray:

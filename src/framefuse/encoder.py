@@ -15,7 +15,7 @@ import numpy as np
 from .autodiff import (MASK_BLOCKED, Tensor, add, attention, concat_axis, gelu,
                        linear, multiply, narrow, param, permute, reshape,
                        rms_norm, scale)
-from .errors import IndivisibleTokens, ShapeMismatch
+from .errors import IndivisibleTokens
 from .rng import RngState
 
 if TYPE_CHECKING:
@@ -70,11 +70,10 @@ class ParamInit:
         self.ffn(prefix, h, f)
 
 
-def init_encoder_params(cfg: ModelConfig, rng: RngState, prefix: str = "enc",
-                        std: float = 0.02) -> dict[str, Tensor]:
+def init_encoder_params(cfg: ModelConfig, rng: RngState, std: float = 0.02) -> dict[str, Tensor]:
     init = ParamInit(rng, std)
     for i in range(cfg.enc_layers):
-        init.block(f"{prefix}.{i}", cfg.enc_hidden, cfg.enc_ffn)
+        init.block(f"enc.{i}", cfg.enc_hidden, cfg.enc_ffn)
     return init.params
 
 
@@ -145,13 +144,11 @@ def block(x: Tensor, params: dict[str, Tensor], prefix: str, heads: int, eps: fl
 
 
 def encode(tokens: Tensor, cfg: ModelConfig, mask: Tensor | None,
-           params: dict[str, Tensor], prefix: str = "enc") -> Tensor:
+           params: dict[str, Tensor]) -> Tensor:
     """Run the encoder stack over tokens [S, h] or [B, S, h]; `mask` is an
     additive [S, S] attention mask or None for full attention."""
     squeeze = tokens.ndim == 2
     x = reshape(tokens, (1,) + tokens.shape) if squeeze else tokens
-    if x.ndim != 3 or x.shape[-1] != cfg.enc_hidden:
-        raise ShapeMismatch(f"encoder tokens {tokens.shape} for hidden {cfg.enc_hidden}")
     for i in range(cfg.enc_layers):
-        x = block(x, params, f"{prefix}.{i}", cfg.enc_heads, cfg.norm_eps, mask)
+        x = block(x, params, f"enc.{i}", cfg.enc_heads, cfg.norm_eps, mask)
     return reshape(x, tokens.shape) if squeeze else x

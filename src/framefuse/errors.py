@@ -47,14 +47,6 @@ class IndivisibleTokens(ValidationError):
 
 # -- compressor --
 
-class NonSquareGrid(ValidationError):
-    pass
-
-
-class OddGridSide(ValidationError):
-    pass
-
-
 class NonIntegralBudget(ValidationError):
     pass
 

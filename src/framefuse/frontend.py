@@ -9,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, add, reshape
-from .errors import (BadConfig, BadMagic, IndivisibleFrames,
-                     IndivisibleResolution, ShapeMismatch, TruncatedFile)
+from .errors import BadConfig, BadMagic, ShapeMismatch, TruncatedFile
 
 CLIP_MAGIC = b"CLP1"
 
@@ -80,8 +79,6 @@ def extract_patches(pixels: np.ndarray, patch: int) -> np.ndarray:
     channel-first flattening of its [C, p, p] block.
     """
     *lead, c, h, w = pixels.shape
-    if h % patch or w % patch:
-        raise IndivisibleResolution(f"{h}x{w} not divisible by patch {patch}")
     gh, gw = h // patch, w // patch
     x = pixels.reshape(*lead, c, gh, patch, gw, patch)
     nd = x.ndim
@@ -98,8 +95,6 @@ def merge_temporal_channels(pixels: np.ndarray, k: int) -> np.ndarray:
     channels 0..C-1 come from the first frame of the window.
     """
     *lead, f, c, h, w = pixels.shape
-    if k < 1 or f % k:
-        raise IndivisibleFrames(f"{f} frames not divisible by k={k}")
     return pixels.reshape(*lead, f // k, k * c, h, w)
 
 
@@ -111,10 +106,6 @@ def merge_neighbor_frames(tokens: Tensor, k: int, temporal_table: Tensor) -> Ten
     Token (g, j*T + p) equals input token (frame g*k + j, p) + table[j].
     """
     *lead, f, t, h = tokens.shape
-    if k < 1 or f % k:
-        raise IndivisibleFrames(f"{f} frames not divisible by k={k}")
-    if temporal_table.shape != (k, h):
-        raise ShapeMismatch(f"temporal table {temporal_table.shape}, expected {(k, h)}")
     x = reshape(tokens, (*lead, f // k, k, t, h))
     x = add(x, reshape(temporal_table, (k, 1, h)))
     return reshape(x, (*lead, f // k, k * t, h))
@@ -142,4 +133,6 @@ def load_clip(path) -> VideoClip:
     if len(blob) < need:
         raise TruncatedFile(f"{path}: expected {need} bytes, found {len(blob)}")
     pixels = np.frombuffer(blob, dtype="<f4", count=f * c * h * w, offset=20)
+    if not np.isfinite(pixels).all():
+        raise BadConfig(f"{path}: non-finite pixel values")
     return VideoClip(pixels=Tensor(pixels.astype(np.float64).reshape(f, c, h, w)))

@@ -11,7 +11,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
+from .pipeline import micro_gradcheck_cases
+from .rng import RngState
 
 REL_ERR_FLOOR = 1e-8
 
@@ -72,9 +75,6 @@ def finite_diff_check(f: Callable[[], Tensor], params, step: float = 1e-5,
 
 def _op_cases(seed: int = 11):
     """Small seeded inputs, one scalar-valued closure per differentiable op."""
-    from . import autodiff as ad
-    from .rng import RngState
-
     rng = RngState(seed)
 
     def t(*shape, std=1.0):
@@ -152,8 +152,6 @@ def run_op_checks(step: float = 1e-5, tol: float = 1e-6) -> list[tuple[str, Fini
 
 def run_composite_checks(step: float = 1e-5, tol: float = 1e-4) -> list[tuple[str, FiniteDiffReport]]:
     """One micro end-to-end forward per fusion paradigm family."""
-    from .pipeline import micro_gradcheck_cases
-
     return [(name, finite_diff_check(f, params, step=step, tol=tol))
             for name, f, params in micro_gradcheck_cases()]
 

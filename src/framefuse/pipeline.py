@@ -24,7 +24,7 @@ from .errors import (BadConfig, IndivisibleFrames, IndivisibleResolution,
 from .frontend import (FusionMethod, extract_patches, merge_neighbor_frames,
                        merge_temporal_channels, parse_method)
 from .rng import RngState, derive_seed
-from .synthclips import QUESTION_LEN, VOCAB
+from .synthclips import QUESTION_LEN, TOKEN_TO_ID, VOCAB
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,9 @@ class ModelConfig:
                                 f"dec_heads {self.dec_heads}")
         if (self.dec_hidden // self.dec_heads) % 2:
             raise ShapeMismatch("rotary needs an even per-head dimension (dec_hidden / dec_heads)")
+        if self.method is FusionMethod.POST_QFORMER and self.out_hidden % self.qformer_heads:
+            raise ShapeMismatch(f"out_hidden {self.out_hidden} not divisible by "
+                                f"qformer_heads {self.qformer_heads}")
         if self.height % self.patch or self.width % self.patch:
             raise IndivisibleResolution(
                 f"{self.height}x{self.width} not divisible by patch {self.patch}")
@@ -77,7 +80,6 @@ class ModelConfig:
             raise IndivisibleFrames(f"{self.n_input} frames not divisible by k={self.k}")
         if self.vocab < len(VOCAB):
             raise BadConfig(f"vocab {self.vocab} smaller than question vocabulary {len(VOCAB)}")
-        token_budget(self.n_input, self.tokens_per_frame // 4, self.k)
 
     @property
     def tokens_per_frame(self) -> int:
@@ -131,24 +133,21 @@ def build_model(cfg: ModelConfig, seed: int, init_std: float = 0.02) -> ModelBun
             RngState(derive_seed(seed, "pos-temporal")).normal_array((cfg.k, h), init_std))
     for part, init in (("enc", init_encoder_params), ("comp", init_compressor_params),
                        ("dec", init_decoder_params)):
-        params.update(init(cfg, RngState(derive_seed(seed, part)), part, init_std))
+        params.update(init(cfg, RngState(derive_seed(seed, part)), init_std))
     return ModelBundle(cfg=cfg, params=params)
 
 
-def _check_pixels(cfg: ModelConfig, pixels: np.ndarray) -> np.ndarray:
-    if pixels.ndim == 4:
-        pixels = pixels[None]
+def _check_pixels(cfg: ModelConfig, pixels: np.ndarray) -> None:
     want = (cfg.n_input, cfg.channels, cfg.height, cfg.width)
     if pixels.ndim != 5 or pixels.shape[1:] != want:
         raise ShapeMismatch(f"pixels {pixels.shape}, expected [B, {want[0]}, {want[1]}, "
                             f"{want[2]}, {want[3]}]")
-    return pixels
 
 
 def video_token_forward(bundle: ModelBundle, pixels: np.ndarray) -> Tensor:
     """[B, F, C, H, W] pixels -> [B, L_decoder, out] compressed video tokens."""
     cfg = bundle.cfg
-    pixels = _check_pixels(cfg, pixels)
+    _check_pixels(cfg, pixels)
     b = pixels.shape[0]
     k, t, h = cfg.k, cfg.tokens_per_frame, cfg.enc_hidden
     if cfg.method is FusionMethod.PRE_ENCODER_CHANNEL_MERGE:
@@ -161,9 +160,9 @@ def video_token_forward(bundle: ModelBundle, pixels: np.ndarray) -> Tensor:
     if cfg.method is FusionMethod.THROUGH_ENCODER:
         # k divides each clip's frames, so no group spans two clips
         seqs = merge_neighbor_frames(seqs, k, bundle.params["pos.temporal"])
-    enc = encode(seqs, cfg, None, bundle.params, "enc")
+    enc = encode(seqs, cfg, None, bundle.params)
     enc = reshape(enc, (b, enc.shape[0] // b) + enc.shape[1:])
-    out = compress(enc, cfg, bundle.params, "comp")
+    out = compress(enc, cfg, bundle.params)
     bb, g, l, oh = out.shape
     return reshape(out, (bb, g * l, oh))
 
@@ -172,13 +171,10 @@ def forward_logits(bundle: ModelBundle, pixels: np.ndarray,
                    question_ids: np.ndarray, answer_idx=None) -> Tensor:
     """Full forward pass to 4-way answer logits [B, 4]."""
     video = video_token_forward(bundle, pixels)
-    if question_ids.ndim == 1:
-        question_ids = question_ids[None]
     answers = np.zeros(video.shape[0], dtype=np.int64) if answer_idx is None \
         else np.asarray(answer_idx)
     batch = MCQBatch(video_tokens=video, question_ids=question_ids, answer_idx=answers)
-    return answer_logits(causal_decode(batch, bundle.cfg, bundle.params, "dec"),
-                         bundle.params, "dec")
+    return answer_logits(causal_decode(batch, bundle.cfg, bundle.params), bundle.params)
 
 
 def batch_loss(bundle: ModelBundle, pixels: np.ndarray, question_ids: np.ndarray,
@@ -258,8 +254,6 @@ def _micro_config(method: FusionMethod, k: int) -> ModelConfig:
 def micro_gradcheck_cases(seed: int = 23):
     """Three end-to-end losses at toy size, one per structurally distinct
     path: channel merge, learned queries, through-encoder fusion."""
-    from .synthclips import TOKEN_TO_ID
-
     methods = (FusionMethod.PRE_ENCODER_CHANNEL_MERGE, FusionMethod.POST_QFORMER,
                FusionMethod.THROUGH_ENCODER)
     cases = []

@@ -106,12 +106,6 @@ class RngState:
             out.append(pool.pop(self.randint(len(pool))))
         return out
 
-    def normal(self) -> float:
-        # Box-Muller; uniform() can return 0 so flip to (0, 1]
-        u1 = 1.0 - self.uniform()
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
     def normal_array(self, shape, std: float = 1.0) -> np.ndarray:
         n = 1
         for e in shape:

@@ -11,14 +11,14 @@ from __future__ import annotations
 import csv
 import enum
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import BadConfig, SchemaMismatch, ZeroDuration, check_fields
+from .errors import (BadConfig, SchemaMismatch, ValidationError, ZeroDuration,
+                     check_fields)
 from .frontend import VideoClip, load_clip, save_clip
 from .rng import RngState, derive_seed
 
@@ -538,42 +538,14 @@ def dataset_stats(samples, gcfg: GenConfig, unit: str = "words") -> DatasetStats
 
 
 def gen_dataset(n_per_category: int, seed: int, gcfg: GenConfig | None = None,
-                categories=CATEGORY_ORDER, unit: str = "words"):
+                unit: str = "words"):
     """n samples per category, deterministic in (seed, gcfg)."""
     gcfg = gcfg or GenConfig()
     samples = []
-    for cat in categories:
+    for cat in CATEGORY_ORDER:
         for i in range(n_per_category):
             samples.append(gen_sample(cat, derive_seed(seed, cat.value, i), gcfg))
     return samples, dataset_stats(samples, gcfg, unit)
-
-
-def split_dev_test(samples, seed: int, fraction: float):
-    """Stratified split: each category lands within one sample of fraction."""
-    if not 0.0 <= fraction <= 1.0:
-        raise BadConfig(f"fraction {fraction} outside [0, 1]")
-    rng = RngState(derive_seed(seed, "split"))
-    by_cat: dict[str, list] = {}
-    for s in samples:
-        by_cat.setdefault(s.category.value, []).append(s)
-    cats = [c.value for c in CATEGORY_ORDER if c.value in by_cat]
-    total_target = round(len(samples) * fraction)
-    ideals = {c: len(by_cat[c]) * fraction for c in cats}
-    targets = {c: math.floor(ideals[c]) for c in cats}
-    leftover = total_target - sum(targets.values())
-    for c in sorted(cats, key=lambda c: (-(ideals[c] - targets[c]), cats.index(c))):
-        if leftover <= 0:
-            break
-        if targets[c] < len(by_cat[c]):
-            targets[c] += 1
-            leftover -= 1
-    dev, test = [], []
-    for c in cats:
-        group = list(by_cat[c])
-        rng.shuffle(group)
-        dev.extend(group[:targets[c]])
-        test.extend(group[targets[c]:])
-    return dev, test
 
 
 # ---- on-disk layout: records.csv + clips/*.clp + stats.csv + meta.json ----
@@ -604,6 +576,26 @@ def save_dataset(samples, out_dir, gcfg: GenConfig, stats: DatasetStats | None =
         "channels": gcfg.channels, "fps": gcfg.fps}, indent=2) + "\n")
 
 
+def _load_record(src: Path, row: dict, gcfg: GenConfig) -> SyntheticSample:
+    cat = TaskCategory(row["category"])
+    opts = (row["opt0"], row["opt1"], row["opt2"], row["opt3"])
+    if not set(opts) <= TOKEN_TO_ID.keys():
+        raise BadConfig(f"unknown option in {opts}")
+    answer_idx = int(row["answer_idx"])
+    if not 0 <= answer_idx < 4:
+        raise BadConfig(f"answer_idx {answer_idx} outside 0..3")
+    path = src / row["clip"]
+    if not path.resolve().is_relative_to(src.resolve()):
+        raise BadConfig(f"clip {row['clip']!r} lies outside {src}")
+    clip = load_clip(path)
+    want = (gcfg.frames, gcfg.channels, gcfg.height, gcfg.width)
+    if clip.pixels.shape != want:
+        raise BadConfig(f"clip shape {clip.pixels.shape}, meta.json says {want}")
+    return SyntheticSample(clip=clip, category=cat, seed=int(row["seed"]),
+                           question_ids=encode_question(cat, opts), options=opts,
+                           answer_idx=answer_idx)
+
+
 def load_dataset(in_dir):
     src = Path(in_dir)
     try:
@@ -620,11 +612,9 @@ def load_dataset(in_dir):
         reader = csv.DictReader(records)
         if tuple(reader.fieldnames or ()) != RECORD_FIELDS:
             raise SchemaMismatch(f"records.csv columns {reader.fieldnames}")
-        for row in reader:
-            cat = TaskCategory(row["category"])
-            opts = (row["opt0"], row["opt1"], row["opt2"], row["opt3"])
-            samples.append(SyntheticSample(
-                clip=load_clip(src / row["clip"]), category=cat,
-                seed=int(row["seed"]), question_ids=encode_question(cat, opts),
-                options=opts, answer_idx=int(row["answer_idx"])))
+        for n, row in enumerate(reader, 1):
+            try:
+                samples.append(_load_record(src, row, gcfg))
+            except (ValidationError, OSError, TypeError, ValueError) as err:
+                raise BadConfig(f"{src / 'records.csv'} row {n}: {err}") from err
     return samples, gcfg

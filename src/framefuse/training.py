@@ -10,7 +10,7 @@ import numpy as np
 from .autodiff import Tape, backward
 from .errors import BadConfig, DivergedLoss, check_fields
 from .pipeline import ModelBundle, batch_loss, forward_logits
-from .decoder import predict
+from .decoder import mcq_loss, predict
 from .rng import RngState, derive_seed
 from .synthclips import CATEGORY_ORDER
 
@@ -137,8 +137,6 @@ class EvalResult:
 def evaluate(bundle: ModelBundle, samples, batch_size: int = 64) -> EvalResult:
     """Argmax accuracy with per-category breakdown; accepts any iterable and
     consumes it in chunks, so the sample stream never has to fit in memory."""
-    from .autodiff import cross_entropy
-
     right: dict[str, int] = {}
     seen: dict[str, int] = {}
     loss_sum = 0.0
@@ -149,7 +147,7 @@ def evaluate(bundle: ModelBundle, samples, batch_size: int = 64) -> EvalResult:
         nonlocal loss_sum, total
         pixels, questions, answers = _batch_arrays(chunk)
         logits = forward_logits(bundle, pixels, questions, answers)
-        loss_sum += cross_entropy(logits, answers).item() * len(chunk)
+        loss_sum += mcq_loss(logits, answers).item() * len(chunk)
         preds = predict(logits)
         for s, p in zip(chunk, preds):
             cat = s.category.value

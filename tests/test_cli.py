@@ -1,13 +1,17 @@
+import csv
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from framefuse import cli
+from framefuse.autodiff import Tensor
 from framefuse.checkpoint import load_checkpoint_meta
-from framefuse.frontend import FusionMethod
+from framefuse.frontend import FusionMethod, VideoClip, save_clip
 from framefuse.gradcheck import FiniteDiffReport
 from framefuse.grid import ExperimentSpec
 from framefuse.pipeline import ModelConfig, config_to_dict
@@ -242,7 +246,9 @@ def test_mistyped_config_fields_are_validation_errors(capsys, tmp_path):
     for i, (fields, key) in enumerate((({"k": "2"}, "k"), ({"patch": 0}, "patch"),
                                        ({"n_input": True}, "n_input"),
                                        ({"k": 2}, "baseline"),
-                                       ({"enc_hidden": 10, "enc_heads": 4}, "enc_hidden"))):
+                                       ({"enc_hidden": 10, "enc_heads": 4}, "enc_hidden"),
+                                       ({"method": "qformer", "k": 2, "out_hidden": 6},
+                                        "out_hidden"))):
         (tmp_path / f"m{i}.tfz.json").write_text(json.dumps({"model": {**model, **fields}}))
         cases.append((key, ("eval", "--ckpt", str(tmp_path / f"m{i}.tfz"),
                             "--data", str(tmp_path / "ds"))))
@@ -276,6 +282,30 @@ def test_broken_dataset_meta_is_validation_error(capsys, tmp_path):
         assert code == 1
         assert out == ""
         assert_one_error_line(err, fragment)
+    (data / "meta.json").write_text(json.dumps(meta))
+    records = data / "records.csv"
+    with open(records, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    nan_pixels = np.zeros((8, 3, 28, 28))
+    nan_pixels[3, 1, 5, 5] = np.nan
+    save_clip(VideoClip(pixels=Tensor(nan_pixels)), data / "clips" / "nan.clp")
+    save_clip(VideoClip(pixels=Tensor(np.zeros((6, 3, 28, 28)))), data / "clips" / "short.clp")
+    # a valid clip outside the dataset directory
+    shutil.copy(data / rows[0]["clip"], tmp_path / "x.clp")
+    for key, value, fragment in (("clip", "clips/missing.clp", "missing.clp"),
+                                 ("category", "XX", "XX"), ("seed", "abc", "abc"),
+                                 ("opt0", "mr:bogus", "mr:bogus"), ("answer_idx", "7", "7"),
+                                 ("clip", "clips/nan.clp", "non-finite"),
+                                 ("clip", "clips/short.clp", "(6, 3, 28, 28)"),
+                                 ("clip", "../x.clp", "outside")):
+        with open(records, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=rows[0].keys())
+            writer.writeheader()
+            writer.writerows(rows[:2] + [{**rows[2], key: value}] + rows[3:])
+        code, out, err = run(capsys, "stats", "--data", str(data))
+        assert code == 1
+        assert out == ""
+        assert_one_error_line(err, "records.csv", "row 3", fragment)
 
 
 def test_malformed_config_inputs_are_validation_errors(capsys, tmp_path):

@@ -44,6 +44,15 @@ def test_config_validation():
     with pytest.raises(BadConfig):
         # 1x2 patch grid is not square
         ModelConfig(method=FusionMethod.BASELINE, height=14, width=28)
+    with pytest.raises(BadConfig):
+        # 3x3 patch grid has no 2x2 window tiling
+        ModelConfig(method=FusionMethod.BASELINE, height=42, width=42)
+    with pytest.raises(ShapeMismatch, match="out_hidden 6 .*qformer_heads 4"):
+        ModelConfig(method=FusionMethod.POST_QFORMER, k=2, out_hidden=6, qformer_heads=4)
+    # only the Q-Former splits out_hidden into heads
+    for method in COMPRESSION_METHODS:
+        if method is not FusionMethod.POST_QFORMER:
+            ModelConfig(method=method, k=2, out_hidden=6, qformer_heads=4)
     with pytest.raises(IndivisibleFrames):
         micro_cfg(FusionMethod.THROUGH_ENCODER, k=3, n_input=8)
     with pytest.raises(BadConfig):
@@ -122,14 +131,6 @@ def test_forward_checks_pixel_shape():
     bundle = build_model(micro_cfg(FusionMethod.BASELINE), 0)
     with pytest.raises(ShapeMismatch):
         video_token_forward(bundle, np.zeros((2, 4, 3, 8, 10)))
-
-
-def test_single_clip_promoted_to_batch():
-    bundle = build_model(micro_cfg(FusionMethod.BASELINE), 0)
-    rng = np.random.default_rng(2)
-    pixels = rng.random((4, 3, 8, 8))
-    out = video_token_forward(bundle, pixels)
-    assert out.shape[0] == 1
 
 
 def test_config_dict_round_trip():

@@ -19,3 +19,36 @@ def test_no_unused_imports(path):
                 imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+def _type_checking_imports(tree):
+    """Import nodes under an `if TYPE_CHECKING:` block."""
+    return {id(sub) for node in ast.walk(tree)
+            if isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+            and node.test.id == "TYPE_CHECKING"
+            for sub in ast.walk(node) if isinstance(sub, (ast.Import, ast.ImportFrom))}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = _type_checking_imports(tree)
+    local = sorted(sub.lineno for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Import, ast.ImportFrom)) and id(sub) not in allowed)
+    assert local == []
+
+
+def test_every_error_class_is_raised():
+    bases = {"FrameFuseError", "ValidationError", "NumericalError"}
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)} - bases
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert sorted(classes - raised) == []

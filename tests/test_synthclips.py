@@ -9,7 +9,7 @@ from framefuse.synthclips import (CATEGORY_ORDER, COUNTS, DIR_STEPS, PALETTE,
                                   dataset_stats, encode_question, gen_dataset,
                                   gen_sample, load_dataset, max_repetitions,
                                   question_length, rc_transition_count,
-                                  save_dataset, split_dev_test)
+                                  save_dataset)
 
 GCFG = GenConfig(frames=16)
 SMALL = GenConfig(frames=8)
@@ -265,32 +265,6 @@ def test_dataset_stats_csv_layout():
     assert "annotation_density,2.500000" in lines
     assert "answers_at_0,1" in lines
     assert lines[-1] == "unit,words"
-
-
-def test_split_dev_test_stratified_halves():
-    samples, _ = gen_dataset(25, 3, SMALL, categories=CATEGORY_ORDER[:2])
-    dev, test = split_dev_test(samples, 5, 0.5)
-    assert len(dev) + len(test) == 50
-    assert len(dev) == 25
-    dev_mr = sum(1 for s in dev if s.category is TaskCategory.MR)
-    assert dev_mr in (12, 13)
-
-
-def test_split_dev_test_deterministic_and_disjoint():
-    samples, _ = gen_dataset(4, 13, SMALL)
-    d1, t1 = split_dev_test(samples, 21, 0.25)
-    d2, t2 = split_dev_test(samples, 21, 0.25)
-    assert [s.seed for s in d1] == [s.seed for s in d2]
-    assert [s.seed for s in t1] == [s.seed for s in t2]
-    seen = {(s.category.value, s.seed) for s in d1} | \
-           {(s.category.value, s.seed) for s in t1}
-    assert len(seen) == 24
-
-
-def test_split_fraction_bounds():
-    samples, _ = gen_dataset(1, 0, SMALL)
-    with pytest.raises(BadConfig):
-        split_dev_test(samples, 0, 1.5)
 
 
 def test_save_load_round_trip(tmp_path):
