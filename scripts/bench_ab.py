@@ -1,0 +1,122 @@
+"""A/B benchmark: this checkout against a parent commit, in alternating pairs.
+
+The parent is extracted with `git archive REF | tar -x` into a temporary
+directory, so no worktree and no `.git` change is left behind. Each pair runs
+`perfbench/run.py` once in each tree with the same seed (seed-base + pair
+index), and the side that runs first alternates from pair to pair. For every
+metric the run prints, the result records each side's median and quartiles,
+every run's value, and how many pairs the change won (ties count for
+neither side), plus the attempted and failed operation counts.
+
+Usage:
+    python3 scripts/bench_ab.py --parent HEAD~1 --workload train-desk \\
+        --pairs 10 --seconds 30 --seed-base 600 --out BENCH.json
+
+The result is stored under the workload's name (with `-trace` appended for
+`--trace 1`) in the `--out` JSON file; other entries already there are kept,
+so one file can gather several workloads.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def extract(ref: str, dest: Path) -> None:
+    """`git archive REF | tar -x -C DEST`."""
+    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", ref], stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait():
+        raise SystemExit(f"git archive {ref} failed")
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(trace)],
+                          cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"perfbench failed in {tree} (exit {proc.returncode}):\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summarize(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def compare(parent_runs: list[dict], change_runs: list[dict], better: dict[str, str]) -> dict:
+    metrics = {}
+    for name, first in change_runs[0]["metrics"].items():
+        p = [r["metrics"][name]["value"] for r in parent_runs]
+        c = [r["metrics"][name]["value"] for r in change_runs]
+        sign = 1.0 if better.get(name, "lower") == "higher" else -1.0
+        parent, change = summarize(p), summarize(c)
+        metrics[name] = {
+            "unit": first["unit"], "better": better.get(name, "lower"),
+            "parent": parent, "change": change,
+            "change_wins": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
+            "pairs": len(p),
+            "median_ratio": change["median"] / parent["median"] if parent["median"] else None,
+            "parent_iqr": parent["q3"] - parent["q1"],
+        }
+    return metrics
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="git ref of the parent commit")
+    ap.add_argument("--workload", required=True, choices=("train-desk", "eval-fine", "grid-ff"))
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--seed-base", type=int, required=True)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2 to give quartiles")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        parent_tree = Path(tmp)
+        extract(args.parent, parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_once(trees[side], args.workload, args.seed_base + i,
+                                           args.seconds, args.trace))
+            print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+
+    change = subprocess.run(["git", "-C", str(ROOT), "describe", "--always", "--dirty"],
+                            check=True, capture_output=True, text=True).stdout.strip()
+    entry = {
+        "parent": args.parent, "change": change,
+        "pairs": args.pairs, "seconds": args.seconds, "seed_base": args.seed_base,
+        "trace": args.trace,
+        "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
+        "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+        "metrics": compare(runs["parent"], runs["change"], better),
+    }
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc[args.workload + ("-trace" if args.trace else "")] = entry
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    for name, m in entry["metrics"].items():
+        print(f"{name:34s} parent {m['parent']['median']:.6g}  change {m['change']['median']:.6g}"
+              f"  wins {m['change_wins']}/{m['pairs']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -131,14 +131,18 @@ def _active_tape() -> Tape | None:
     return _TAPES[-1] if _TAPES else None
 
 
+def _tracked(tape: Tape, t: Tensor) -> bool:
+    """True if gradients flow to `t` on `tape`: a parameter or a taped result."""
+    return t.requires_grad or t.tid in tape._live
+
+
 def _finish(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, grad_fn) -> Tensor:
     out = Tensor(out_data)
     if _debug_checks and not np.all(np.isfinite(out.data)):
         raise FloatingPointError(f"non-finite values out of op '{op}'")
     tape = _active_tape()
     if tape is not None:
-        tracked = any(t.requires_grad or t.tid in tape._live for t in inputs)
-        if tracked:
+        if any(_tracked(tape, t) for t in inputs):
             for t in inputs:
                 if t.requires_grad and t.tid not in tape._live:
                     tape.watch(t)
@@ -329,12 +333,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ba and bb and ba != bb:
         raise ShapeMismatch(f"matmul batch prefixes differ: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    out = ad @ bd
+    if ba and not bb:
+        # a weight shared across a's batch axes: fold them into the rows of one
+        # GEMM, forward and backward, instead of one small GEMM per batch slice
+        a2 = ad.reshape(-1, ad.shape[-1])
+        out = (a2 @ bd).reshape(ba + (ad.shape[-2], bd.shape[-1]))
+        tape = _active_tape()
+        need_ga = tape is not None and _tracked(tape, a)
 
-    def grad_fn(g):
-        ga = _sum_to(g @ np.swapaxes(bd, -1, -2), a.shape)
-        gb = _sum_to(np.swapaxes(ad, -1, -2) @ g, b.shape)
-        return ga, gb
+        def grad_fn(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            ga = (g2 @ bd.T).reshape(a.shape) if need_ga else None
+            return ga, a2.T @ g2
+    else:
+        out = ad @ bd
+
+        def grad_fn(g):
+            ga = _sum_to(g @ np.swapaxes(bd, -1, -2), a.shape)
+            gb = _sum_to(np.swapaxes(ad, -1, -2) @ g, b.shape)
+            return ga, gb
 
     return _finish("matmul", (a, b), out, grad_fn)
 
@@ -375,13 +392,13 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """tanh-form gelu: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
     xd = x.data
-    inner = GELU_COEFF * (xd + _GELU_CUBIC * xd ** 3)
+    inner = GELU_COEFF * (xd + _GELU_CUBIC * (xd * xd * xd))
     t = np.tanh(inner)
     out = 0.5 * xd * (1.0 + t)
 
     def grad_fn(g):
         sech2 = 1.0 - t * t
-        local = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * GELU_COEFF * (1.0 + 3.0 * _GELU_CUBIC * xd ** 2)
+        local = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * GELU_COEFF * (1.0 + 3.0 * _GELU_CUBIC * (xd * xd))
         return (g * local,)
 
     return _finish("gelu", (x,), out, grad_fn)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import (BadConfig, BadMagic, ShapeMismatch, TruncatedFile,
-                     UnknownParameter, check_json)
+                     UnknownParameter, read_json)
 
 CHECKPOINT_MAGIC = b"TFZ1"
 
@@ -75,12 +75,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 
 def load_checkpoint_meta(path) -> dict:
-    sidecar = Path(path).with_suffix(Path(path).suffix + ".json")
-    try:
-        meta = json.loads(sidecar.read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise BadConfig(f"cannot read checkpoint sidecar {sidecar}: {err}") from err
-    return check_json(meta, dict, f"checkpoint sidecar {sidecar}")
+    return read_json(Path(path).with_suffix(Path(path).suffix + ".json"), "checkpoint sidecar")
 
 
 def apply_checkpoint(params: dict[str, Tensor], loaded: dict[str, np.ndarray]) -> None:

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 validation error (bad config, bad file, bad shapes),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -14,7 +13,7 @@ from .checkpoint import (apply_checkpoint, load_checkpoint,
                          load_checkpoint_meta, save_checkpoint)
 from .compressor import token_budget
 from .errors import (BadConfig, GradientCheckFailed, NumericalError,
-                     ValidationError, check_json)
+                     ValidationError, check_json, read_json)
 from .frontend import FusionMethod, parse_method
 from .gradcheck import SUITE_GROUPS, run_gradient_suite
 from .grid import ExperimentSpec, GridAxis, results_to_csv, run_grid
@@ -23,14 +22,6 @@ from .report import read_table_csv, render_table
 from .synthclips import (CATEGORY_ORDER, GenConfig, dataset_stats, gen_dataset,
                          load_dataset, save_dataset)
 from .training import TrainConfig, evaluate, train
-
-
-def _load_json(path) -> dict:
-    try:
-        d = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as err:
-        raise BadConfig(f"cannot read config {path}: {err}") from err
-    return check_json(d, dict, f"config {path}")
 
 
 def _train_config(d: dict) -> TrainConfig:
@@ -70,7 +61,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    tcfg = _train_config(_load_json(args.config)) if args.config else TrainConfig()
+    tcfg = _train_config(read_json(args.config, "config")) if args.config else TrainConfig()
     if args.data:
         dataset, gcfg = load_dataset(args.data)
         if gcfg.frames != args.n_input:
@@ -113,7 +104,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    base = _load_json(args.config) if args.config else {}
+    base = read_json(args.config, "config") if args.config else {}
     unknown = sorted(set(base) - set(ExperimentSpec.__dataclass_fields__))
     if unknown:
         raise BadConfig(f"unknown experiment config keys {unknown}")

@@ -1,6 +1,8 @@
 """Exception hierarchy. Validation errors exit the CLI with code 1, numerical with 2."""
 import dataclasses
+import json
 import numbers
+from pathlib import Path
 
 
 class FrameFuseError(Exception):
@@ -83,6 +85,25 @@ def check_json(value, kind: type, what: str):
         shape = "object" if kind is dict else "list"
         raise BadConfig(f"{what} must be a JSON {shape}, got {value!r}")
     return value
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of file `path`, line endings as stored; BadConfig naming
+    `what` if the file cannot be read or is not UTF-8."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise BadConfig(f"cannot read {what} {path}: {err}") from err
+
+
+def read_json(path, what: str):
+    """The JSON object in file `path`; BadConfig naming `what` if it cannot be
+    read, is not UTF-8 JSON, or holds anything but an object."""
+    try:
+        value = json.loads(read_text(path, what))
+    except json.JSONDecodeError as err:
+        raise BadConfig(f"cannot read {what} {path}: {err}") from err
+    return check_json(value, dict, f"{what} {path}")
 
 
 class ZeroDuration(ValidationError):

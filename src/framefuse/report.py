@@ -12,7 +12,7 @@ import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import BadConfig, SchemaMismatch
+from .errors import BadConfig, SchemaMismatch, read_text
 
 # identifier and cost columns; never bolded even though they parse as numbers
 NON_METRIC_COLUMNS = frozenset({"method", "k", "n_input", "l_decoder",
@@ -36,10 +36,7 @@ class ReportTable:
 
 def read_table_csv(path_or_text) -> ReportTable:
     if isinstance(path_or_text, (str, Path)) and "\n" not in str(path_or_text):
-        try:
-            text = Path(path_or_text).read_text()
-        except OSError as err:
-            raise SchemaMismatch(f"cannot read table {path_or_text}: {err}") from err
+        text = read_text(path_or_text, "table")
     else:
         text = str(path_or_text)
     reader = csv.reader(io.StringIO(text))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import (BadConfig, SchemaMismatch, ValidationError, ZeroDuration,
-                     check_fields)
+                     check_fields, read_json, read_text)
 from .frontend import VideoClip, load_clip, save_clip
 from .rng import RngState, derive_seed
 
@@ -598,23 +599,19 @@ def _load_record(src: Path, row: dict, gcfg: GenConfig) -> SyntheticSample:
 
 def load_dataset(in_dir):
     src = Path(in_dir)
+    meta = read_json(src / "meta.json", "dataset meta")
+    records = read_text(src / "records.csv", "dataset records")
     try:
-        meta = json.loads((src / "meta.json").read_text())
-        records = open(src / "records.csv", newline="")
-    except (OSError, json.JSONDecodeError) as err:
-        raise BadConfig(f"cannot read dataset {src}: {err}") from err
-    with records:
+        gcfg = GenConfig(**{name: meta[name] for name in GenConfig.__dataclass_fields__})
+    except (KeyError, TypeError) as err:
+        raise BadConfig(f"{src / 'meta.json'}: missing or bad key {err}") from err
+    samples = []
+    reader = csv.DictReader(io.StringIO(records, newline=""))
+    if tuple(reader.fieldnames or ()) != RECORD_FIELDS:
+        raise SchemaMismatch(f"records.csv columns {reader.fieldnames}")
+    for n, row in enumerate(reader, 1):
         try:
-            gcfg = GenConfig(**{name: meta[name] for name in GenConfig.__dataclass_fields__})
-        except (KeyError, TypeError) as err:
-            raise BadConfig(f"{src / 'meta.json'}: missing or bad key {err}") from err
-        samples = []
-        reader = csv.DictReader(records)
-        if tuple(reader.fieldnames or ()) != RECORD_FIELDS:
-            raise SchemaMismatch(f"records.csv columns {reader.fieldnames}")
-        for n, row in enumerate(reader, 1):
-            try:
-                samples.append(_load_record(src, row, gcfg))
-            except (ValidationError, OSError, TypeError, ValueError) as err:
-                raise BadConfig(f"{src / 'records.csv'} row {n}: {err}") from err
+            samples.append(_load_record(src, row, gcfg))
+        except (ValidationError, OSError, TypeError, ValueError) as err:
+            raise BadConfig(f"{src / 'records.csv'} row {n}: {err}") from err
     return samples, gcfg

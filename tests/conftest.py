@@ -1,7 +1,10 @@
+import time
+
 import hypothesis
 import pytest
 
 from framefuse.autodiff import set_debug_checks
+from framefuse.gradcheck import run_gradient_suite
 
 hypothesis.settings.register_profile(
     "framefuse", deadline=None, max_examples=50, derandomize=True)
@@ -13,3 +16,11 @@ def debug_checks():
     set_debug_checks(True)
     yield
     set_debug_checks(False)
+
+
+@pytest.fixture(scope="session")
+def gradient_suite(debug_checks):
+    """`run_gradient_suite()` run once for the session: (reports, elapsed seconds)."""
+    start = time.monotonic()
+    reports = run_gradient_suite()
+    return reports, time.monotonic() - start

@@ -19,7 +19,6 @@ from framefuse.compressor import (kangaroo_identity_mlp, kangaroo_temporal_mlp,
 from framefuse.encoder import build_scope_mask, encode, init_encoder_params
 from framefuse.errors import IndivisibleFrames
 from framefuse.frontend import COMPRESSION_METHODS, FusionMethod
-from framefuse.gradcheck import run_gradient_suite
 from framefuse.pipeline import (ModelConfig, build_model, forward_logits,
                                 video_token_forward)
 from framefuse.report import read_table_csv, render_table
@@ -41,10 +40,8 @@ def report(n: int, text: str) -> None:
     print(f"PASS criterion {n}: {text}")
 
 
-def test_criterion_1_gradient_suite():
-    start = time.monotonic()
-    reports = run_gradient_suite()
-    elapsed = time.monotonic() - start
+def test_criterion_1_gradient_suite(gradient_suite):
+    reports, elapsed = gradient_suite
     assert len(reports) == 18  # 15 op cases + 3 composites
     ops = [(n, r) for n, r in reports if r.tol == 1e-6]
     composites = [(n, r) for n, r in reports if r.tol == 1e-4]

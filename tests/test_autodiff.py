@@ -11,6 +11,7 @@ from framefuse.autodiff import (MASK_BLOCKED, Gradients, Tape, Tensor, add,
                                 param, permute, reshape, rms_norm, scale,
                                 softmax_lastdim, sum_all, swap_last_two)
 from framefuse.errors import AllMaskedRow, NotScalarLoss, ShapeMismatch
+from framefuse.gradcheck import finite_diff_check
 
 finite_arrays = hnp.arrays(
     np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
@@ -256,6 +257,43 @@ def test_linear_without_bias():
     w = param(np.full((3, 2), 0.5))
     out = linear(x, w)
     assert np.allclose(out.data, 1.5)
+
+
+# ---- a rank-2 weight shared across batch axes: one folded GEMM ----
+
+@pytest.mark.parametrize("batch", [(3,), (2, 3)])
+def test_folded_matmul_matches_per_slice_products(batch):
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=batch + (4, 5))
+    b = rng.normal(size=(5, 3))
+    out = matmul(constant(a), constant(b)).data
+    ref = np.stack([s @ b for s in a.reshape(-1, 4, 5)]).reshape(batch + (4, 3))
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("batch", [(3,), (2, 3)])
+def test_folded_matmul_gradients_match_finite_differences(batch):
+    rng = np.random.default_rng(6)
+    a = param(rng.normal(size=batch + (4, 5)))
+    b = param(rng.normal(size=(5, 3)))
+    report = finite_diff_check(lambda: sum_all(multiply(matmul(a, b), matmul(a, b))),
+                               {"a": a, "b": b}, tol=1e-6)
+    assert report.passed, report.per_param
+    assert set(report.per_param) == {"a", "b"}
+
+
+def test_folded_matmul_skips_constant_input_gradient():
+    rng = np.random.default_rng(7)
+    a = constant(rng.normal(size=(2, 3, 4, 5)))
+    b = param(rng.normal(size=(5, 3)))
+    g = rng.normal(size=(2, 3, 4, 3))
+    with Tape() as tape:
+        matmul(a, b)
+    (node,) = tape.nodes
+    ga, gb = node.grad_fn(g)
+    assert ga is None
+    assert np.array_equal(gb, a.data.reshape(-1, 5).T @ g.reshape(-1, 3))
 
 
 def test_tensor_operator_sugar():

@@ -308,6 +308,33 @@ def test_broken_dataset_meta_is_validation_error(capsys, tmp_path):
         assert_one_error_line(err, "records.csv", "row 3", fragment)
 
 
+@pytest.mark.parametrize("case", ("records.csv", "meta.json", "sidecar", "config", "report"))
+def test_non_utf8_input_is_validation_error(capsys, tmp_path, case):
+    data = tmp_path / "ds"
+    if case in ("records.csv", "meta.json"):
+        run(capsys, "gen-data", "--per-category", "1", "--seed", "5",
+            "--out", str(data), "--frames", "8")
+    ckpt, cfg_path, table = tmp_path / "m.tfz", tmp_path / "train.json", tmp_path / "t.csv"
+    bad, argv = {
+        "records.csv": (data / "records.csv", ("stats", "--data", str(data))),
+        "meta.json": (data / "meta.json", ("stats", "--data", str(data))),
+        "sidecar": (tmp_path / "m.tfz.json", ("eval", "--ckpt", str(ckpt), "--data", str(data))),
+        "config": (cfg_path, ("train", "--method", "baseline", "--k", "1", "--n-input", "8",
+                              "--config", str(cfg_path), "--out", str(ckpt))),
+        "report": (table, ("report", "--in", str(table))),
+    }[case]
+    if case == "records.csv":
+        bad.write_bytes(bad.read_bytes() + b"\xff\xfe")
+    elif case == "report":
+        bad.write_bytes(b"x,y\n1,\xff\n")
+    else:
+        bad.write_bytes(b'{"frames": 8\xff}')
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err, bad.name, "utf-8")
+
+
 def test_malformed_config_inputs_are_validation_errors(capsys, tmp_path):
     (tmp_path / "five.json").write_text("5")
     (tmp_path / "m.tfz.json").write_text(json.dumps({"model": 5}))

@@ -3,8 +3,8 @@ import pytest
 
 from framefuse.autodiff import (Tensor, cross_entropy, linear, multiply,
                                 rms_norm, softmax_lastdim, sum_all)
-from framefuse.gradcheck import (finite_diff_check, run_composite_checks,
-                                 run_gradient_suite, run_op_checks)
+from framefuse.gradcheck import (finite_diff_check, run_gradient_suite,
+                                 run_op_checks)
 
 
 def test_sum_of_squares_is_exact():
@@ -58,8 +58,8 @@ def test_op_suite_passes():
 
 
 @pytest.mark.slow
-def test_composite_suite_passes():
-    reports = run_composite_checks()
+def test_composite_suite_passes(gradient_suite):
+    reports = [(name, report) for name, report in gradient_suite[0] if report.tol == 1e-4]
     assert {name for name, _ in reports} == {"channel-merge", "qformer",
                                              "through-encoder"}
     for name, report in reports:
