@@ -4,8 +4,7 @@ temporal-fusion paths, a scripted motion-QA benchmark, and an ablation harness.
 
 from .autodiff import MASK_BLOCKED, Tape, Tensor, backward, set_debug_checks
 from .compressor import TokenBudget, compress, token_budget
-from .decoder import MCQBatch
-from .encoder import build_scope_mask, encode
+from .encoder import encode
 from .errors import FrameFuseError, NumericalError, ValidationError
 from .frontend import COMPRESSION_METHODS, FusionMethod, VideoClip
 from .grid import ExperimentSpec, GridAxis, RunResult, run_grid
@@ -18,8 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MASK_BLOCKED", "Tape", "Tensor", "backward", "set_debug_checks",
     "TokenBudget", "compress", "token_budget",
-    "MCQBatch",
-    "build_scope_mask", "encode",
+    "encode",
     "FrameFuseError", "NumericalError", "ValidationError",
     "COMPRESSION_METHODS", "FusionMethod", "VideoClip",
     "ExperimentSpec", "GridAxis", "RunResult", "run_grid",

@@ -69,23 +69,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
 
-    # light operator sugar used by tests and the odd internal spot
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, scale(other, -1.0))
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return multiply(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return matmul(self, other)
 
@@ -165,9 +148,8 @@ def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Gradients:
     """backward() result: per-leaf gradient arrays, zeros for unreached leaves."""
 
-    def __init__(self, by_tid: dict[int, np.ndarray], leaves: dict[int, Tensor]):
+    def __init__(self, by_tid: dict[int, np.ndarray]):
         self._by_tid = by_tid
-        self._leaves = leaves
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
         g = self._by_tid.get(t.tid)
@@ -198,8 +180,7 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
                 continue
             acc = adjoint.get(tid)
             adjoint[tid] = gi if acc is None else acc + gi
-    return Gradients({tid: adjoint[tid] for tid in tape._leaves if tid in adjoint},
-                     tape._leaves)
+    return Gradients({tid: adjoint[tid] for tid in tape._leaves if tid in adjoint})
 
 
 # ---- elementwise and structural ops ----

@@ -60,7 +60,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     while offset < end:
         at = need(4)
         (name_len,) = struct.unpack_from("<I", blob, at)
-        name = blob[need(name_len):offset].decode("utf-8")
+        try:
+            name = blob[need(name_len):offset].decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise BadConfig(f"cannot read checkpoint {path}: {err}") from err
         at = need(4)
         (rank,) = struct.unpack_from("<I", blob, at)
         at = need(8 * rank)

@@ -13,7 +13,7 @@ from .checkpoint import (apply_checkpoint, load_checkpoint,
                          load_checkpoint_meta, save_checkpoint)
 from .compressor import token_budget
 from .errors import (BadConfig, GradientCheckFailed, NumericalError,
-                     ValidationError, check_json, read_json)
+                     ValidationError, check_json, read_json, read_text)
 from .frontend import FusionMethod, parse_method
 from .gradcheck import SUITE_GROUPS, run_gradient_suite
 from .grid import ExperimentSpec, GridAxis, results_to_csv, run_grid
@@ -164,7 +164,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_report(args) -> int:
-    table = read_table_csv(getattr(args, "in"))
+    table = read_table_csv(read_text(getattr(args, "in"), "table"))
     text = render_table(table, args.format)
     if args.out:
         Path(args.out).write_text(text)

@@ -96,19 +96,6 @@ def kangaroo_temporal_mlp(grouped: Tensor, k: int, params: dict[str, Tensor]) ->
     return spatial_downsample_with_proj(y, params["comp.proj_w"], params["comp.proj_b"])
 
 
-def kangaroo_identity_mlp(h: int) -> dict[str, np.ndarray]:
-    """k=1 identity initialization: gelu(x) - gelu(-x) == x for the tanh-form
-    gelu, so W1 = [I, -I], W2 = [I; -I] makes the perceptron the exact
-    identity map."""
-    eye = np.eye(h)
-    return {
-        "mlp_w1": np.concatenate([eye, -eye], axis=1),
-        "mlp_b1": np.zeros(2 * h),
-        "mlp_w2": np.concatenate([eye, -eye], axis=0),
-        "mlp_b2": np.zeros(h),
-    }
-
-
 def pllava_temporal_pool(per_frame: Tensor, k: int) -> Tensor:
     """Mean over windows of k consecutive frames, positionwise.
 

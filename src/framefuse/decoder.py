@@ -6,7 +6,6 @@ position's hidden state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -14,30 +13,13 @@ import numpy as np
 from .autodiff import (MASK_BLOCKED, Tensor, concat_axis, cross_entropy,
                        embedding_lookup, linear, narrow, reshape, rms_norm)
 from .encoder import ParamInit, block
-from .errors import SequenceTooLong, ShapeMismatch
+from .errors import SequenceTooLong
 from .rng import RngState
 
 if TYPE_CHECKING:
     from .pipeline import ModelConfig
 
 ROTARY_BASE = 10000.0
-
-
-@dataclass
-class MCQBatch:
-    video_tokens: Tensor       # [B, L, out]
-    question_ids: np.ndarray   # [B, Q] ints into the decoder vocab
-    answer_idx: np.ndarray     # [B] ints in 0..3
-
-    def __post_init__(self):
-        self.question_ids = np.asarray(self.question_ids)
-        self.answer_idx = np.asarray(self.answer_idx)
-        if self.video_tokens.ndim != 3:
-            raise ShapeMismatch(f"video tokens must be [B, L, out], got {self.video_tokens.shape}")
-        if self.question_ids.ndim != 2 or self.question_ids.shape[0] != self.video_tokens.shape[0]:
-            raise ShapeMismatch("question ids must be [B, Q] aligned with video tokens")
-        if self.answer_idx.shape != (self.video_tokens.shape[0],):
-            raise ShapeMismatch("answer_idx must be [B]")
 
 
 def rotary_tables(seq_len: int, head_dim: int, base: float) -> tuple[np.ndarray, np.ndarray]:
@@ -70,10 +52,12 @@ def init_decoder_params(cfg: ModelConfig, rng: RngState, std: float = 0.02) -> d
     return init.params
 
 
-def decode_hidden(batch: MCQBatch, cfg: ModelConfig, params: dict[str, Tensor]) -> Tensor:
-    """All-position hidden states [B, S, hidden] after the final norm."""
-    video = linear(batch.video_tokens, params["dec.video_proj_w"], params["dec.video_proj_b"])
-    question = embedding_lookup(params["dec.embed"], batch.question_ids)
+def decode_hidden(video_tokens: Tensor, question_ids: np.ndarray, cfg: ModelConfig,
+                  params: dict[str, Tensor]) -> Tensor:
+    """All-position hidden states [B, L+Q, hidden] after the final norm, from
+    video tokens [B, L, out] and question ids [B, Q] into the decoder vocab."""
+    video = linear(video_tokens, params["dec.video_proj_w"], params["dec.video_proj_b"])
+    question = embedding_lookup(params["dec.embed"], question_ids)
     x = concat_axis([video, question], 1)
     seq = x.shape[1]
     if seq > cfg.max_seq:
@@ -86,9 +70,10 @@ def decode_hidden(batch: MCQBatch, cfg: ModelConfig, params: dict[str, Tensor]) 
     return rms_norm(x, params["dec.final_norm"], cfg.norm_eps)
 
 
-def causal_decode(batch: MCQBatch, cfg: ModelConfig, params: dict[str, Tensor]) -> Tensor:
+def causal_decode(video_tokens: Tensor, question_ids: np.ndarray, cfg: ModelConfig,
+                  params: dict[str, Tensor]) -> Tensor:
     """Last-position hidden state [B, hidden]."""
-    states = decode_hidden(batch, cfg, params)
+    states = decode_hidden(video_tokens, question_ids, cfg, params)
     b, s, h = states.shape
     return reshape(narrow(states, 1, s - 1, 1), (b, h))
 

@@ -2,9 +2,7 @@
 Q-Former, its parameter initializer, and the encoder stack.
 
 The pipeline folds each attention scope (one frame, or one group of k frames)
-into the batch axis and encodes unmasked. build_scope_mask gives the
-block-diagonal mask under which one flat sequence encodes exactly like those
-folded scopes; the tests use it as the reference.
+into the batch axis, so the encoder stack runs unmasked.
 """
 from __future__ import annotations
 
@@ -12,24 +10,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autodiff import (MASK_BLOCKED, Tensor, add, attention, concat_axis, gelu,
-                       linear, multiply, narrow, param, permute, reshape,
-                       rms_norm, scale)
-from .errors import IndivisibleTokens
+from .autodiff import (Tensor, add, attention, concat_axis, gelu, linear,
+                       multiply, narrow, param, permute, reshape, rms_norm,
+                       scale)
 from .rng import RngState
 
 if TYPE_CHECKING:
     from .pipeline import ModelConfig
-
-
-def build_scope_mask(total_tokens: int, block: int) -> Tensor:
-    """Additive [S, S] mask: 0 inside each diagonal block, MASK_BLOCKED outside."""
-    if block < 1 or total_tokens % block:
-        raise IndivisibleTokens(f"{total_tokens} tokens not divisible by block {block}")
-    owner = np.arange(total_tokens) // block
-    allowed = owner[:, None] == owner[None, :]
-    data = np.where(allowed, 0.0, MASK_BLOCKED)
-    return Tensor(data)
 
 
 class ParamInit:
@@ -143,12 +130,9 @@ def block(x: Tensor, params: dict[str, Tensor], prefix: str, heads: int, eps: fl
     return feed_forward(x, params[f"{prefix}.norm2"], params, prefix, eps)
 
 
-def encode(tokens: Tensor, cfg: ModelConfig, mask: Tensor | None,
-           params: dict[str, Tensor]) -> Tensor:
-    """Run the encoder stack over tokens [S, h] or [B, S, h]; `mask` is an
-    additive [S, S] attention mask or None for full attention."""
-    squeeze = tokens.ndim == 2
-    x = reshape(tokens, (1,) + tokens.shape) if squeeze else tokens
+def encode(tokens: Tensor, cfg: ModelConfig, params: dict[str, Tensor]) -> Tensor:
+    """Run the encoder stack over tokens [B, S, h] with full attention."""
+    x = tokens
     for i in range(cfg.enc_layers):
-        x = block(x, params, f"enc.{i}", cfg.enc_heads, cfg.norm_eps, mask)
-    return reshape(x, tokens.shape) if squeeze else x
+        x = block(x, params, f"enc.{i}", cfg.enc_heads, cfg.norm_eps)
+    return x

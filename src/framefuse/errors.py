@@ -41,12 +41,6 @@ class IndivisibleFrames(ValidationError):
     pass
 
 
-# -- encoder --
-
-class IndivisibleTokens(ValidationError):
-    pass
-
-
 # -- compressor --
 
 class NonIntegralBudget(ValidationError):

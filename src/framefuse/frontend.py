@@ -59,18 +59,6 @@ class VideoClip:
     def frames(self) -> int:
         return self.pixels.shape[0]
 
-    @property
-    def channels(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[2]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[3]
-
 
 def extract_patches(pixels: np.ndarray, patch: int) -> np.ndarray:
     """[..., C, H, W] -> [..., T, C*patch*patch].

@@ -28,29 +28,21 @@ class FiniteDiffReport:
     per_param: dict[str, float] = field(default_factory=dict)
 
 
-def _named(params) -> list[tuple[str, Tensor]]:
-    if isinstance(params, Mapping):
-        return list(params.items())
-    return [(f"param{i}", p) for i, p in enumerate(params)]
-
-
-def finite_diff_check(f: Callable[[], Tensor], params, step: float = 1e-5,
-                      tol: float = 1e-6) -> FiniteDiffReport:
+def finite_diff_check(f: Callable[[], Tensor], params: Mapping[str, Tensor],
+                      step: float = 1e-5, tol: float = 1e-6) -> FiniteDiffReport:
     """Compare taped gradients of the scalar f() against central differences.
 
     f must read the parameters' current .data each call. Each coordinate is
     perturbed in place by +/-step and restored bit-exactly afterwards.
     """
-    named = _named(params)
     with Tape() as tape:
-        for _, p in named:
-            tape.watch(p)
+        tape.watch(*params.values())
         loss = f()
     grads = backward(tape, loss)
 
     worst = 0.0
     per_param: dict[str, float] = {}
-    for name, p in named:
+    for name, p in params.items():
         analytic = grads[p]
         numeric = np.zeros_like(p.data)
         flat = p.data.reshape(-1)

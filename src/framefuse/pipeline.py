@@ -16,8 +16,8 @@ import numpy as np
 from .autodiff import Tensor, add, param, reshape
 from .compressor import (TokenBudget, compress, init_compressor_params,
                          token_budget)
-from .decoder import (MCQBatch, answer_logits, causal_decode,
-                      init_decoder_params, mcq_loss)
+from .decoder import (answer_logits, causal_decode, init_decoder_params,
+                      mcq_loss)
 from .encoder import encode, init_encoder_params
 from .errors import (BadConfig, IndivisibleFrames, IndivisibleResolution,
                      ShapeMismatch, check_fields, check_json)
@@ -160,7 +160,7 @@ def video_token_forward(bundle: ModelBundle, pixels: np.ndarray) -> Tensor:
     if cfg.method is FusionMethod.THROUGH_ENCODER:
         # k divides each clip's frames, so no group spans two clips
         seqs = merge_neighbor_frames(seqs, k, bundle.params["pos.temporal"])
-    enc = encode(seqs, cfg, None, bundle.params)
+    enc = encode(seqs, cfg, bundle.params)
     enc = reshape(enc, (b, enc.shape[0] // b) + enc.shape[1:])
     out = compress(enc, cfg, bundle.params)
     bb, g, l, oh = out.shape
@@ -168,18 +168,16 @@ def video_token_forward(bundle: ModelBundle, pixels: np.ndarray) -> Tensor:
 
 
 def forward_logits(bundle: ModelBundle, pixels: np.ndarray,
-                   question_ids: np.ndarray, answer_idx=None) -> Tensor:
+                   question_ids: np.ndarray) -> Tensor:
     """Full forward pass to 4-way answer logits [B, 4]."""
     video = video_token_forward(bundle, pixels)
-    answers = np.zeros(video.shape[0], dtype=np.int64) if answer_idx is None \
-        else np.asarray(answer_idx)
-    batch = MCQBatch(video_tokens=video, question_ids=question_ids, answer_idx=answers)
-    return answer_logits(causal_decode(batch, bundle.cfg, bundle.params), bundle.params)
+    return answer_logits(causal_decode(video, question_ids, bundle.cfg, bundle.params),
+                         bundle.params)
 
 
 def batch_loss(bundle: ModelBundle, pixels: np.ndarray, question_ids: np.ndarray,
                answer_idx) -> Tensor:
-    logits = forward_logits(bundle, pixels, question_ids, answer_idx)
+    logits = forward_logits(bundle, pixels, question_ids)
     return mcq_loss(logits, answer_idx)
 
 

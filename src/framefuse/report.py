@@ -10,9 +10,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .errors import BadConfig, SchemaMismatch, read_text
+from .errors import BadConfig, SchemaMismatch
 
 # identifier and cost columns; never bolded even though they parse as numbers
 NON_METRIC_COLUMNS = frozenset({"method", "k", "n_input", "l_decoder",
@@ -34,11 +33,8 @@ class ReportTable:
                 raise SchemaMismatch(f"row {i} keys {sorted(row)} != schema {sorted(self.columns)}")
 
 
-def read_table_csv(path_or_text) -> ReportTable:
-    if isinstance(path_or_text, (str, Path)) and "\n" not in str(path_or_text):
-        text = read_text(path_or_text, "table")
-    else:
-        text = str(path_or_text)
+def read_table_csv(text: str) -> ReportTable:
+    """The table in CSV `text`: a header row, then one row per record."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)

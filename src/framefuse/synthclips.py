@@ -468,25 +468,13 @@ def gen_sample(category: TaskCategory, seed: int, gcfg: GenConfig) -> SyntheticS
                            options=opts, answer_idx=answer_idx, truth=info)
 
 
-def rc_transition_count(clip: VideoClip, threshold: float = 0.05) -> int:
-    """Pixel-level repetition oracle: count on->off transitions of whole-frame
-    activity. RC clips contain only the blinking sprite and end dark, so the
-    transition count equals the repetition count."""
-    active = (clip.pixels.data > threshold).any(axis=(1, 2, 3))
-    return int(np.sum(active[:-1] & ~active[1:]))
-
-
 # ---- dataset assembly and statistics ----
 
-def annotation_density(question_word_counts, duration_seconds: float) -> float:
+def annotation_density(total_question_length: float, duration_seconds: float) -> float:
     """Total question length over total clip duration (words per second)."""
     if duration_seconds <= 0:
         raise ZeroDuration(f"duration {duration_seconds}s")
-    if isinstance(question_word_counts, (int, float)):
-        total = float(question_word_counts)
-    else:
-        total = float(sum(question_word_counts))
-    return total / float(duration_seconds)
+    return float(total_question_length) / float(duration_seconds)
 
 
 def question_length(sample: SyntheticSample, unit: str = "words") -> int:

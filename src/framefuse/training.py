@@ -146,7 +146,7 @@ def evaluate(bundle: ModelBundle, samples, batch_size: int = 64) -> EvalResult:
     def flush():
         nonlocal loss_sum, total
         pixels, questions, answers = _batch_arrays(chunk)
-        logits = forward_logits(bundle, pixels, questions, answers)
+        logits = forward_logits(bundle, pixels, questions)
         loss_sum += mcq_loss(logits, answers).item() * len(chunk)
         preds = predict(logits)
         for s, p in zip(chunk, preds):

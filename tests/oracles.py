@@ -1,0 +1,54 @@
+"""Reference code the tests compare the program against; no program path
+calls it.
+
+The pipeline folds each attention scope (one frame, or one group of k frames)
+into the batch axis and encodes unmasked. build_scope_mask gives the
+block-diagonal mask under which one flat sequence, run through masked_encode,
+encodes exactly like those folded scopes.
+"""
+import numpy as np
+
+from framefuse import encoder
+from framefuse.autodiff import MASK_BLOCKED, Tensor, reshape
+from framefuse.frontend import VideoClip
+from framefuse.pipeline import ModelConfig
+
+
+def build_scope_mask(total_tokens: int, block: int) -> Tensor:
+    """Additive [S, S] mask: 0 inside each diagonal block, MASK_BLOCKED outside."""
+    owner = np.arange(total_tokens) // block
+    allowed = owner[:, None] == owner[None, :]
+    data = np.where(allowed, 0.0, MASK_BLOCKED)
+    return Tensor(data)
+
+
+def masked_encode(tokens: Tensor, cfg: ModelConfig, mask: Tensor | None,
+                  params: dict[str, Tensor]) -> Tensor:
+    """The encoder stack over tokens [S, h] or [B, S, h]; `mask` is an additive
+    [S, S] attention mask or None for full attention."""
+    squeeze = tokens.ndim == 2
+    x = reshape(tokens, (1,) + tokens.shape) if squeeze else tokens
+    for i in range(cfg.enc_layers):
+        x = encoder.block(x, params, f"enc.{i}", cfg.enc_heads, cfg.norm_eps, mask)
+    return reshape(x, tokens.shape) if squeeze else x
+
+
+def kangaroo_identity_mlp(h: int) -> dict[str, np.ndarray]:
+    """k=1 identity initialization: gelu(x) - gelu(-x) == x for the tanh-form
+    gelu, so W1 = [I, -I], W2 = [I; -I] makes the perceptron the exact
+    identity map."""
+    eye = np.eye(h)
+    return {
+        "mlp_w1": np.concatenate([eye, -eye], axis=1),
+        "mlp_b1": np.zeros(2 * h),
+        "mlp_w2": np.concatenate([eye, -eye], axis=0),
+        "mlp_b2": np.zeros(h),
+    }
+
+
+def rc_transition_count(clip: VideoClip, threshold: float = 0.05) -> int:
+    """Pixel-level repetition oracle: count on->off transitions of whole-frame
+    activity. RC clips contain only the blinking sprite and end dark, so the
+    transition count equals the repetition count."""
+    active = (clip.pixels.data > threshold).any(axis=(1, 2, 3))
+    return int(np.sum(active[:-1] & ~active[1:]))

@@ -308,14 +308,20 @@ def test_broken_dataset_meta_is_validation_error(capsys, tmp_path):
         assert_one_error_line(err, "records.csv", "row 3", fragment)
 
 
-@pytest.mark.parametrize("case", ("records.csv", "meta.json", "sidecar", "config", "report"))
+@pytest.mark.parametrize("case", ("records.csv", "meta.json", "sidecar", "config", "report",
+                                  "checkpoint"))
 def test_non_utf8_input_is_validation_error(capsys, tmp_path, case):
     data = tmp_path / "ds"
     if case in ("records.csv", "meta.json"):
         run(capsys, "gen-data", "--per-category", "1", "--seed", "5",
             "--out", str(data), "--frames", "8")
     ckpt, cfg_path, table = tmp_path / "m.tfz", tmp_path / "train.json", tmp_path / "t.csv"
+    if case == "checkpoint":
+        cfg_path.write_text(json.dumps(TINY_TRAIN))
+        run(capsys, "train", "--method", "baseline", "--k", "1", "--n-input", "8",
+            "--per-category", "2", "--config", str(cfg_path), "--out", str(ckpt))
     bad, argv = {
+        "checkpoint": (ckpt, ("eval", "--ckpt", str(ckpt), "--data", str(data))),
         "records.csv": (data / "records.csv", ("stats", "--data", str(data))),
         "meta.json": (data / "meta.json", ("stats", "--data", str(data))),
         "sidecar": (tmp_path / "m.tfz.json", ("eval", "--ckpt", str(ckpt), "--data", str(data))),
@@ -327,6 +333,10 @@ def test_non_utf8_input_is_validation_error(capsys, tmp_path, case):
         bad.write_bytes(bad.read_bytes() + b"\xff\xfe")
     elif case == "report":
         bad.write_bytes(b"x,y\n1,\xff\n")
+    elif case == "checkpoint":  # the first byte of the first parameter name
+        blob = bytearray(bad.read_bytes())
+        blob[8] = 0xFF
+        bad.write_bytes(bytes(blob))
     else:
         bad.write_bytes(b'{"frames": 8\xff}')
     code, out, err = run(capsys, *argv)

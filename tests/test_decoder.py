@@ -6,10 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from framefuse.autodiff import Tensor
-from framefuse.decoder import (MCQBatch, answer_logits, build_causal_mask,
-                               causal_decode, decode_hidden,
-                               init_decoder_params, mcq_loss, predict,
-                               rotary_tables)
+from framefuse.decoder import (answer_logits, build_causal_mask, causal_decode,
+                               decode_hidden, init_decoder_params, mcq_loss,
+                               predict, rotary_tables)
 from framefuse.errors import SequenceTooLong, ShapeMismatch
 from framefuse.frontend import FusionMethod
 from framefuse.pipeline import ModelConfig
@@ -24,9 +23,9 @@ def small_decoder(cfg=CFG, seed=0):
 
 
 def batch_of(rng, b=2, l=3, q=5, video_hidden=6, vocab=40):
-    return MCQBatch(video_tokens=Tensor(rng.normal(size=(b, l, video_hidden))),
-                    question_ids=rng.integers(0, vocab, size=(b, q)),
-                    answer_idx=rng.integers(0, 4, size=b))
+    """(video tokens [b, l, video_hidden], question ids [b, q])."""
+    return (Tensor(rng.normal(size=(b, l, video_hidden))),
+            rng.integers(0, vocab, size=(b, q)))
 
 
 def test_config_rejects_odd_head_dim():
@@ -37,18 +36,13 @@ def test_config_rejects_odd_head_dim():
 
 
 def test_mcq_batch_validation():
-    with pytest.raises(ShapeMismatch):
-        MCQBatch(video_tokens=Tensor(np.zeros((2, 3))),
-                 question_ids=np.zeros((2, 5), dtype=int),
-                 answer_idx=np.zeros(2, dtype=int))
-    with pytest.raises(ShapeMismatch):
-        MCQBatch(video_tokens=Tensor(np.zeros((2, 3, 4))),
-                 question_ids=np.zeros((3, 5), dtype=int),
-                 answer_idx=np.zeros(2, dtype=int))
-    with pytest.raises(ShapeMismatch):
-        MCQBatch(video_tokens=Tensor(np.zeros((2, 3, 4))),
-                 question_ids=np.zeros((2, 5), dtype=int),
-                 answer_idx=np.zeros(3, dtype=int))
+    params = small_decoder()
+    for video, question in (((2, 6), (2, 5)),      # video tokens not [B, L, out]
+                            ((2, 3, 4), (2, 5)),   # wrong video width
+                            ((2, 3, 6), (3, 5)),   # question rows misaligned
+                            ((2, 3, 6), (5,))):    # question ids not [B, Q]
+        with pytest.raises(ShapeMismatch):
+            causal_decode(Tensor(np.zeros(video)), np.zeros(question, dtype=int), CFG, params)
 
 
 def test_rotary_tables_identity_at_position_zero():
@@ -72,7 +66,7 @@ def test_causal_mask_shape():
 def test_decode_hidden_shape():
     params = small_decoder()
     rng = np.random.default_rng(1)
-    out = decode_hidden(batch_of(rng), CFG, params)
+    out = decode_hidden(*batch_of(rng), CFG, params)
     assert out.shape == (2, 8, 8)  # B, L+Q, hidden
 
 
@@ -80,8 +74,8 @@ def test_causal_decode_returns_last_position():
     params = small_decoder()
     rng = np.random.default_rng(2)
     batch = batch_of(rng)
-    hidden = decode_hidden(batch, CFG, params)
-    final = causal_decode(batch, CFG, params)
+    hidden = decode_hidden(*batch, CFG, params)
+    final = causal_decode(*batch, CFG, params)
     assert final.shape == (2, 8)
     assert np.array_equal(final.data, hidden.data[:, -1, :])
 
@@ -91,7 +85,7 @@ def test_sequence_too_long():
     params = init_decoder_params(cfg, RngState(0))
     rng = np.random.default_rng(3)
     with pytest.raises(SequenceTooLong):
-        causal_decode(batch_of(rng, l=4, q=5), cfg, params)
+        causal_decode(*batch_of(rng, l=4, q=5), cfg, params)
 
 
 def test_output_independent_of_max_seq():
@@ -99,9 +93,9 @@ def test_output_independent_of_max_seq():
     params = small_decoder()
     rng = np.random.default_rng(4)
     batch = batch_of(rng)
-    small = causal_decode(batch, CFG, params)
+    small = causal_decode(*batch, CFG, params)
     big_cfg = replace(CFG, max_seq=512)
-    big = causal_decode(batch, big_cfg, params)
+    big = causal_decode(*batch, big_cfg, params)
     assert np.array_equal(small.data, big.data)
 
 
@@ -109,14 +103,11 @@ def test_causality_prefix_invariance():
     # changing a later question token must not affect earlier positions
     params = small_decoder()
     rng = np.random.default_rng(5)
-    batch = batch_of(rng, b=1)
-    base = decode_hidden(batch, CFG, params).data
-    ids = batch.question_ids.copy()
+    video, ids = batch_of(rng, b=1)
+    base = decode_hidden(video, ids, CFG, params).data
+    ids = ids.copy()
     ids[0, -1] = (ids[0, -1] + 7) % 40
-    changed = decode_hidden(MCQBatch(video_tokens=batch.video_tokens,
-                                     question_ids=ids,
-                                     answer_idx=batch.answer_idx),
-                            CFG, params).data
+    changed = decode_hidden(video, ids, CFG, params).data
     assert np.array_equal(base[:, :-1, :], changed[:, :-1, :])
     assert not np.array_equal(base[:, -1, :], changed[:, -1, :])
 
@@ -126,7 +117,7 @@ def test_zero_head_predicts_zero_by_tie_break():
     params["dec.head_w"].data[...] = 0.0
     params["dec.head_b"].data[...] = 0.0
     rng = np.random.default_rng(6)
-    logits = answer_logits(causal_decode(batch_of(rng, b=3), CFG, params), params)
+    logits = answer_logits(causal_decode(*batch_of(rng, b=3), CFG, params), params)
     assert np.allclose(logits.data, 0.0)
     assert np.array_equal(predict(logits), [0, 0, 0])
 
@@ -163,6 +154,6 @@ def test_decode_is_deterministic(seed):
     params = small_decoder()
     rng = np.random.default_rng(seed)
     batch = batch_of(rng, b=1)
-    a = causal_decode(batch, CFG, params).data
-    b = causal_decode(batch, CFG, params).data
+    a = causal_decode(*batch, CFG, params).data
+    b = causal_decode(*batch, CFG, params).data
     assert np.array_equal(a, b)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from framefuse.autodiff import MASK_BLOCKED, Tensor
-from framefuse.encoder import (build_scope_mask, encode, init_encoder_params,
-                               merge_heads, multihead_attention, split_heads)
-from framefuse.errors import IndivisibleTokens, ShapeMismatch
+from framefuse.encoder import (encode, init_encoder_params, merge_heads,
+                               multihead_attention, split_heads)
+from framefuse.errors import ShapeMismatch
 from framefuse.frontend import FusionMethod
 from framefuse.pipeline import ModelConfig
 from framefuse.rng import RngState
+from oracles import build_scope_mask, masked_encode
 
 
 def small_encoder(layers=1, hidden=8, heads=2, ffn=12, seed=0):
@@ -35,13 +36,6 @@ def test_scope_mask_single_block_is_dense():
     assert np.all(build_scope_mask(5, 5).data == 0.0)
 
 
-def test_scope_mask_indivisible():
-    with pytest.raises(IndivisibleTokens):
-        build_scope_mask(10, 4)
-    with pytest.raises(IndivisibleTokens):
-        build_scope_mask(4, 0)
-
-
 def test_encoder_config_head_divisibility():
     with pytest.raises(ShapeMismatch):
         ModelConfig(method=FusionMethod.BASELINE, enc_hidden=10, enc_heads=4)
@@ -59,33 +53,33 @@ def test_encode_identity_with_zero_output_projections():
         if name.endswith(".wo") or name.endswith(".ffn_w2"):
             p.data[...] = 0.0
     rng = np.random.default_rng(1)
-    tokens = Tensor(rng.normal(size=(6, 8)))
-    out = encode(tokens, cfg, build_scope_mask(6, 3), params)
+    tokens = Tensor(rng.normal(size=(2, 3, 8)))
+    out = encode(tokens, cfg, params)
     assert np.array_equal(out.data, tokens.data)
 
 
 def test_encode_accepts_batched_and_flat():
+    # encode takes scopes folded into the batch axis; the masked oracle takes
+    # the same scopes as one flat sequence
     cfg, params = small_encoder()
     rng = np.random.default_rng(2)
     flat = rng.normal(size=(4, 8))
-    batched = flat[None]
-    mask = build_scope_mask(4, 2)
-    out_flat = encode(Tensor(flat), cfg, mask, params)
-    out_batched = encode(Tensor(batched), cfg, mask, params)
+    out_flat = masked_encode(Tensor(flat), cfg, build_scope_mask(4, 2), params)
+    out_batched = encode(Tensor(flat.reshape(2, 2, 8)), cfg, params)
     assert out_flat.shape == (4, 8)
-    assert np.array_equal(out_batched.data[0], out_flat.data)
+    assert np.array_equal(out_batched.data.reshape(4, 8), out_flat.data)
 
 
 def test_encode_rejects_wrong_hidden():
     cfg, params = small_encoder()
     with pytest.raises(ShapeMismatch):
-        encode(Tensor(np.zeros((4, 5))), cfg, build_scope_mask(4, 2), params)
+        encode(Tensor(np.zeros((1, 4, 5))), cfg, params)
 
 
 def test_encode_rejects_mask_length_mismatch():
     cfg, params = small_encoder()
     with pytest.raises(ShapeMismatch):
-        encode(Tensor(np.zeros((4, 8))), cfg, build_scope_mask(6, 3), params)
+        masked_encode(Tensor(np.zeros((4, 8))), cfg, build_scope_mask(6, 3), params)
 
 
 def test_block_mask_equals_independent_encoding():
@@ -95,11 +89,12 @@ def test_block_mask_equals_independent_encoding():
     rng = np.random.default_rng(4)
     frames = rng.normal(size=(3, 4, 8))
     flat = Tensor(frames.reshape(12, 8))
-    fused = encode(flat, cfg, build_scope_mask(12, 4), params).data.reshape(3, 4, 8)
-    dense = build_scope_mask(4, 4)
+    fused = masked_encode(flat, cfg, build_scope_mask(12, 4), params).data.reshape(3, 4, 8)
+    folded = encode(Tensor(frames), cfg, params).data
     for f in range(3):
-        alone = encode(Tensor(frames[f]), cfg, dense, params).data
+        alone = masked_encode(Tensor(frames[f]), cfg, build_scope_mask(4, 4), params).data
         assert np.array_equal(fused[f], alone)
+        assert np.array_equal(folded[f], alone)
 
 
 def test_multihead_attention_shapes():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framefuse.autodiff import (Tensor, cross_entropy, linear, multiply,
+from framefuse.autodiff import (Tensor, add, cross_entropy, linear, multiply,
                                 rms_norm, softmax_lastdim, sum_all)
 from framefuse.gradcheck import (finite_diff_check, run_gradient_suite,
                                  run_op_checks)
@@ -15,7 +15,7 @@ def test_sum_of_squares_is_exact():
         total = None
         for p in params.values():
             sq = sum_all(multiply(p, p))
-            total = sq if total is None else total + sq
+            total = sq if total is None else add(total, sq)
         return total
 
     report = finite_diff_check(f, params)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from framefuse import autodiff
 from framefuse.autodiff import Tape, backward
 from framefuse.errors import (BadConfig, IndivisibleFrames,
                               IndivisibleResolution, ShapeMismatch)
@@ -9,7 +12,9 @@ from framefuse.pipeline import (ModelConfig, batch_loss, build_model,
                                 config_from_dict, config_to_dict,
                                 forward_logits, micro_gradcheck_cases,
                                 model_flops_per_clip, video_token_forward)
+from framefuse.rng import RngState
 from framefuse.synthclips import TOKEN_TO_ID, VOCAB
+from test_acceptance import _audit_config
 
 MICRO = dict(n_input=4, height=8, width=8, patch=2, enc_layers=1, enc_hidden=8,
              enc_heads=2, enc_ffn=12, out_hidden=8, dec_layers=1, dec_hidden=8,
@@ -156,6 +161,41 @@ def test_flops_scale_with_compression():
     assert base > 0
     assert pllava2 < base
     assert te2 > pllava2
+
+
+def _counted_forward_flops(cfg, monkeypatch) -> int:
+    """2*m*k*n summed over the matmuls of one B=1 forward_logits."""
+    flops = []
+    real = autodiff.matmul
+
+    def counting(a, b):
+        out = real(a, b)
+        m, inner = a.shape[-2:]
+        flops.append(2 * math.prod(out.shape[:-2]) * m * inner * b.shape[-1])
+        return out
+
+    bundle = build_model(cfg, 0)
+    pixels = np.zeros((1, cfg.n_input, cfg.channels, cfg.height, cfg.width))
+    with monkeypatch.context() as patch:
+        patch.setattr(autodiff, "matmul", counting)
+        forward_logits(bundle, pixels, question_batch(1))
+    return sum(flops)
+
+
+def test_flop_formula_matches_counted_forward(monkeypatch):
+    # shapes alone decide the count, so zero weights skip the slow draws
+    monkeypatch.setattr(RngState, "normal_array", lambda self, shape, std=1.0: np.zeros(shape))
+    audit = [_audit_config(m, k, n) for m in COMPRESSION_METHODS
+             for k in (1, 2, 4, 8, 16) for n in (8, 16, 32) if n % k == 0]
+    desk_cells = [(FusionMethod.BASELINE, 1)] + [(m, k) for m in COMPRESSION_METHODS
+                                                  for k in (2, 4)]
+    desk = [ModelConfig(method=m, k=k, n_input=n, patch=patch)
+            for m, k in desk_cells for patch, n in ((14, 8), (7, 16))]
+    assert (len(audit), len(desk)) == (70, 22)
+    wrong = [(cfg.method.value, cfg.k, cfg.n_input, cfg.patch)
+             for cfg in audit + desk
+             if model_flops_per_clip(cfg) != _counted_forward_flops(cfg, monkeypatch)]
+    assert wrong == []
 
 
 def test_flops_deterministic_in_config():

@@ -33,12 +33,16 @@ def test_read_table_from_text():
     table = read_table_csv("x,y\n1,2\n3,4\n")
     assert table.columns == ("x", "y")
     assert table.rows == [{"x": "1", "y": "2"}, {"x": "3", "y": "4"}]
+    # one line without a newline is a header-only table, not a file name
+    header_only = read_table_csv("x,y")
+    assert header_only.columns == ("x", "y")
+    assert header_only.rows == []
 
 
 def test_read_table_from_path(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("x,y\n5,6\n")
-    table = read_table_csv(p)
+    table = read_table_csv(p.read_text())
     assert table.rows == [{"x": "5", "y": "6"}]
 
 
@@ -51,7 +55,7 @@ def test_read_table_empty_rejected(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("")
     with pytest.raises(SchemaMismatch, match="no header"):
-        read_table_csv(p)
+        read_table_csv(p.read_text())
 
 
 def test_read_table_ragged_rejected():
@@ -134,13 +138,13 @@ def test_non_metric_columns_never_bolded():
 
 
 def test_ablation_fixture_matches_golden():
-    table = read_table_csv(FIXTURE)
+    table = read_table_csv(FIXTURE.read_text())
     assert len(table.rows) == 21
     assert render_table(table, "md") == GOLDEN.read_text()
 
 
 def test_ablation_fixture_k4_pattern():
-    table = read_table_csv(FIXTURE)
+    table = read_table_csv(FIXTURE.read_text())
     marks = _bold_positions(table)
     idx = {(r["method"], r["k"]): i for i, r in enumerate(table.rows)}
     te4 = idx[("through-encoder", "4")]

@@ -52,3 +52,37 @@ def test_every_error_class_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert sorted(classes - raised) == []
+
+
+def _referenced_names(tree, skip=None) -> set[str]:
+    """Every name a Name, an attribute or an import in `tree` refers to,
+    leaving out the subtree `skip`."""
+    inner = {id(sub) for sub in ast.walk(skip)} if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in inner:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def test_no_test_only_definitions():
+    # tests/ holds the reference code only tests call; src/ holds the program
+    root = SRC.parent.parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for folder in (SRC, root / "scripts", root / "perfbench")
+             for path in sorted(folder.glob("*.py"))}
+    elsewhere = {path: _referenced_names(tree) for path, tree in trees.items()}
+    unused = []
+    for path in MODULES:
+        named = set().union(*(names for other, names in elsewhere.items() if other != path))
+        for node in trees[path].body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in
+                    named | _referenced_names(trees[path], skip=node)):
+                unused.append(f"{path.name}:{node.name}")
+    assert unused == []
