@@ -2,7 +2,7 @@
 temporal-fusion paths, a scripted motion-QA benchmark, and an ablation harness.
 """
 
-from .autodiff import MASK_BLOCKED, Tape, Tensor, backward, set_debug_checks
+from .autodiff import MASK_BLOCKED, Tape, Tensor, backward
 from .compressor import TokenBudget, compress, token_budget
 from .encoder import encode
 from .errors import FrameFuseError, NumericalError, ValidationError
@@ -15,7 +15,7 @@ from .training import TrainConfig, evaluate, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "MASK_BLOCKED", "Tape", "Tensor", "backward", "set_debug_checks",
+    "MASK_BLOCKED", "Tape", "Tensor", "backward",
     "TokenBudget", "compress", "token_budget",
     "encode",
     "FrameFuseError", "NumericalError", "ValidationError",

@@ -24,14 +24,6 @@ MASK_BLOCKED = -1e30
 GELU_COEFF = 0.7978845608028654  # sqrt(2/pi)
 _GELU_CUBIC = 0.044715
 
-_debug_checks = False
-
-
-def set_debug_checks(on: bool) -> None:
-    """Enable per-op finiteness asserts and the blocked-weight assert."""
-    global _debug_checks
-    _debug_checks = bool(on)
-
 
 class Tensor:
     """Dense row-major float64 array. Treated as immutable once built."""
@@ -68,9 +60,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 class Node:
@@ -121,8 +110,6 @@ def _tracked(tape: Tape, t: Tensor) -> bool:
 
 def _finish(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, grad_fn) -> Tensor:
     out = Tensor(out_data)
-    if _debug_checks and not np.all(np.isfinite(out.data)):
-        raise FloatingPointError(f"non-finite values out of op '{op}'")
     tape = _active_tape()
     if tape is not None:
         if any(_tracked(tape, t) for t in inputs):
@@ -156,9 +143,6 @@ class Gradients:
         if g is None:
             return np.zeros_like(t.data)
         return np.broadcast_to(g, t.data.shape).astype(np.float64, copy=False)
-
-    def __contains__(self, t: Tensor) -> bool:
-        return t.tid in self._by_tid
 
 
 def backward(tape: Tape, loss: Tensor) -> Gradients:
@@ -304,21 +288,18 @@ def sum_all(x: Tensor) -> Tensor:
 # ---- linear algebra ----
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product. Batch prefixes must match exactly, or either
-    operand may be a plain rank-2 matrix shared across the other's batch."""
+    """Batched matrix product. `b` is a rank-2 matrix shared across a's batch
+    axes, or has exactly a's batch prefix."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatch(f"matmul needs rank >= 2, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    ba, bb = a.shape[:-2], b.shape[:-2]
-    if ba and bb and ba != bb:
-        raise ShapeMismatch(f"matmul batch prefixes differ: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    if ba and not bb:
+    if b.ndim == 2:
         # a weight shared across a's batch axes: fold them into the rows of one
         # GEMM, forward and backward, instead of one small GEMM per batch slice
         a2 = ad.reshape(-1, ad.shape[-1])
-        out = (a2 @ bd).reshape(ba + (ad.shape[-2], bd.shape[-1]))
+        out = (a2 @ bd).reshape(a.shape[:-1] + (bd.shape[-1],))
         tape = _active_tape()
         need_ga = tape is not None and _tracked(tape, a)
 
@@ -326,13 +307,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             g2 = g.reshape(-1, g.shape[-1])
             ga = (g2 @ bd.T).reshape(a.shape) if need_ga else None
             return ga, a2.T @ g2
+    elif a.shape[:-2] != b.shape[:-2]:
+        raise ShapeMismatch(f"matmul batch prefixes differ: {a.shape} x {b.shape}")
     else:
         out = ad @ bd
 
         def grad_fn(g):
-            ga = _sum_to(g @ np.swapaxes(bd, -1, -2), a.shape)
-            gb = _sum_to(np.swapaxes(ad, -1, -2) @ g, b.shape)
-            return ga, gb
+            return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g
 
     return _finish("matmul", (a, b), out, grad_fn)
 
@@ -453,10 +434,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor | None = None) -> Te
     score shape [..., Tq, Tk]. Raises AllMaskedRow if any query row has no
     allowed key. Blocked entries receive exactly zero weight.
     """
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeMismatch(f"attention head dims differ: q {q.shape} k {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeMismatch(f"attention key/value counts differ: k {k.shape} v {v.shape}")
     if mask is not None:
         if mask.shape[-2:] != (q.shape[-2], k.shape[-2]):
             raise ShapeMismatch(f"mask {mask.shape} for scores [..., {q.shape[-2]}, {k.shape[-2]}]")
@@ -466,12 +443,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor | None = None) -> Te
     scores = scale(matmul(q, swap_last_two(k)), 1.0 / math.sqrt(d))
     if mask is not None:
         scores = add(scores, mask)
-    weights = softmax_lastdim(scores)
-    if _debug_checks and mask is not None:
-        blocked = np.broadcast_to(mask.data <= MASK_BLOCKED * 0.5, weights.shape)
-        if blocked.any() and weights.data[blocked].max(initial=0.0) >= 1e-20:
-            raise FloatingPointError("blocked attention weight above 1e-20")
-    return matmul(weights, v)
+    return matmul(softmax_lastdim(scores), v)
 
 
 # ---- construction helpers ----

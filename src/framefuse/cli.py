@@ -15,7 +15,7 @@ from .compressor import token_budget
 from .errors import (BadConfig, GradientCheckFailed, NumericalError,
                      ValidationError, check_json, read_json, read_text)
 from .frontend import FusionMethod, parse_method
-from .gradcheck import SUITE_GROUPS, run_gradient_suite
+from .gradcheck import SUITES, run_gradient_suite
 from .grid import ExperimentSpec, GridAxis, results_to_csv, run_grid
 from .pipeline import ModelConfig, build_model, config_from_dict, config_to_dict
 from .report import read_table_csv, render_table
@@ -150,8 +150,7 @@ def cmd_budget(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    groups = (args.module,) if args.module else SUITE_GROUPS
-    reports = run_gradient_suite(groups)
+    reports = run_gradient_suite((args.module,) if args.module else SUITES)
     failed = []
     for name, report in reports:
         status = "PASS" if report.passed else "FAIL"
@@ -232,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_budget)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
-    p.add_argument("--module", choices=SUITE_GROUPS)
+    p.add_argument("--module", choices=SUITES)
     p.set_defaults(handler=cmd_gradcheck)
 
     p = sub.add_parser("report", help="render a results CSV")

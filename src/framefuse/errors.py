@@ -1,6 +1,7 @@
 """Exception hierarchy. Validation errors exit the CLI with code 1, numerical with 2."""
 import dataclasses
 import json
+import math
 import numbers
 from pathlib import Path
 
@@ -61,13 +62,16 @@ class BadConfig(ValidationError):
 
 def check_fields(cfg, positive: tuple[str, ...] = ()) -> None:
     """Raise BadConfig if an `int`, `int | None` or `float` field of dataclass `cfg`
-    holds a bool or non-number (ints may fill floats), or a `positive` one is < 1."""
+    holds a bool or non-number (ints may fill floats), a `float` one is NaN or
+    infinite, or a `positive` one is < 1."""
     kinds = {"int": numbers.Integral, "int | None": (numbers.Integral, type(None)),
              "float": numbers.Real}
     for f in dataclasses.fields(cfg):
         value, kind = getattr(cfg, f.name), kinds.get(f.type)
         if kind and (isinstance(value, bool) or not isinstance(value, kind)):
             raise BadConfig(f"{f.name} must be {f.type}, got {value!r}")
+        if f.type == "float" and not -math.inf < value < math.inf:
+            raise BadConfig(f"{f.name} must be finite, got {value!r}")
         if f.name in positive and value < 1:
             raise BadConfig(f"{f.name} must be at least 1, got {value}")
 

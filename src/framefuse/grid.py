@@ -56,6 +56,8 @@ class ExperimentSpec:
                 raise BadConfig(f"k_values: compression ratio {k!r}")
             if self.axis is GridAxis.FIXED_FRAMES and self.n_input % k:
                 raise BadConfig(f"k={k} does not divide n_input={self.n_input}")
+        if not _cells(self):
+            raise BadConfig("grid has no cells: methods and k_values leave nothing to run")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ import time
 import hypothesis
 import pytest
 
-from framefuse.autodiff import set_debug_checks
 from framefuse.gradcheck import run_gradient_suite
 
 hypothesis.settings.register_profile(
@@ -11,15 +10,8 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("framefuse")
 
 
-@pytest.fixture(autouse=True, scope="session")
-def debug_checks():
-    set_debug_checks(True)
-    yield
-    set_debug_checks(False)
-
-
 @pytest.fixture(scope="session")
-def gradient_suite(debug_checks):
+def gradient_suite():
     """`run_gradient_suite()` run once for the session: (reports, elapsed seconds)."""
     start = time.monotonic()
     reports = run_gradient_suite()

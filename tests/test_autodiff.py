@@ -61,6 +61,17 @@ def test_matmul_hand_case():
     assert np.array_equal(out.data, [[11.0]])
 
 
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((3,), (3, 2)),            # rank 1
+    ((2, 3), (4, 2)),          # inner extents differ
+    ((2, 2, 3), (3, 3, 2)),    # batch prefixes differ
+    ((2, 3), (4, 3, 2)),       # a rank-2 a against a batched b
+], ids=["rank1", "inner", "prefix", "rank2-a-batched-b"])
+def test_matmul_rejects_shapes(a_shape, b_shape):
+    with pytest.raises(ShapeMismatch):
+        matmul(constant(np.ones(a_shape)), constant(np.ones(b_shape)))
+
+
 def test_softmax_symmetry():
     out = softmax_lastdim(constant([0.0, 0.0, 0.0]))
     assert np.allclose(out.data, [1 / 3, 1 / 3, 1 / 3])
@@ -140,6 +151,18 @@ def test_attention_mask_separates_blocks():
     assert np.array_equal(full[:2], top)
 
 
+def test_attention_rejects_head_dim_mismatch():
+    q = constant(np.ones((2, 3, 4)))
+    with pytest.raises(ShapeMismatch):
+        attention(q, constant(np.ones((2, 5, 3))), constant(np.ones((2, 5, 4))))
+
+
+def test_attention_rejects_key_value_count_mismatch():
+    q = constant(np.ones((2, 3, 4)))
+    with pytest.raises(ShapeMismatch):
+        attention(q, constant(np.ones((2, 5, 4))), constant(np.ones((2, 6, 4))))
+
+
 def test_cross_entropy_uniform_logits():
     loss = cross_entropy(constant(np.zeros((2, 4))), np.array([0, 3]))
     assert abs(loss.item() - np.log(4.0)) < 1e-12
@@ -188,8 +211,6 @@ def test_unreached_leaf_gets_zero_gradient():
         loss = sum_all(x)
         grads = backward(tape, loss)
     assert np.array_equal(grads[dead], np.zeros(4))
-    assert dead not in grads
-    assert x in grads
 
 
 def test_add_broadcast_gradient_folds():
@@ -294,12 +315,6 @@ def test_folded_matmul_skips_constant_input_gradient():
     ga, gb = node.grad_fn(g)
     assert ga is None
     assert np.array_equal(gb, a.data.reshape(-1, 5).T @ g.reshape(-1, 3))
-
-
-def test_tensor_operator_sugar():
-    a = param(np.full((2, 2), 3.0))
-    b = param(np.full((2, 2), 4.0))
-    assert np.allclose((a @ b).data, 24.0)
 
 
 # ---- properties ----

@@ -52,7 +52,7 @@ def test_gradcheck_ops_prints_pass_lines(capsys):
 
 
 def test_gradcheck_failure_exits_2(capsys, monkeypatch):
-    bad = FiniteDiffReport(max_rel_err=0.5, passed=False, step=1e-5, tol=1e-6)
+    bad = FiniteDiffReport(max_rel_err=0.5, passed=False, tol=1e-6)
     monkeypatch.setattr(cli, "run_gradient_suite", lambda groups: [("broken", bad)])
     code, out, err = run(capsys, "gradcheck")
     assert code == 2
@@ -252,7 +252,8 @@ def test_mistyped_config_fields_are_validation_errors(capsys, tmp_path):
         (tmp_path / f"m{i}.tfz.json").write_text(json.dumps({"model": {**model, **fields}}))
         cases.append((key, ("eval", "--ckpt", str(tmp_path / f"m{i}.tfz"),
                             "--data", str(tmp_path / "ds"))))
-    for i, (key, value) in enumerate((("total_steps", "5"), ("lr", False))):
+    for i, (key, value) in enumerate((("total_steps", "5"), ("lr", False),
+                                      ("lr", float("nan")))):
         cfg_path = tmp_path / f"train{i}.json"
         cfg_path.write_text(json.dumps({**TINY_TRAIN, key: value}))
         cases.append((key, ("train", "--method", "baseline", "--k", "1", "--n-input", "8",
@@ -260,15 +261,22 @@ def test_mistyped_config_fields_are_validation_errors(capsys, tmp_path):
     for i, (key, value) in enumerate((("train_per_category", "2"), ("eval_per_category", 0),
                                       ("n_input", "8"), ("k_values", ["2"]), ("k_values", 2),
                                       ("train", 5), ("axis", "bogus"), ("axis", 3),
-                                      ("methods", "qformer"))):
+                                      ("methods", "qformer"), ("methods", []),
+                                      ("k_values", []))):
         cfg_path = tmp_path / f"grid{i}.json"
         cfg_path.write_text(json.dumps({"axis": "fixed-frames", "n_input": 8, key: value}))
         cases.append((key, ("grid", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))))
+    cases.append(("no cells", ("grid", "--axis", "fixed-frames", "--n-input", "8",
+                               "--methods", ",", "--out", str(tmp_path / "x.csv"))))
+    for fps in ("nan", "inf"):
+        cases.append(("fps", ("gen-data", "--per-category", "1", "--seed", "5", "--frames", "8",
+                              "--fps", fps, "--out", str(tmp_path / "gen"))))
     for key, argv in cases:
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert_one_error_line(err, key)
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "gen").exists()
 
 
 def test_broken_dataset_meta_is_validation_error(capsys, tmp_path):

@@ -3,8 +3,7 @@ import pytest
 
 from framefuse.autodiff import (Tensor, add, cross_entropy, linear, multiply,
                                 rms_norm, softmax_lastdim, sum_all)
-from framefuse.gradcheck import (finite_diff_check, run_gradient_suite,
-                                 run_op_checks)
+from framefuse.gradcheck import finite_diff_check, run_gradient_suite
 
 
 def test_sum_of_squares_is_exact():
@@ -50,7 +49,7 @@ def test_norm_linear_softmax_ce_chain():
 
 
 def test_op_suite_passes():
-    reports = run_op_checks()
+    reports = run_gradient_suite(("ops",))
     assert len(reports) == 15
     for name, report in reports:
         assert report.passed, f"{name}: {report.max_rel_err}"

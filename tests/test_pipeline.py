@@ -8,10 +8,11 @@ from framefuse.autodiff import Tape, backward
 from framefuse.errors import (BadConfig, IndivisibleFrames,
                               IndivisibleResolution, ShapeMismatch)
 from framefuse.frontend import COMPRESSION_METHODS, FusionMethod
+from framefuse.gradcheck import micro_gradcheck_cases
 from framefuse.pipeline import (ModelConfig, batch_loss, build_model,
                                 config_from_dict, config_to_dict,
-                                forward_logits, micro_gradcheck_cases,
-                                model_flops_per_clip, video_token_forward)
+                                forward_logits, model_flops_per_clip,
+                                video_token_forward)
 from framefuse.rng import RngState
 from framefuse.synthclips import TOKEN_TO_ID, VOCAB
 from test_acceptance import _audit_config
@@ -49,6 +50,9 @@ def test_config_validation():
     with pytest.raises(BadConfig):
         # 1x2 patch grid is not square
         ModelConfig(method=FusionMethod.BASELINE, height=14, width=28)
+    with pytest.raises(BadConfig):
+        # 2x8 patch grid: 16 tokens, a square count, but not a square grid
+        ModelConfig(method=FusionMethod.BASELINE, height=28, width=112)
     with pytest.raises(BadConfig):
         # 3x3 patch grid has no 2x2 window tiling
         ModelConfig(method=FusionMethod.BASELINE, height=42, width=42)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from framefuse.autodiff import Tensor, set_debug_checks
+from framefuse.autodiff import Tensor
 from framefuse.errors import BadConfig, DivergedLoss
 from framefuse.frontend import FusionMethod
 from framefuse.pipeline import ModelConfig, build_model
@@ -128,17 +128,11 @@ def test_train_is_deterministic():
 
 
 def test_train_diverged_loss_aborts_with_step_index():
-    # debug checks would fire FloatingPointError mid-forward; suspend them so
-    # the training loop's own non-finite-loss contract is what triggers
-    set_debug_checks(False)
-    try:
-        bundle = micro_bundle(3)
-        bundle.params["patch_proj.w"].data[0, 0] = np.nan
-        cfg = TrainConfig(total_steps=5, warmup_steps=1, batch=4)
-        with pytest.raises(DivergedLoss, match="step 0"):
-            train(bundle, tiny_dataset(), cfg)
-    finally:
-        set_debug_checks(True)
+    bundle = micro_bundle(3)
+    bundle.params["patch_proj.w"].data[0, 0] = np.nan
+    cfg = TrainConfig(total_steps=5, warmup_steps=1, batch=4)
+    with pytest.raises(DivergedLoss, match="step 0"):
+        train(bundle, tiny_dataset(), cfg)
 
 
 def test_train_early_stop_on_accuracy():
