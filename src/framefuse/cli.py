@@ -179,9 +179,15 @@ def cmd_stats(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (validation), not argparse's 2; subparsers inherit this."""
+
+    def error(self, message):
+        raise BadConfig(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="framefuse",
-                                     description="Video token compression testbed")
+    parser = _Parser(prog="framefuse", description="Video token compression testbed")
     sub = parser.add_subparsers(dest="command", required=True)
     methods = [m.value for m in FusionMethod]
 
@@ -248,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)

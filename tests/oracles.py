@@ -5,13 +5,19 @@ The pipeline folds each attention scope (one frame, or one group of k frames)
 into the batch axis and encodes unmasked. build_scope_mask gives the
 block-diagonal mask under which one flat sequence, run through masked_encode,
 encodes exactly like those folded scopes.
+
+RngState draws its arrays in numpy lanes; scalar_normal_array and
+scalar_uniform_array draw the same values one `next_u64` call at a time.
 """
+import math
+
 import numpy as np
 
 from framefuse import encoder
 from framefuse.autodiff import MASK_BLOCKED, Tensor, reshape
 from framefuse.frontend import VideoClip
 from framefuse.pipeline import ModelConfig
+from framefuse.rng import RngState
 
 
 def build_scope_mask(total_tokens: int, block: int) -> Tensor:
@@ -52,3 +58,38 @@ def rc_transition_count(clip: VideoClip, threshold: float = 0.05) -> int:
     transition count equals the repetition count."""
     active = (clip.pixels.data > threshold).any(axis=(1, 2, 3))
     return int(np.sum(active[:-1] & ~active[1:]))
+
+
+def scalar_uniform(rng: RngState) -> float:
+    """The 53 high bits of one next_u64 word as a double in [0, 1)."""
+    return (rng.next_u64() >> 11) * (1.0 / (1 << 53))
+
+
+def scalar_normal_array(rng: RngState, shape, std: float = 1.0) -> np.ndarray:
+    """RngState.normal_array one value at a time: Box-Muller in `math` over
+    scalar uniforms, an odd count dropping the last sin."""
+    n = 1
+    for e in shape:
+        n *= e
+    out = np.empty(n, dtype=np.float64)
+    i = 0
+    while i < n:
+        u1 = 1.0 - scalar_uniform(rng)
+        u2 = scalar_uniform(rng)
+        r = math.sqrt(-2.0 * math.log(u1))
+        out[i] = r * math.cos(2.0 * math.pi * u2)
+        if i + 1 < n:
+            out[i + 1] = r * math.sin(2.0 * math.pi * u2)
+        i += 2
+    return (out * std).reshape(shape)
+
+
+def scalar_uniform_array(rng: RngState, shape) -> np.ndarray:
+    """RngState.uniform_array one value at a time."""
+    n = 1
+    for e in shape:
+        n *= e
+    out = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        out[i] = scalar_uniform(rng)
+    return out.reshape(shape)

@@ -280,6 +280,17 @@ def test_linear_without_bias():
     assert np.allclose(out.data, 1.5)
 
 
+@pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+    ((2, 3), (4, 2), None),      # inner extents differ: matmul's check
+    ((2, 3), (3,), None),        # weight not rank 2
+    ((2, 3), (3, 2), (3,)),      # bias is not [nout]
+])
+def test_linear_rejects_mismatched_shapes(x_shape, w_shape, b_shape):
+    b = None if b_shape is None else constant(np.zeros(b_shape))
+    with pytest.raises(ShapeMismatch):
+        linear(constant(np.ones(x_shape)), param(np.ones(w_shape)), b)
+
+
 # ---- a rank-2 weight shared across batch axes: one folded GEMM ----
 
 @pytest.mark.parametrize("batch", [(3,), (2, 3)])

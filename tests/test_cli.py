@@ -41,6 +41,28 @@ def test_budget_non_integral_is_validation_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("budget", "--n-input", "x", "--l", "1", "--k", "1"),
+    ("gradcheck", "--module", "x"),
+    (),
+    ("bogus",),
+])
+def test_usage_errors_are_validation_errors(capsys, argv):
+    """argparse's own exit code is 2, which the CLI keeps for numerical failures."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("error:") == 1 and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: framefuse")
+
+
 def test_gradcheck_ops_prints_pass_lines(capsys):
     code, out, _ = run(capsys, "gradcheck", "--module", "ops")
     assert code == 0

@@ -1,9 +1,13 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import scalar_normal_array, scalar_uniform_array
 
-from framefuse.rng import RngState, derive_seed
+from framefuse.rng import _JUMP_ROWS, _LANE, RngState, derive_seed
 
 
 def test_same_seed_same_stream():
@@ -30,9 +34,8 @@ def test_derive_seed_separates_labels():
 
 
 def test_uniform_range_and_mean():
-    rng = RngState(9)
-    xs = [rng.uniform() for _ in range(4000)]
-    assert all(0.0 <= x < 1.0 for x in xs)
+    xs = RngState(9).uniform_array((4000,))
+    assert np.all((xs >= 0.0) & (xs < 1.0))
     assert abs(np.mean(xs) - 0.5) < 0.03
 
 
@@ -104,3 +107,56 @@ def test_uniform_array_shape():
     arr = RngState(8).uniform_array((2, 3, 4))
     assert arr.shape == (2, 3, 4)
     assert np.all((arr >= 0.0) & (arr < 1.0))
+
+
+# Lengths around the lane layout: below one lane, one lane, and P lanes +- 1;
+# the last example needs more lanes than one jump product takes.
+_EDGE_LENGTHS = sorted({p * _LANE + d for p in (1, 2, 3, 64, 65) for d in (-1, 0, 1)})
+_SHAPES = st.one_of(
+    st.integers(0, 3 * _LANE).map(lambda n: (n,)),
+    st.sampled_from(_EDGE_LENGTHS).map(lambda n: (n,)),
+    st.integers(1, 5000).map(lambda n: (n,)),
+    st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**64 - 1), _SHAPES, st.booleans())
+@example(0, (_LANE * 64 + 1,), True)
+@example(2**64 - 1, (_LANE - 1,), False)
+@example(5, (2 * _JUMP_ROWS * _LANE + 1,), False)
+def test_array_draws_match_scalar_oracle(seed, shape, normal):
+    """The lane kernel gives the scalar stream's values byte for byte and
+    leaves the generator where the scalar draws would."""
+    fast, slow = RngState(seed), RngState(seed)
+    if normal:
+        got, want = fast.normal_array(shape, 0.02), scalar_normal_array(slow, shape, 0.02)
+    else:
+        got, want = fast.uniform_array(shape), scalar_uniform_array(slow, shape)
+    assert got.shape == want.shape == shape
+    assert got.tobytes() == want.tobytes()
+    assert [fast.next_u64() for _ in range(4)] == [slow.next_u64() for _ in range(4)]
+
+
+@pytest.mark.parametrize("seed, draw, digest, next_word", [
+    (0, lambda r: r.normal_array((4097,), 0.02),
+     "aeb14ed2f276e8cdcfd2288503241bbdddb4c0a3e6e327c88fc99a7b097e4a9a", 11512699537418941161),
+    (2**64 - 1, lambda r: r.normal_array((64, 257), 0.02),
+     "178cb9edb8b2cf4f602e73d391baad0b5816e6168e24ccfe2e904048e8c6b865", 10185287140741030015),
+    (8, lambda r: r.uniform_array((3, 5, 7, 11)),
+     "0589a4108d7326b633de5f9ff43a9d34b54ae88261fd10c1bbfa9ac0f57f20e0", 2025636574672047843),
+])
+def test_array_draws_match_golden_digests(seed, draw, digest, next_word):
+    """Digests recorded from the scalar implementation before the lane kernel."""
+    rng = RngState(seed)
+    assert hashlib.sha256(draw(rng).tobytes()).hexdigest() == digest
+    assert rng.next_u64() == next_word
+
+
+def test_numpy_cos_sin_match_math_on_stream_angles():
+    """normal_array takes cos and sin from numpy; Box-Muller stays bit-exact
+    only while they equal `math.cos` / `math.sin` on the angles it meets."""
+    theta = (2.0 * math.pi) * RngState(31).uniform_array((100_000,))
+    angles = theta.tolist()
+    assert np.cos(theta).tobytes() == np.array([math.cos(t) for t in angles]).tobytes()
+    assert np.sin(theta).tobytes() == np.array([math.sin(t) for t in angles]).tobytes()
