@@ -352,16 +352,37 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # ---- nonlinearities and norms ----
 
 def gelu(x: Tensor) -> Tensor:
-    """tanh-form gelu: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
+    """tanh-form gelu: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3))).
+
+    Forward and gradient work in place on two or three full-size buffers, in
+    the operation order of the closed forms (a step at most swaps the operands
+    of one + or *), so they match those forms bitwise."""
     xd = x.data
-    inner = GELU_COEFF * (xd + _GELU_CUBIC * (xd * xd * xd))
-    t = np.tanh(inner)
-    out = 0.5 * xd * (1.0 + t)
+    t = np.multiply(xd, xd, out=np.empty_like(xd))  # out= keeps a 0-d input an array
+    t *= xd
+    t *= _GELU_CUBIC
+    t += xd
+    t *= GELU_COEFF
+    np.tanh(t, out=t)
+    out = 0.5 * xd
+    out *= 1.0 + t
 
     def grad_fn(g):
-        sech2 = 1.0 - t * t
-        local = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * GELU_COEFF * (1.0 + 3.0 * _GELU_CUBIC * (xd * xd))
-        return (g * local,)
+        # 0.5*(1 + t) + 0.5*x * (1 - t^2) * c * (1 + 3*0.044715*x^2), times g
+        local = np.multiply(t, t, out=np.empty_like(t))
+        np.subtract(1.0, local, out=local)
+        part = np.multiply(xd, 0.5, out=np.empty_like(xd))
+        local *= part
+        local *= GELU_COEFF
+        np.multiply(xd, xd, out=part)
+        part *= 3.0 * _GELU_CUBIC
+        part += 1.0
+        local *= part
+        np.add(t, 1.0, out=part)
+        part *= 0.5
+        part += local
+        part *= g
+        return (part,)
 
     return _finish("gelu", (x,), out, grad_fn)
 

@@ -73,6 +73,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             count *= extent
         at = need(8 * count)
         values = np.frombuffer(blob, dtype="<f8", count=count, offset=at)
+        if not np.isfinite(values).all():
+            raise BadConfig(f"{path}: non-finite values in {name}")
         out[name] = values.reshape(shape).astype(np.float64)
     return out
 

@@ -7,12 +7,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, backward
+from .autodiff import Tape, backward, concat_axis
 from .errors import BadConfig, DivergedLoss, check_fields
 from .pipeline import ModelBundle, batch_loss, forward_logits
 from .decoder import mcq_loss, predict
 from .rng import RngState, derive_seed
 from .synthclips import CATEGORY_ORDER
+
+# Pixel tokens per eval forward. Large enough that the desk config (32 tokens
+# a clip) runs a whole 64-clip chunk at once; small enough that at 16 frames,
+# patch 7 the activations stay cache-sized instead of page-faulting fresh
+# megabytes on every forward.
+_EVAL_TOKENS = 2048
 
 
 @dataclass(frozen=True)
@@ -136,7 +142,12 @@ class EvalResult:
 
 def evaluate(bundle: ModelBundle, samples, batch_size: int = 64) -> EvalResult:
     """Argmax accuracy with per-category breakdown; accepts any iterable and
-    consumes it in chunks, so the sample stream never has to fit in memory."""
+    consumes it in chunks of `batch_size`, so the sample stream never has to
+    fit in memory. Each chunk runs as consecutive forwards of at most
+    `_EVAL_TOKENS` pixel tokens (at least one clip each); loss, predictions
+    and counts then run once over the chunk's logits."""
+    cfg = bundle.cfg
+    per_forward = max(1, _EVAL_TOKENS // (cfg.n_input * cfg.tokens_per_frame))
     right: dict[str, int] = {}
     seen: dict[str, int] = {}
     loss_sum = 0.0
@@ -145,8 +156,12 @@ def evaluate(bundle: ModelBundle, samples, batch_size: int = 64) -> EvalResult:
 
     def flush():
         nonlocal loss_sum, total
-        pixels, questions, answers = _batch_arrays(chunk)
-        logits = forward_logits(bundle, pixels, questions)
+        parts = []
+        for at in range(0, len(chunk), per_forward):
+            pixels, questions, _ = _batch_arrays(chunk[at:at + per_forward])
+            parts.append(forward_logits(bundle, pixels, questions))
+        logits = concat_axis(parts, 0)
+        answers = np.array([s.answer_idx for s in chunk], dtype=np.int64)
         loss_sum += mcq_loss(logits, answers).item() * len(chunk)
         preds = predict(logits)
         for s, p in zip(chunk, preds):

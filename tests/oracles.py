@@ -8,13 +8,16 @@ encodes exactly like those folded scopes.
 
 RngState draws its arrays in numpy lanes; scalar_normal_array and
 scalar_uniform_array draw the same values one `next_u64` call at a time.
+
+autodiff.gelu computes in place; gelu_closed_form and gelu_grad_closed_form
+are the same expressions written out whole.
 """
 import math
 
 import numpy as np
 
 from framefuse import encoder
-from framefuse.autodiff import MASK_BLOCKED, Tensor, reshape
+from framefuse.autodiff import GELU_COEFF, MASK_BLOCKED, Tensor, reshape
 from framefuse.frontend import VideoClip
 from framefuse.pipeline import ModelConfig
 from framefuse.rng import RngState
@@ -93,3 +96,17 @@ def scalar_uniform_array(rng: RngState, shape) -> np.ndarray:
     for i in range(n):
         out[i] = scalar_uniform(rng)
     return out.reshape(shape)
+
+
+def gelu_closed_form(xd: np.ndarray) -> np.ndarray:
+    """tanh-form gelu, one expression."""
+    t = np.tanh(GELU_COEFF * (xd + 0.044715 * (xd * xd * xd)))
+    return 0.5 * xd * (1.0 + t)
+
+
+def gelu_grad_closed_form(xd: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g times d gelu / dx, one expression."""
+    t = np.tanh(GELU_COEFF * (xd + 0.044715 * (xd * xd * xd)))
+    sech2 = 1.0 - t * t
+    local = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * GELU_COEFF * (1.0 + 3.0 * 0.044715 * (xd * xd))
+    return g * local

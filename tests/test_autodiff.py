@@ -13,6 +13,8 @@ from framefuse.autodiff import (MASK_BLOCKED, Gradients, Tape, Tensor, add,
 from framefuse.errors import AllMaskedRow, NotScalarLoss, ShapeMismatch
 from framefuse.gradcheck import finite_diff_check
 
+from oracles import gelu_closed_form, gelu_grad_closed_form
+
 finite_arrays = hnp.arrays(
     np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
     elements=st.floats(-10, 10, allow_nan=False))
@@ -111,6 +113,20 @@ def test_gelu_odd_point_and_asymptote():
 
 def test_gelu_frozen_value():
     assert abs(gelu(constant(1.0)).item() - 0.841192) < 1e-6
+
+
+def test_gelu_matches_closed_forms_bitwise():
+    rng = np.random.default_rng(11)
+    xd = np.concatenate([rng.normal(0.0, 3.0, 500), [0.0, -0.0, 1e-310, -1e-310, 1e-8,
+                                                     -4.0, 30.0, -30.0, 1e30]])
+    g = rng.normal(size=xd.shape)
+    x = param(xd)
+    with Tape() as tape:
+        out = gelu(x)
+        grads = backward(tape, sum_all(multiply(out, constant(g))))
+    assert out.data.tobytes() == gelu_closed_form(xd).tobytes()
+    assert grads[x].tobytes() == gelu_grad_closed_form(xd, g).tobytes()
+    assert gelu(constant(0.7)).data.tobytes() == gelu_closed_form(np.array(0.7)).tobytes()
 
 
 def test_attention_single_key_returns_value():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from framefuse import cli
 from framefuse.autodiff import Tensor
-from framefuse.checkpoint import load_checkpoint_meta
+from framefuse.checkpoint import load_checkpoint, load_checkpoint_meta, save_checkpoint
 from framefuse.frontend import FusionMethod, VideoClip, save_clip
 from framefuse.gradcheck import FiniteDiffReport
 from framefuse.grid import ExperimentSpec
@@ -244,6 +244,23 @@ def test_eval_sidecar_unknown_method(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert_one_error_line(err, "unknown method 'nope'")
+
+
+@pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+def test_eval_non_finite_checkpoint_is_validation_error(capsys, tmp_path, value):
+    cfg_path, ckpt, data = tmp_path / "train.json", tmp_path / "m.tfz", tmp_path / "ds"
+    cfg_path.write_text(json.dumps(TINY_TRAIN))
+    run(capsys, "train", "--method", "baseline", "--k", "1", "--n-input", "8",
+        "--per-category", "2", "--config", str(cfg_path), "--out", str(ckpt))
+    run(capsys, "gen-data", "--per-category", "1", "--seed", "5", "--out", str(data),
+        "--frames", "8")
+    params = {name: Tensor(values) for name, values in load_checkpoint(ckpt).items()}
+    params["dec.head_w"].data[0, 0] = value
+    save_checkpoint(params, ckpt, load_checkpoint_meta(ckpt))
+    code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(data))
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err, "non-finite", "dec.head_w")
 
 
 def test_missing_input_paths_are_validation_errors(capsys, tmp_path):

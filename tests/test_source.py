@@ -73,7 +73,8 @@ def _referenced_names(tree, skip=None) -> set[str]:
 
 def test_no_test_only_definitions():
     # tests/ holds the reference code only tests call; src/ holds the program.
-    # A re-export from __init__.py is not a use.
+    # Checked for top-level definitions and for the methods of top-level
+    # classes. A re-export from __init__.py is not a use.
     root = SRC.parent.parent
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for folder in (SRC, root / "scripts", root / "perfbench")
@@ -82,8 +83,21 @@ def test_no_test_only_definitions():
     unused = []
     for path in MODULES:
         named = set().union(*(names for other, names in elsewhere.items() if other != path))
-        for node in trees[path].body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in
-                    named | _referenced_names(trees[path], skip=node)):
-                unused.append(f"{path.name}:{node.name}")
+        for node, label in _definitions(trees[path]):
+            if node.name not in named | _referenced_names(trees[path], skip=node):
+                unused.append(f"{path.name}:{label}")
     assert unused == []
+
+
+def _definitions(tree):
+    """(node, label) for each top-level function and class, and each
+    non-dunder method of a top-level class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node, node.name
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, defs[:2]) and not (sub.name.startswith("__")
+                                                      and sub.name.endswith("__")):
+                    yield sub, f"{node.name}.{sub.name}"

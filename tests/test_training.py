@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from framefuse import training
 from framefuse.autodiff import Tensor
+from framefuse.decoder import mcq_loss, predict
 from framefuse.errors import BadConfig, DivergedLoss
 from framefuse.frontend import FusionMethod
-from framefuse.pipeline import ModelConfig, build_model
-from framefuse.synthclips import GenConfig, TaskCategory, gen_sample
+from framefuse.pipeline import ModelConfig, build_model, forward_logits
+from framefuse.synthclips import GenConfig, TaskCategory, gen_dataset, gen_sample
 from framefuse.training import (Adam, EvalResult, TrainConfig, evaluate,
                                 lr_at, train)
 from framefuse.rng import derive_seed
@@ -180,3 +182,56 @@ def test_evaluate_zero_head_measures_position_zero():
 def test_evaluate_empty_stream_rejected():
     with pytest.raises(BadConfig):
         evaluate(micro_bundle(), [])
+
+
+def recorded_forwards(monkeypatch):
+    """Patch evaluate's forward to record each call's pixel batch shape and
+    logits."""
+    calls = []
+
+    def recording(bundle, pixels, questions):
+        logits = forward_logits(bundle, pixels, questions)
+        calls.append((pixels.shape, logits.data))
+        return logits
+
+    monkeypatch.setattr(training, "forward_logits", recording)
+    return calls
+
+
+def one_forward(bundle, samples):
+    """Logits of all `samples` in one forward, and their answers."""
+    pixels = np.stack([s.clip.pixels.data for s in samples])
+    questions = np.stack([s.question_ids for s in samples])
+    answers = np.array([s.answer_idx for s in samples])
+    return forward_logits(bundle, pixels, questions), answers
+
+
+def test_evaluate_desk_chunk_is_one_forward(monkeypatch):
+    bundle = build_model(ModelConfig(method=FusionMethod.POST_POOL_PLLAVA, k=2), 3)
+    data = gen_dataset(11, 4, GenConfig(frames=8))[0][:64]
+    logits, answers = one_forward(bundle, data)
+    calls = recorded_forwards(monkeypatch)
+    res = evaluate(bundle, data)
+    assert [shape for shape, _ in calls] == [(64, 8, 3, 28, 28)]
+    hits = predict(logits) == answers
+    assert res.mean_loss == mcq_loss(logits, answers).item() * 64 / 64
+    assert res.accuracy == int(hits.sum()) / 64
+    for cat, acc in res.per_category.items():
+        mine = [i for i, s in enumerate(data) if s.category.value == cat]
+        assert acc == int(hits[mine].sum()) / len(mine)
+
+
+def test_evaluate_fine_chunk_splits_at_token_budget(monkeypatch):
+    cfg = ModelConfig(method=FusionMethod.BASELINE, n_input=16, patch=7)
+    bundle = build_model(cfg, 3)
+    data = gen_dataset(4, 4, GenConfig(frames=16))[0]
+    logits, answers = one_forward(bundle, data)
+    calls = recorded_forwards(monkeypatch)
+    res = evaluate(bundle, data)
+    assert [shape[0] for shape, _ in calls] == [8, 8, 8]
+    assert all(shape[0] * cfg.n_input * cfg.tokens_per_frame <= 2048 for shape, _ in calls)
+    split = np.concatenate([part for _, part in calls])
+    assert np.array_equal(predict(Tensor(split)), predict(logits))
+    expect = mcq_loss(logits, answers).item()
+    assert abs(res.mean_loss - expect) <= 1e-12 * abs(expect)
+    assert evaluate(bundle, data) == res
