@@ -6,7 +6,8 @@ directory, so no worktree and no `.git` change is left behind. Each pair runs
 index), and the side that runs first alternates from pair to pair. For every
 metric the run prints, the result records each side's median and quartiles,
 every run's value, and how many pairs the change won (ties count for
-neither side), plus the attempted and failed operation counts.
+neither side), plus the attempted and failed operation counts and each
+run's grid CSV sha256 digests (from its `info` line; empty off grid-ff).
 
 Usage:
     python3 scripts/bench_ab.py --parent HEAD~1 --workload train-desk \\
@@ -45,7 +46,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
                           cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"perfbench failed in {tree} (exit {proc.returncode}):\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    info = next(json.loads(line[5:]) for line in lines if line.startswith("info "))
+    return {**json.loads(lines[-1]), "grid_csv_sha256": info["grid_csv_sha256"]}
 
 
 def summarize(values: list[float]) -> dict:
@@ -106,6 +109,7 @@ def main(argv=None) -> int:
         "trace": args.trace,
         "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
         "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+        "grid_csv_sha256": {side: [r["grid_csv_sha256"] for r in rs] for side, rs in runs.items()},
         "metrics": compare(runs["parent"], runs["change"], better),
     }
     out = Path(args.out)

@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .checkpoint import (apply_checkpoint, load_checkpoint,
                          load_checkpoint_meta, save_checkpoint)
 from .compressor import token_budget
 from .errors import (BadConfig, GradientCheckFailed, NumericalError,
-                     ValidationError, check_json, read_json, read_text)
+                     ValidationError, check_json, out_path, read_json,
+                     read_text)
 from .frontend import FusionMethod, parse_method
 from .gradcheck import SUITES, run_gradient_suite
 from .grid import ExperimentSpec, GridAxis, results_to_csv, run_grid
@@ -32,25 +32,6 @@ def _train_config(d: dict) -> TrainConfig:
     return TrainConfig(**d)
 
 
-def _parse_methods(text: str) -> tuple[FusionMethod, ...]:
-    return tuple(parse_method(name.strip()) for name in text.split(",") if name.strip())
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise BadConfig(f"--k {text!r} is not a comma-separated list of integers") from None
-
-
-def _parse_axis(value) -> GridAxis:
-    try:
-        return GridAxis(value)
-    except ValueError:
-        known = ", ".join(a.value for a in GridAxis)
-        raise BadConfig(f"unknown axis {value!r}; expected one of {known}") from None
-
-
 def cmd_gen_data(args) -> int:
     gcfg = GenConfig(frames=args.frames, fps=args.fps)
     samples, stats = gen_dataset(args.per_category, args.seed, gcfg, unit=args.unit)
@@ -61,6 +42,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    out_path(args.out, "checkpoint")
+    out_path(f"{args.out}.json", "checkpoint sidecar")
     tcfg = _train_config(read_json(args.config, "config")) if args.config else TrainConfig()
     if args.data:
         dataset, gcfg = load_dataset(args.data)
@@ -104,11 +87,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    base = read_json(args.config, "config") if args.config else {}
-    unknown = sorted(set(base) - set(ExperimentSpec.__dataclass_fields__))
+    kwargs = read_json(args.config, "config")
+    unknown = sorted(set(kwargs) - set(ExperimentSpec.__dataclass_fields__))
     if unknown:
         raise BadConfig(f"unknown experiment config keys {unknown}")
-    kwargs = dict(base)
+    axes = ", ".join(a.value for a in GridAxis)
+    if "axis" not in kwargs:
+        raise BadConfig(f"experiment config {args.config} needs an \"axis\": {axes}")
+    try:
+        kwargs["axis"] = GridAxis(kwargs["axis"])
+    except ValueError:
+        raise BadConfig(f"unknown axis {kwargs['axis']!r}; expected one of {axes}") from None
     if "train" in kwargs:
         kwargs["train"] = _train_config(kwargs["train"])
     if "methods" in kwargs:
@@ -116,26 +105,11 @@ def cmd_grid(args) -> int:
         kwargs["methods"] = tuple(parse_method(m) for m in methods)
     if "k_values" in kwargs:
         kwargs["k_values"] = tuple(check_json(kwargs["k_values"], list, "k_values"))
-    if "axis" in kwargs:
-        kwargs["axis"] = _parse_axis(kwargs["axis"])
-    if args.axis:
-        kwargs["axis"] = GridAxis(args.axis)
-    if args.methods:
-        kwargs["methods"] = _parse_methods(args.methods)
-    if args.k:
-        kwargs["k_values"] = _parse_ints(args.k)
-    if args.n_over_k is not None:
-        kwargs["n_over_k"] = args.n_over_k
-    if args.n_input is not None:
-        kwargs["n_input"] = args.n_input
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if "axis" not in kwargs:
-        raise BadConfig("grid needs --axis fixed-budget|fixed-frames")
     spec = ExperimentSpec(**kwargs)
+    out = out_path(args.out, "results")
     results = run_grid(spec)
     text = results_to_csv(results, include_flops=args.flops)
-    Path(args.out).write_text(text)
+    out.write_text(text)
     print(f"wrote {len(results)} rows to {args.out}")
     if args.report:
         print(render_table(read_table_csv(text), args.report), end="")
@@ -163,10 +137,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_report(args) -> int:
+    out = out_path(args.out, "report") if args.out else None
     table = read_table_csv(read_text(getattr(args, "in"), "table"))
     text = render_table(table, args.format)
-    if args.out:
-        Path(args.out).write_text(text)
+    if out:
+        out.write_text(text)
         print(f"wrote {args.out}")
     else:
         print(text, end="")
@@ -217,13 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("grid", help="run an ablation grid")
-    p.add_argument("--axis", choices=[a.value for a in GridAxis])
-    p.add_argument("--methods", help="comma-separated method names")
-    p.add_argument("--k", help="comma-separated compression ratios")
-    p.add_argument("--n-over-k", type=int)
-    p.add_argument("--n-input", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="JSON with ExperimentSpec fields")
+    p.add_argument("--config", required=True,
+                   help="JSON with ExperimentSpec fields, such as experiments/*.json")
     p.add_argument("--out", default="results.csv")
     p.add_argument("--flops", action="store_true", help="append a flops-per-clip column")
     p.add_argument("--report", choices=("md", "markdown", "csv"),

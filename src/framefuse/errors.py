@@ -104,6 +104,18 @@ def read_json(path, what: str):
     return check_json(value, dict, f"{what} {path}")
 
 
+def out_path(path, what: str) -> Path:
+    """`path` as a Path; BadConfig naming `what` if no file can be created there
+    because `path` is a directory or its parent is not one. Callers check this
+    before the work whose result they write."""
+    path = Path(path)
+    if path.is_dir():
+        raise BadConfig(f"cannot write {what} {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise BadConfig(f"cannot write {what} {path}: {path.parent} is not a directory")
+    return path
+
+
 class ZeroDuration(ValidationError):
     pass
 

@@ -6,9 +6,11 @@ Two sweep axes:
   fixed-frames: N_input held fixed while k sweeps, so the decoder budget
     shrinks as N_input*l/k; rows are method-major, k-minor.
 
-Each cell trains its own model from scratch with seed hash(base, method, k),
-so cells are independent jobs; rows are emitted in grid order regardless of
-how cells were scheduled.
+Two seeds drive a grid. `seed` picks the clips: every cell at one n_input
+trains and scores on the same sets. `train.seed` picks the models: each cell
+trains its own model from scratch with seed hash(train.seed, method, k), so
+cells are independent jobs; rows are emitted in grid order regardless of
+how cells were scheduled. A run over several seeds sets both.
 """
 from __future__ import annotations
 
@@ -33,9 +35,9 @@ class ExperimentSpec:
     axis: GridAxis
     methods: tuple[FusionMethod, ...] = COMPRESSION_METHODS
     k_values: tuple[int, ...] = (2, 4)
-    n_over_k: int | None = None   # fixed-budget: frames per compressed group
-    n_input: int | None = None    # fixed-frames: total input frames
-    seed: int = 0                 # dataset seed; training seeds derive per cell
+    n_over_k: int | None = None   # fixed-budget only: frames per compressed group
+    n_input: int | None = None    # fixed-frames only: total input frames
+    seed: int = 0                 # picks the clips; cell model seeds come from train.seed
     train: TrainConfig = field(default_factory=TrainConfig)
     train_per_category: int = 20
     eval_per_category: int = 10
@@ -47,8 +49,12 @@ class ExperimentSpec:
         check_fields(self, positive=("train_per_category", "eval_per_category"))
         if self.axis is GridAxis.FIXED_BUDGET and not self.n_over_k:
             raise BadConfig("fixed-budget axis needs n_over_k")
+        if self.axis is GridAxis.FIXED_BUDGET and self.n_input is not None:
+            raise BadConfig("fixed-budget axis takes n_over_k, not n_input")
         if self.axis is GridAxis.FIXED_FRAMES and not self.n_input:
             raise BadConfig("fixed-frames axis needs n_input")
+        if self.axis is GridAxis.FIXED_FRAMES and self.n_over_k is not None:
+            raise BadConfig("fixed-frames axis takes n_input, not n_over_k")
         if FusionMethod.BASELINE in self.methods:
             raise BadConfig("baseline is implied by k=1; list only compression methods")
         for k in self.k_values:

@@ -529,6 +529,8 @@ def dataset_stats(samples, gcfg: GenConfig, unit: str = "words") -> DatasetStats
 def gen_dataset(n_per_category: int, seed: int, gcfg: GenConfig | None = None,
                 unit: str = "words"):
     """n samples per category, deterministic in (seed, gcfg)."""
+    if n_per_category < 1:
+        raise BadConfig(f"n_per_category must be at least 1, got {n_per_category}")
     gcfg = gcfg or GenConfig()
     samples = []
     for cat in CATEGORY_ORDER:
@@ -544,7 +546,10 @@ RECORD_FIELDS = ("category", "seed", "answer_idx", "opt0", "opt1", "opt2", "opt3
 
 def save_dataset(samples, out_dir, gcfg: GenConfig, stats: DatasetStats | None = None) -> None:
     out = Path(out_dir)
-    (out / "clips").mkdir(parents=True, exist_ok=True)
+    try:
+        (out / "clips").mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise BadConfig(f"cannot write dataset {out}: {err}") from err
     rows = []
     for i, s in enumerate(samples):
         rel = f"clips/{i:05d}.clp"

@@ -4,7 +4,6 @@ Each test prints one PASS line with the measured values (visible under
 pytest -rP or -s); a failed assert is the FAIL line. These are the gate the
 rest of the suite builds toward, so none of them are marked slow.
 """
-import json
 import math
 import time
 from pathlib import Path
@@ -29,6 +28,7 @@ from oracles import (build_scope_mask, kangaroo_identity_mlp, masked_encode,
                      rc_transition_count)
 
 DATA = Path(__file__).parent / "data"
+EXPERIMENTS = Path(__file__).parents[1] / "experiments"
 
 # 99% two-sided normal quantile, frozen so the bound is arithmetic, not a
 # library lookup
@@ -216,16 +216,12 @@ def test_criterion_6_toy_trainability():
 
 
 def test_criterion_7_grid_reproduction(tmp_path, capsys):
-    cfg_path = tmp_path / "grid.json"
-    cfg_path.write_text(json.dumps({
-        "train": {"total_steps": 2, "warmup_steps": 1, "batch": 4, "seed": 0},
-        "train_per_category": 2, "eval_per_category": 2}))
+    # 16 frames, k in 2/4/8/16, 2 steps a cell on 2/2 clips per category
+    config = EXPERIMENTS / "fixed_frames_quick.json"
     runs = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
-        code = cli.main(["grid", "--axis", "fixed-frames", "--n-input", "16",
-                         "--k", "2,4,8,16", "--config", str(cfg_path),
-                         "--out", str(out)])
+        code = cli.main(["grid", "--config", str(config), "--out", str(out)])
         assert code == 0
         runs.append(out.read_bytes())
     capsys.readouterr()

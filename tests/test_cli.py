@@ -18,6 +18,7 @@ from framefuse.pipeline import ModelConfig, config_to_dict
 from framefuse.training import TrainConfig
 
 FIXTURE = Path(__file__).parent / "data" / "ablation_16frame.csv"
+EXPERIMENTS = sorted((Path(__file__).parents[1] / "experiments").glob("*.json"))
 
 TINY_TRAIN = {"total_steps": 2, "warmup_steps": 1, "batch": 4, "seed": 0}
 
@@ -185,9 +186,10 @@ def test_report_missing_file(capsys, tmp_path):
 def test_grid_cli_writes_deterministic_csv(capsys, tmp_path):
     cfg_path = tmp_path / "grid.json"
     cfg_path.write_text(json.dumps({
+        "axis": "fixed-frames", "n_input": 8, "k_values": [2],
+        "methods": ["pllava-pool", "through-encoder"],
         "train": TINY_TRAIN, "train_per_category": 2, "eval_per_category": 2}))
-    args = ("grid", "--axis", "fixed-frames", "--n-input", "8", "--k", "2",
-            "--methods", "pllava-pool,through-encoder", "--config", str(cfg_path))
+    args = ("grid", "--config", str(cfg_path))
     out_a = tmp_path / "a.csv"
     code, text, _ = run(capsys, *args, "--out", str(out_a))
     assert code == 0
@@ -212,10 +214,13 @@ def test_grid_unknown_config_key(capsys, tmp_path):
 
 
 def test_grid_requires_axis(capsys, tmp_path):
-    code, _, err = run(capsys, "grid", "--n-input", "8",
-                       "--out", str(tmp_path / "x.csv"))
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps({"n_input": 8}))
+    code, out, err = run(capsys, "grid", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "x.csv"))
     assert code == 1
-    assert "--axis" in err
+    assert out == ""
+    assert_one_error_line(err, '"axis"', "fixed-frames")
 
 
 def assert_one_error_line(err, *fragments):
@@ -227,13 +232,79 @@ def assert_one_error_line(err, *fragments):
 
 def test_grid_unknown_method(capsys, tmp_path):
     cfg_path = tmp_path / "grid.json"
-    cfg_path.write_text(json.dumps({"methods": ["pllava-pool", "nope"]}))
-    for extra in (("--methods", "pllava-pool,nope"), ("--config", str(cfg_path))):
-        code, out, err = run(capsys, "grid", "--axis", "fixed-frames", "--n-input", "8",
-                             "--out", str(tmp_path / "x.csv"), *extra)
-        assert code == 1
-        assert out == ""
-        assert_one_error_line(err, "unknown method 'nope'")
+    cfg_path.write_text(json.dumps({"axis": "fixed-frames", "n_input": 8,
+                                    "methods": ["pllava-pool", "nope"]}))
+    code, out, err = run(capsys, "grid", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err, "unknown method 'nope'")
+
+
+@pytest.mark.parametrize("config", EXPERIMENTS, ids=lambda path: path.name)
+def test_committed_experiment_configs_build_specs(capsys, tmp_path, monkeypatch, config):
+    specs = []
+    monkeypatch.setattr(cli, "run_grid", lambda spec: specs.append(spec) or [])
+    code, _, err = run(capsys, "grid", "--config", str(config),
+                       "--out", str(tmp_path / "x.csv"))
+    assert (code, err) == (0, "")
+    assert specs[0].axis.value == json.loads(config.read_text())["axis"]
+
+
+def test_quick_configs_run_their_full_configs_grid():
+    """A quick config is its full config with two-step training on tiny sets."""
+    quick = [path for path in EXPERIMENTS if path.stem.endswith("_quick")]
+    assert len(quick) == 2
+    for path in quick:
+        small = json.loads(path.read_text())
+        full = json.loads(path.with_name(path.name.replace("_quick", "")).read_text())
+        assert small["train"]["seed"] == full["train"]["seed"]
+        for key in ("train", "train_per_category", "eval_per_category"):
+            del small[key], full[key]
+        assert small == full
+
+
+@pytest.mark.parametrize("command", ("grid", "train", "report", "gen-data", "grid-dir",
+                                     "train-sidecar"))
+def test_bad_output_paths_are_validation_errors(capsys, tmp_path, monkeypatch, command):
+    def trained(*args, **kwargs):
+        raise AssertionError("trained before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_grid", trained)
+    monkeypatch.setattr(cli, "train", trained)
+    missing = tmp_path / "missing"
+    existing_file = tmp_path / "file"
+    existing_file.write_text("")
+    (tmp_path / "m.tfz.json").mkdir()
+    train = ("train", "--method", "baseline", "--k", "1", "--n-input", "8", "--per-category", "1")
+    dest, argv = {
+        "grid": (missing / "x.csv", ("grid", "--config", str(EXPERIMENTS[0]))),
+        "grid-dir": (tmp_path, ("grid", "--config", str(EXPERIMENTS[0]))),
+        "train": (missing / "m.tfz", train),
+        "train-sidecar": (tmp_path / "m.tfz", train),
+        "report": (missing / "x.md", ("report", "--in", str(FIXTURE))),
+        "gen-data": (existing_file, ("gen-data", "--per-category", "1", "--seed", "5",
+                                     "--frames", "8")),
+    }[command]
+    code, out, err = run(capsys, *argv, "--out", str(dest))
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err, str(dest))
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("argv", (("gen-data", "--seed", "5", "--out", "unused"),
+                                  ("train", "--method", "baseline", "--k", "1",
+                                   "--n-input", "8")), ids=("gen-data", "train"))
+@pytest.mark.parametrize("per_category", ("0", "-2"))
+def test_per_category_below_one_is_validation_error(capsys, tmp_path, monkeypatch, argv,
+                                                    per_category):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--per-category", per_category)
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err, f"n_per_category must be at least 1, got {per_category}")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_sidecar_unknown_method(capsys, tmp_path):
@@ -305,8 +376,6 @@ def test_mistyped_config_fields_are_validation_errors(capsys, tmp_path):
         cfg_path = tmp_path / f"grid{i}.json"
         cfg_path.write_text(json.dumps({"axis": "fixed-frames", "n_input": 8, key: value}))
         cases.append((key, ("grid", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))))
-    cases.append(("no cells", ("grid", "--axis", "fixed-frames", "--n-input", "8",
-                               "--methods", ",", "--out", str(tmp_path / "x.csv"))))
     for fps in ("nan", "inf"):
         cases.append(("fps", ("gen-data", "--per-category", "1", "--seed", "5", "--frames", "8",
                               "--fps", fps, "--out", str(tmp_path / "gen"))))
@@ -402,8 +471,7 @@ def test_malformed_config_inputs_are_validation_errors(capsys, tmp_path):
                                        "--n-input", "8", "--config",
                                        str(tmp_path / "five.json"), *out)),
             ("model config", ("eval", "--ckpt", str(tmp_path / "m.tfz"),
-                              "--data", str(tmp_path / "ds"))),
-            ("--k", ("grid", "--axis", "fixed-frames", "--n-input", "8", "--k", "a,b", *out))):
+                              "--data", str(tmp_path / "ds")))):
         code, stdout, err = run(capsys, *argv)
         assert code == 1
         assert stdout == ""

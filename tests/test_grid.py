@@ -27,6 +27,16 @@ def test_fixed_frames_needs_n_input():
         ExperimentSpec(axis=GridAxis.FIXED_FRAMES)
 
 
+def test_fixed_budget_rejects_n_input():
+    with pytest.raises(BadConfig, match="takes n_over_k, not n_input"):
+        ExperimentSpec(axis=GridAxis.FIXED_BUDGET, n_over_k=8, n_input=16)
+
+
+def test_fixed_frames_rejects_n_over_k():
+    with pytest.raises(BadConfig, match="takes n_input, not n_over_k"):
+        ExperimentSpec(axis=GridAxis.FIXED_FRAMES, n_input=16, n_over_k=8)
+
+
 def test_baseline_not_listable():
     with pytest.raises(BadConfig, match="implied"):
         ExperimentSpec(axis=GridAxis.FIXED_FRAMES, n_input=8,
