@@ -9,6 +9,10 @@ every run's value, and how many pairs the change won (ties count for
 neither side), plus the attempted and failed operation counts and each
 run's grid CSV sha256 digests (from its `info` line; empty off grid-ff).
 
+Each metric also gets a verdict: `better` (or `worse`) when the change wins
+(or loses) at least 9 of every 10 pairs and the two medians differ by more
+than the parent's interquartile range, `unresolved` otherwise.
+
 Usage:
     python3 scripts/bench_ab.py --parent HEAD~1 --workload train-desk \\
         --pairs 10 --seconds 30 --seed-base 600 --out BENCH.json
@@ -63,15 +67,29 @@ def compare(parent_runs: list[dict], change_runs: list[dict], better: dict[str, 
         c = [r["metrics"][name]["value"] for r in change_runs]
         sign = 1.0 if better.get(name, "lower") == "higher" else -1.0
         parent, change = summarize(p), summarize(c)
+        wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+        losses = sum(sign * (b - a) < 0 for a, b in zip(p, c))
+        iqr = parent["q3"] - parent["q1"]
         metrics[name] = {
             "unit": first["unit"], "better": better.get(name, "lower"),
             "parent": parent, "change": change,
-            "change_wins": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
+            "change_wins": wins,
             "pairs": len(p),
             "median_ratio": change["median"] / parent["median"] if parent["median"] else None,
-            "parent_iqr": parent["q3"] - parent["q1"],
+            "parent_iqr": iqr,
+            "verdict": verdict(wins, losses, len(p), abs(change["median"] - parent["median"]) > iqr),
         }
     return metrics
+
+
+def verdict(wins: int, losses: int, pairs: int, beyond_iqr: bool) -> str:
+    """`better`/`worse` for a change that wins/loses at least 9 of every 10
+    pairs with medians further apart than the parent's IQR; else `unresolved`."""
+    if beyond_iqr and 10 * wins >= 9 * pairs:
+        return "better"
+    if beyond_iqr and 10 * losses >= 9 * pairs:
+        return "worse"
+    return "unresolved"
 
 
 def main(argv=None) -> int:
@@ -118,7 +136,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(doc, indent=2) + "\n")
     for name, m in entry["metrics"].items():
         print(f"{name:34s} parent {m['parent']['median']:.6g}  change {m['change']['median']:.6g}"
-              f"  wins {m['change_wins']}/{m['pairs']}")
+              f"  wins {m['change_wins']}/{m['pairs']}  {m['verdict']}")
     return 0
 
 

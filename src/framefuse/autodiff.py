@@ -266,6 +266,20 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _finish("narrow", (x,), np.ascontiguousarray(x.data[idx]), grad_fn)
 
 
+def gather(x: Tensor, index: np.ndarray) -> Tensor:
+    """Rows of x picked along axis 0 by an integer array of any shape:
+    x [N, ...], index [...] -> [*index.shape, ...]. The backward sums the
+    gradient rows that share a source row, as one one-hot GEMM."""
+    n, flat = x.shape[0], index.reshape(-1)
+
+    def grad_fn(g):
+        onehot = np.zeros((n, flat.size))
+        onehot[flat, np.arange(flat.size)] = 1.0
+        return ((onehot @ g.reshape(flat.size, -1)).reshape(x.shape),)
+
+    return _finish("gather", (x,), x.data[index], grad_fn)
+
+
 def mean_over_axis(x: Tensor, axis: int) -> Tensor:
     axis = axis % x.ndim
     n = x.shape[axis]
@@ -339,14 +353,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         raise ShapeMismatch(f"embedding table must be rank 2, got {table.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ShapeMismatch(f"embedding id out of range for vocab {table.shape[0]}")
-    tshape = table.shape
-
-    def grad_fn(g):
-        gt = np.zeros(tshape, dtype=np.float64)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, tshape[1]))
-        return (gt,)
-
-    return _finish("embedding_lookup", (table,), table.data[ids], grad_fn)
+    return gather(table, ids)
 
 
 # ---- nonlinearities and norms ----

@@ -64,6 +64,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             name = blob[need(name_len):offset].decode("utf-8")
         except UnicodeDecodeError as err:
             raise BadConfig(f"cannot read checkpoint {path}: {err}") from err
+        if name in out:
+            raise BadConfig(f"{path}: tensor {name} appears twice")
         at = need(4)
         (rank,) = struct.unpack_from("<I", blob, at)
         at = need(8 * rank)

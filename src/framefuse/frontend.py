@@ -118,8 +118,9 @@ def load_clip(path) -> VideoClip:
         raise TruncatedFile(f"{path}: clip header truncated")
     f, c, h, w = struct.unpack_from("<4I", blob, 4)
     need = 20 + 4 * f * c * h * w
-    if len(blob) < need:
-        raise TruncatedFile(f"{path}: expected {need} bytes, found {len(blob)}")
+    if len(blob) != need:
+        error = TruncatedFile if len(blob) < need else BadConfig
+        raise error(f"{path}: expected {need} bytes, found {len(blob)}")
     pixels = np.frombuffer(blob, dtype="<f4", count=f * c * h * w, offset=20)
     if not np.isfinite(pixels).all():
         raise BadConfig(f"{path}: non-finite pixel values")

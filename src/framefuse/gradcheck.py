@@ -112,6 +112,8 @@ def _op_cases():
     cases.append(("norm_linear_softmax_ce", lambda: ad.cross_entropy(
         ad.linear(ad.rms_norm(chain_x, chain_g), chain_w), tg2),
         {"x": chain_x, "gain": chain_g, "w": chain_w}))
+    rows = np.array([2, 0, 2, 1, 2])  # row 2 feeds three outputs
+    cases.append(squared("gather", lambda x: ad.gather(x, rows), x=t(3, 2, 2)))
     return cases
 
 

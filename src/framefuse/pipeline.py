@@ -1,10 +1,22 @@
 """End-to-end model assembly: pixels -> patches -> encoder -> compression ->
 decoder logits, wired per fusion method.
 
-Each attention scope (a frame, or a through-encoder group of k frames) is
-folded into the batch axis and encoded unmasked, which is bitwise identical
-to block-diagonal masking over the flat sequence because blocked attention
-weights underflow to exactly zero.
+Each attention scope (a frame, a through-encoder group of k frames, or a
+channel-merged frame) is folded into the batch axis and encoded unmasked,
+which is bitwise identical to block-diagonal masking over the flat sequence
+because blocked attention weights underflow to exactly zero.
+
+A scope's encoder output depends on its own pixels alone, so byte-equal
+scopes encode to bitwise-equal outputs. The clip generators hold frames
+still, and a batch repeats many scopes. `video_token_forward` therefore
+encodes each distinct scope once, then copies each result back to every
+scope that repeats it with one taped `gather`, whose backward sums the
+repeats' gradients. The patch projection still runs on every scope: on
+fewer rows OpenBLAS may switch to its small-matrix kernel, which sums an
+inner extent above 384 (patch_dim is 588 at patch 14) in another order, and
+the logits would no longer be bitwise those of encoding every scope. The
+encoder's own inner extents, enc_hidden and enc_ffn, are 32 and 64 by
+default, where row count does not change the sums.
 """
 from __future__ import annotations
 
@@ -12,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, linear, param, reshape
+from .autodiff import Tensor, add, gather, linear, param, reshape
 from .compressor import (TokenBudget, compress, init_compressor_params,
                          token_budget)
 from .decoder import (answer_logits, causal_decode, init_decoder_params,
@@ -143,6 +155,48 @@ def _check_pixels(cfg: ModelConfig, pixels: np.ndarray) -> None:
                             f"{want[2]}, {want[3]}]")
 
 
+def _first_and_index(keys) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows by key: key j first appears at row first[j], and row i has
+    key index[i], keys numbered in order of first appearance."""
+    seen: dict = {}
+    first, index = [], []
+    for i, key in enumerate(keys):
+        j = seen.setdefault(key, len(seen))
+        if j == len(first):
+            first.append(i)
+        index.append(j)
+    return np.array(first), np.array(index)
+
+
+def _distinct_scopes(scopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, index) for rows `scopes` [N, D]: rows `first` are pairwise
+    byte-distinct, in order of first appearance, and row i equals row
+    first[index[i]] byte for byte.
+
+    Rows are grouped by the bits of a fingerprint, each row's dot product
+    with a fixed vector. `np.einsum` runs the same loop over every row of one
+    call, so byte-equal rows get bit-equal fingerprints; a BLAS GEMV does not
+    promise that, and OpenBLAS does sum equal rows differently by position.
+    Every repeat is then confirmed byte for byte; rows that share a
+    fingerprint but not their bytes (0.0 and -0.0 both sum to 0.0) send the
+    grouping to the rows' own bytes."""
+    weights = np.cos(np.arange(scopes.shape[1]) * 0.7548776662466927)
+    n = len(scopes)
+    # rows whose first 64 values differ are distinct: an all-distinct batch
+    # costs one pass over 64 columns, not over every row
+    head = np.einsum("ij,j->i", scopes[:, :64], weights[:64]).view(np.uint64)
+    if len(set(head.tolist())) == n:
+        return np.arange(n), np.arange(n)
+    fingerprints = np.einsum("ij,j->i", scopes, weights).view(np.uint64).tolist()
+    first, index = _first_and_index(fingerprints)
+    source = first[index]
+    # row by row: gathering all repeats at once costs megabytes of fresh pages
+    if any(i != j and scopes[i].tobytes() != scopes[j].tobytes()
+           for i, j in enumerate(source.tolist())):
+        first, index = _first_and_index(row.tobytes() for row in scopes)
+    return first, index
+
+
 def video_token_forward(bundle: ModelBundle, pixels: np.ndarray) -> Tensor:
     """[B, F, C, H, W] pixels -> [B, L_decoder, out] compressed video tokens."""
     cfg = bundle.cfg
@@ -159,7 +213,11 @@ def video_token_forward(bundle: ModelBundle, pixels: np.ndarray) -> Tensor:
     if cfg.method is FusionMethod.THROUGH_ENCODER:
         # k divides each clip's frames, so no group spans two clips
         seqs = merge_neighbor_frames(seqs, k, bundle.params["pos.temporal"])
-    enc = encode(seqs, cfg, bundle.params)
+    first, index = _distinct_scopes(vecs.reshape(seqs.shape[0], -1))
+    if first.size < index.size:
+        enc = gather(encode(gather(seqs, first), cfg, bundle.params), index)
+    else:
+        enc = encode(seqs, cfg, bundle.params)
     enc = reshape(enc, (b, enc.shape[0] // b) + enc.shape[1:])
     out = compress(enc, cfg, bundle.params)
     bb, g, l, oh = out.shape
@@ -207,7 +265,9 @@ def _attention_block_flops(seq: int, width: int, ffn: int) -> int:
 
 
 def model_flops_per_clip(cfg: ModelConfig) -> int:
-    """Forward-pass matmul flops for one clip, by component. Deterministic in
+    """Forward-pass matmul flops for one clip, by component: the all-distinct
+    cost. A clip whose encoder scopes repeat costs less, since
+    `video_token_forward` encodes each distinct scope once. Deterministic in
     the config; elementwise work (norms, gelu, softmax) is not counted."""
     t, l, h, k = cfg.tokens_per_frame, cfg.tokens_per_group, cfg.enc_hidden, cfg.k
     out = cfg.out_hidden

@@ -6,6 +6,9 @@ into the batch axis and encodes unmasked. build_scope_mask gives the
 block-diagonal mask under which one flat sequence, run through masked_encode,
 encodes exactly like those folded scopes.
 
+video_token_forward encodes each distinct scope once and copies the result to
+its repeats; all_scopes_video_token_forward encodes every scope.
+
 RngState draws its arrays in numpy lanes; scalar_normal_array and
 scalar_uniform_array draw the same values one `next_u64` call at a time.
 
@@ -17,9 +20,13 @@ import math
 import numpy as np
 
 from framefuse import encoder
-from framefuse.autodiff import GELU_COEFF, MASK_BLOCKED, Tensor, reshape
-from framefuse.frontend import VideoClip
-from framefuse.pipeline import ModelConfig
+from framefuse.autodiff import (GELU_COEFF, MASK_BLOCKED, Tensor, add, linear,
+                                reshape)
+from framefuse.compressor import compress
+from framefuse.decoder import answer_logits, causal_decode
+from framefuse.frontend import (FusionMethod, VideoClip, extract_patches,
+                                merge_neighbor_frames, merge_temporal_channels)
+from framefuse.pipeline import ModelBundle, ModelConfig
 from framefuse.rng import RngState
 
 
@@ -40,6 +47,35 @@ def masked_encode(tokens: Tensor, cfg: ModelConfig, mask: Tensor | None,
     for i in range(cfg.enc_layers):
         x = encoder.block(x, params, f"enc.{i}", cfg.enc_heads, cfg.norm_eps, mask)
     return reshape(x, tokens.shape) if squeeze else x
+
+
+def all_scopes_video_token_forward(bundle: ModelBundle, pixels: np.ndarray) -> Tensor:
+    """[B, F, C, H, W] pixels -> [B, L_decoder, out], every scope encoded."""
+    cfg = bundle.cfg
+    b = pixels.shape[0]
+    k, t, h = cfg.k, cfg.tokens_per_frame, cfg.enc_hidden
+    if cfg.method is FusionMethod.PRE_ENCODER_CHANNEL_MERGE:
+        pixels = merge_temporal_channels(pixels, k)
+    vecs = extract_patches(pixels, cfg.patch)  # [B, F', T, pd]
+    tokens = linear(Tensor(vecs), bundle.params["patch_proj.w"],
+                    bundle.params["patch_proj.b"])
+    tokens = add(tokens, bundle.params["pos.spatial"])
+    seqs = reshape(tokens, (b * cfg.encoder_frames, t, h))
+    if cfg.method is FusionMethod.THROUGH_ENCODER:
+        seqs = merge_neighbor_frames(seqs, k, bundle.params["pos.temporal"])
+    enc = encoder.encode(seqs, cfg, bundle.params)
+    enc = reshape(enc, (b, enc.shape[0] // b) + enc.shape[1:])
+    out = compress(enc, cfg, bundle.params)
+    bb, g, l, oh = out.shape
+    return reshape(out, (bb, g * l, oh))
+
+
+def all_scopes_forward_logits(bundle: ModelBundle, pixels: np.ndarray,
+                              question_ids: np.ndarray) -> Tensor:
+    """forward_logits over all_scopes_video_token_forward."""
+    video = all_scopes_video_token_forward(bundle, pixels)
+    return answer_logits(causal_decode(video, question_ids, bundle.cfg, bundle.params),
+                         bundle.params)
 
 
 def kangaroo_identity_mlp(h: int) -> dict[str, np.ndarray]:

@@ -42,10 +42,10 @@ def report(n: int, text: str) -> None:
 
 def test_criterion_1_gradient_suite(gradient_suite):
     reports, elapsed = gradient_suite
-    assert len(reports) == 18  # 15 op cases + 3 composites
+    assert len(reports) == 19  # 16 op cases + 3 composites
     ops = [(n, r) for n, r in reports if r.tol == 1e-6]
     composites = [(n, r) for n, r in reports if r.tol == 1e-4]
-    assert len(ops) == 15 and len(composites) == 3
+    assert len(ops) == 16 and len(composites) == 3
     assert {n for n, _ in composites} == {"channel-merge", "qformer",
                                           "through-encoder"}
     for name, rep in reports:
@@ -53,7 +53,7 @@ def test_criterion_1_gradient_suite(gradient_suite):
         assert rep.max_rel_err < rep.tol
     assert elapsed < 120.0
     worst = max(r.max_rel_err for _, r in reports)
-    report(1, f"18 gradient checks pass (worst rel err {worst:.2e}) "
+    report(1, f"19 gradient checks pass (worst rel err {worst:.2e}) "
               f"in {elapsed:.1f}s")
 
 

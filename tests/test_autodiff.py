@@ -6,7 +6,8 @@ from hypothesis.extra import numpy as hnp
 
 from framefuse.autodiff import (MASK_BLOCKED, Gradients, Tape, Tensor, add,
                                 attention, backward, concat_axis, constant,
-                                cross_entropy, embedding_lookup, gelu, linear,
+                                cross_entropy, embedding_lookup, gather, gelu,
+                                linear,
                                 matmul, mean_over_axis, multiply, narrow,
                                 param, permute, reshape, rms_norm, scale,
                                 softmax_lastdim, sum_all, swap_last_two)
@@ -286,6 +287,20 @@ def test_embedding_lookup_scatters_gradient():
     expect[1] = 2.0
     expect[4] = 1.0
     expect[0] = 1.0
+    assert np.array_equal(g, expect)
+
+
+def test_gather_copies_rows_and_sums_their_gradients():
+    x = param(np.arange(12.0).reshape(3, 2, 2))
+    index = np.array([2, 0, 2, 2])
+    out = gather(x, index)
+    assert np.array_equal(out.data, x.data[index])
+    weights = constant(np.arange(1.0, 5.0).reshape(4, 1, 1))
+    (g,) = grad_of(lambda t: sum_all(multiply(gather(t, index), weights)), x)
+    # row 2 feeds outputs 0, 2 and 3; row 1 feeds none
+    expect = np.zeros((3, 2, 2))
+    expect[0] = 2.0
+    expect[2] = 1.0 + 3.0 + 4.0
     assert np.array_equal(g, expect)
 
 

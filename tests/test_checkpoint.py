@@ -8,8 +8,8 @@ from framefuse.autodiff import Tensor
 from framefuse.checkpoint import (CHECKPOINT_MAGIC, apply_checkpoint,
                                   load_checkpoint, load_checkpoint_meta,
                                   save_checkpoint)
-from framefuse.errors import (BadMagic, ShapeMismatch, TruncatedFile,
-                              UnknownParameter)
+from framefuse.errors import (BadConfig, BadMagic, ShapeMismatch,
+                              TruncatedFile, UnknownParameter)
 
 
 def sample_params(seed=0):
@@ -83,6 +83,15 @@ def test_truncated_record(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:len(blob) - 7])
     with pytest.raises(TruncatedFile, match="cut off"):
+        load_checkpoint(path)
+
+
+def test_repeated_tensor_name_rejected(tmp_path):
+    path = tmp_path / "m.tfz"
+    save_checkpoint({"w": Tensor(np.ones((2, 3)))}, path)
+    blob = path.read_bytes()
+    path.write_bytes(blob + blob[4:])  # the one record, twice
+    with pytest.raises(BadConfig, match="tensor w appears twice"):
         load_checkpoint(path)
 
 

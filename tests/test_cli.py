@@ -68,7 +68,7 @@ def test_gradcheck_ops_prints_pass_lines(capsys):
     code, out, _ = run(capsys, "gradcheck", "--module", "ops")
     assert code == 0
     lines = out.strip().split("\n")
-    assert len(lines) == 15
+    assert len(lines) == 16
     for line in lines:
         assert line.startswith("PASS ")
         assert "max rel err" in line and "(tol 1e-06)" in line
@@ -332,6 +332,32 @@ def test_eval_non_finite_checkpoint_is_validation_error(capsys, tmp_path, value)
     assert code == 1
     assert out == ""
     assert_one_error_line(err, "non-finite", "dec.head_w")
+
+
+@pytest.mark.parametrize("case", ("repeated-tensor", "clip-trailing-bytes"))
+def test_eval_extra_records_and_bytes_are_validation_errors(capsys, tmp_path, case):
+    cfg_path, ckpt, data = tmp_path / "train.json", tmp_path / "m.tfz", tmp_path / "ds"
+    cfg_path.write_text(json.dumps(TINY_TRAIN))
+    run(capsys, "train", "--method", "baseline", "--k", "1", "--n-input", "8",
+        "--per-category", "2", "--config", str(cfg_path), "--out", str(ckpt))
+    run(capsys, "gen-data", "--per-category", "1", "--seed", "5", "--out", str(data),
+        "--frames", "8")
+    if case == "repeated-tensor":
+        # the first record again: u32 name length, name, u32 rank, u64 extents, values
+        name, values = next(iter(load_checkpoint(ckpt).items()))
+        size = 4 + len(name) + 4 + 8 * values.ndim + 8 * values.size
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob + blob[4:4 + size])
+        fragments = (name, "appears twice")
+    else:
+        clip = sorted((data / "clips").glob("*.clp"))[0]
+        size = clip.stat().st_size
+        clip.write_bytes(clip.read_bytes() + bytes(4))
+        fragments = (clip.name, f"expected {size} bytes, found {size + 4}")
+    code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(data))
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err, *fragments)
 
 
 def test_missing_input_paths_are_validation_errors(capsys, tmp_path):

@@ -166,6 +166,15 @@ def test_clip_truncated_payload(tmp_path):
         load_clip(path)
 
 
+def test_clip_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "long.clp"
+    save_clip(VideoClip(pixels=Tensor(np.zeros((2, 3, 4, 4)))), path)
+    size = 20 + 4 * 2 * 3 * 4 * 4
+    path.write_bytes(path.read_bytes() + bytes(4))
+    with pytest.raises(BadConfig, match=f"expected {size} bytes, found {size + 4}"):
+        load_clip(path)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_clip_non_finite_pixels_rejected(tmp_path, bad):
     pixels = np.zeros((2, 3, 4, 4))

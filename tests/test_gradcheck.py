@@ -50,7 +50,7 @@ def test_norm_linear_softmax_ce_chain():
 
 def test_op_suite_passes():
     reports = run_gradient_suite(("ops",))
-    assert len(reports) == 15
+    assert len(reports) == 16
     for name, report in reports:
         assert report.passed, f"{name}: {report.max_rel_err}"
         assert report.max_rel_err < 1e-6

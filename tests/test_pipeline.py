@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from framefuse import autodiff
+from framefuse import autodiff, pipeline
 from framefuse.autodiff import Tape, backward
+from framefuse.decoder import mcq_loss
 from framefuse.errors import (BadConfig, IndivisibleFrames,
                               IndivisibleResolution, ShapeMismatch)
 from framefuse.frontend import COMPRESSION_METHODS, FusionMethod
@@ -15,6 +16,7 @@ from framefuse.pipeline import (ModelConfig, batch_loss, build_model,
                                 video_token_forward)
 from framefuse.rng import RngState
 from framefuse.synthclips import TOKEN_TO_ID, VOCAB
+from oracles import all_scopes_forward_logits
 from test_acceptance import _audit_config
 
 MICRO = dict(n_input=4, height=8, width=8, patch=2, enc_layers=1, enc_hidden=8,
@@ -167,8 +169,15 @@ def test_flops_scale_with_compression():
     assert te2 > pllava2
 
 
-def _counted_forward_flops(cfg, monkeypatch) -> int:
-    """2*m*k*n summed over the matmuls of one B=1 forward_logits."""
+def _distinct_frames(cfg) -> np.ndarray:
+    """[1, F, C, H, W] pixels whose frames, merged frames and frame groups
+    are pairwise distinct: frame f holds the value f + 1 everywhere."""
+    values = np.arange(1.0, cfg.n_input + 1).reshape(1, -1, 1, 1, 1)
+    return np.broadcast_to(values, (1, cfg.n_input, cfg.channels, cfg.height, cfg.width))
+
+
+def _counted_forward_flops(cfg, monkeypatch, pixels) -> int:
+    """2*m*k*n summed over the matmuls of one B=1 forward_logits on `pixels`."""
     flops = []
     real = autodiff.matmul
 
@@ -179,27 +188,128 @@ def _counted_forward_flops(cfg, monkeypatch) -> int:
         return out
 
     bundle = build_model(cfg, 0)
-    pixels = np.zeros((1, cfg.n_input, cfg.channels, cfg.height, cfg.width))
     with monkeypatch.context() as patch:
         patch.setattr(autodiff, "matmul", counting)
         forward_logits(bundle, pixels, question_batch(1))
     return sum(flops)
 
 
+def _desk_configs():
+    cells = [(FusionMethod.BASELINE, 1)] + [(m, k) for m in COMPRESSION_METHODS
+                                            for k in (2, 4)]
+    return [ModelConfig(method=m, k=k, n_input=n, patch=patch)
+            for m, k in cells for patch, n in ((14, 8), (7, 16))]
+
+
+def _scopes_per_clip(cfg) -> int:
+    group = cfg.k if cfg.method is FusionMethod.THROUGH_ENCODER else 1
+    return cfg.encoder_frames // group
+
+
 def test_flop_formula_matches_counted_forward(monkeypatch):
-    # shapes alone decide the count, so zero weights skip the slow draws
+    # the formula is the all-distinct cost: repeated scopes are encoded once,
+    # so the counted forward must see pairwise-distinct frames. Shapes alone
+    # decide the count, so zero weights skip the slow draws
     monkeypatch.setattr(RngState, "normal_array", lambda self, shape, std=1.0: np.zeros(shape))
     audit = [_audit_config(m, k, n) for m in COMPRESSION_METHODS
              for k in (1, 2, 4, 8, 16) for n in (8, 16, 32) if n % k == 0]
-    desk_cells = [(FusionMethod.BASELINE, 1)] + [(m, k) for m in COMPRESSION_METHODS
-                                                  for k in (2, 4)]
-    desk = [ModelConfig(method=m, k=k, n_input=n, patch=patch)
-            for m, k in desk_cells for patch, n in ((14, 8), (7, 16))]
+    desk = _desk_configs()
     assert (len(audit), len(desk)) == (70, 22)
     wrong = [(cfg.method.value, cfg.k, cfg.n_input, cfg.patch)
              for cfg in audit + desk
-             if model_flops_per_clip(cfg) != _counted_forward_flops(cfg, monkeypatch)]
+             if model_flops_per_clip(cfg) != _counted_forward_flops(cfg, monkeypatch,
+                                                                   _distinct_frames(cfg))]
     assert wrong == []
+
+
+def test_all_zero_pixels_count_one_scope(monkeypatch):
+    # every scope of an all-zero clip repeats the first, so the encoder runs
+    # on one scope; the patch projection still runs on every scope
+    monkeypatch.setattr(RngState, "normal_array", lambda self, shape, std=1.0: np.zeros(shape))
+    wrong = []
+    for cfg in _desk_configs():
+        scopes = _scopes_per_clip(cfg)
+        seq, h = cfg.encoder_frames // scopes * cfg.tokens_per_frame, cfg.enc_hidden
+        one_scope = cfg.enc_layers * (8 * seq * h * h + 4 * seq * seq * h
+                                      + 4 * seq * h * cfg.enc_ffn)
+        zeros = np.zeros((1, cfg.n_input, cfg.channels, cfg.height, cfg.width))
+        if (_counted_forward_flops(cfg, monkeypatch, zeros)
+                != model_flops_per_clip(cfg) - (scopes - 1) * one_scope):
+            wrong.append((cfg.method.value, cfg.k, cfg.n_input, cfg.patch))
+    assert wrong == []
+
+
+def _scope_batches(n_input: int) -> dict[str, np.ndarray]:
+    """Three 28px clips: all scopes distinct, and with scopes repeated
+    within a clip (a still clip, a clip whose second half repeats its first)
+    and across clips (one clip copies another but ends on black frames)."""
+    distinct = np.random.default_rng(n_input).random((3, n_input, 3, 28, 28))
+    repeated = distinct.copy()
+    repeated[0, 1:] = repeated[0, :1]
+    repeated[1, n_input // 2:] = repeated[1, :n_input // 2]
+    repeated[2] = repeated[1]
+    repeated[2, -4:] = 0.0
+    return {"distinct": distinct, "repeated": repeated}
+
+
+def _distinct_scope_count(cfg, pixels) -> int:
+    """Byte-distinct encoder scopes: runs of n_input / scopes-per-clip frames."""
+    per_scope = cfg.n_input // _scopes_per_clip(cfg) * pixels[0, 0].size
+    return len({row.tobytes() for row in pixels.reshape(-1, per_scope)})
+
+
+@pytest.mark.parametrize("patch,n_input", [(14, 8), (7, 16)])
+@pytest.mark.parametrize("method", list(FusionMethod))
+def test_repeated_scopes_encode_once_and_match_the_oracle(method, patch, n_input, monkeypatch):
+    cfg = ModelConfig(method=method, k=1 if method is FusionMethod.BASELINE else 2,
+                      n_input=n_input, patch=patch)
+    bundle = build_model(cfg, 7)
+    questions, answers = question_batch(3), np.array([0, 3, 1])
+    encoded = []
+    real = pipeline.encode
+
+    def counting(tokens, cfg, params):
+        encoded.append(tokens.shape[0])
+        return real(tokens, cfg, params)
+
+    for kind, pixels in _scope_batches(n_input).items():
+        results = []
+        for forward in (forward_logits, all_scopes_forward_logits):
+            encoded.clear()
+            with monkeypatch.context() as patch_ctx, Tape() as tape:
+                patch_ctx.setattr(pipeline, "encode", counting)
+                logits = forward(bundle, pixels, questions)
+                grads = backward(tape, mcq_loss(logits, answers))
+            results.append((logits.data, {n: grads[p] for n, p in bundle.params.items()},
+                            list(encoded)))
+        (logits, grads, calls), (want_logits, want_grads, _) = results
+        assert np.array_equal(logits, want_logits), kind
+        # repeats' gradients are summed before the encoder's backward, not
+        # inside its weight GEMMs, so the sums round differently: bounded
+        # against each gradient's largest entry, since an entry that cancels
+        # to near zero has no relative precision of its own
+        for name, g in grads.items():
+            want = want_grads[name]
+            assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max(), (kind, name)
+        assert calls == [_distinct_scope_count(cfg, pixels)], kind
+        if kind == "distinct":
+            assert calls == [3 * _scopes_per_clip(cfg)]
+
+
+def test_distinct_scopes_compare_bytes():
+    first, index = pipeline._distinct_scopes(np.arange(18.0)[::-1].reshape(6, 3))
+    assert first.tolist() == index.tolist() == list(range(6))
+    rows = np.arange(18.0).reshape(6, 3)
+    rows[3] = rows[0]
+    rows[4] = rows[5] = rows[1]
+    first, index = pipeline._distinct_scopes(rows)
+    assert (first.tolist(), index.tolist()) == ([0, 1, 2], [0, 1, 2, 0, 1, 1])
+    # equal numbers with unequal bytes, and equal bytes with unequal numbers
+    rows = np.zeros((5, 3))
+    rows[1, 0] = -0.0
+    rows[2] = rows[4] = np.nan
+    first, index = pipeline._distinct_scopes(rows)
+    assert (first.tolist(), index.tolist()) == ([0, 1, 2], [0, 1, 2, 0, 2])
 
 
 def test_flops_deterministic_in_config():
