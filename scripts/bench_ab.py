@@ -11,7 +11,10 @@ run's grid CSV sha256 digests (from its `info` line; empty off grid-ff).
 
 Each metric also gets a verdict: `better` (or `worse`) when the change wins
 (or loses) at least 9 of every 10 pairs and the two medians differ by more
-than the parent's interquartile range, `unresolved` otherwise.
+than the parent's interquartile range, `unresolved` otherwise. Each
+end-to-end metric also gets `within_bound`: the change's median is no worse
+than the parent's by more than the metric's `bound` fraction in
+`BENCHMARK.json`, the rule a change that claims no gain is held to.
 
 Usage:
     python3 scripts/bench_ab.py --parent HEAD~1 --workload train-desk \\
@@ -60,7 +63,8 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def compare(parent_runs: list[dict], change_runs: list[dict], better: dict[str, str]) -> dict:
+def compare(parent_runs: list[dict], change_runs: list[dict], better: dict[str, str],
+            bounds: dict[str, float] | None = None) -> dict:
     metrics = {}
     for name, first in change_runs[0]["metrics"].items():
         p = [r["metrics"][name]["value"] for r in parent_runs]
@@ -79,6 +83,9 @@ def compare(parent_runs: list[dict], change_runs: list[dict], better: dict[str, 
             "parent_iqr": iqr,
             "verdict": verdict(wins, losses, len(p), abs(change["median"] - parent["median"]) > iqr),
         }
+        if bounds and name in bounds:
+            drift = sign * (change["median"] - parent["median"])
+            metrics[name]["within_bound"] = drift >= -bounds[name] * abs(parent["median"])
     return metrics
 
 
@@ -107,6 +114,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
         parent_tree = Path(tmp)
@@ -128,7 +136,7 @@ def main(argv=None) -> int:
         "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
         "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
         "grid_csv_sha256": {side: [r["grid_csv_sha256"] for r in rs] for side, rs in runs.items()},
-        "metrics": compare(runs["parent"], runs["change"], better),
+        "metrics": compare(runs["parent"], runs["change"], better, bounds),
     }
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
@@ -136,7 +144,8 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(doc, indent=2) + "\n")
     for name, m in entry["metrics"].items():
         print(f"{name:34s} parent {m['parent']['median']:.6g}  change {m['change']['median']:.6g}"
-              f"  wins {m['change_wins']}/{m['pairs']}  {m['verdict']}")
+              f"  wins {m['change_wins']}/{m['pairs']}  {m['verdict']}"
+              + ("" if m.get("within_bound", True) else "  OUTSIDE BOUND"))
     return 0
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AllMaskedRow, NotScalarLoss, ShapeMismatch
+from .errors import ShapeMismatch
 
 # Additive mask sentinel for blocked attention entries. exp(x - rowmax)
 # underflows to exactly 0.0 for x this far below any finite row max, so
@@ -152,7 +152,7 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
     leaves on no path to the loss get zeros.
     """
     if loss.shape != ():
-        raise NotScalarLoss(f"loss has shape {loss.shape}, expected a scalar")
+        raise ShapeMismatch(f"loss has shape {loss.shape}, expected a scalar")
     adjoint: dict[int, np.ndarray] = {loss.tid: np.array(1.0)}
     for node in reversed(tape.nodes):
         g = adjoint.get(node.output_id)
@@ -459,14 +459,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor | None = None) -> Te
     """softmax(q k^T / sqrt(d) + mask) v with an additive 0/MASK_BLOCKED mask.
 
     q [..., Tq, d], k [..., Tk, d], v [..., Tk, dv]; mask broadcasts onto the
-    score shape [..., Tq, Tk]. Raises AllMaskedRow if any query row has no
+    score shape [..., Tq, Tk]. Raises ShapeMismatch if any query row has no
     allowed key. Blocked entries receive exactly zero weight.
     """
     if mask is not None:
         if mask.shape[-2:] != (q.shape[-2], k.shape[-2]):
             raise ShapeMismatch(f"mask {mask.shape} for scores [..., {q.shape[-2]}, {k.shape[-2]}]")
         if np.any(mask.data.max(axis=-1) <= MASK_BLOCKED * 0.5):
-            raise AllMaskedRow("a query row blocks every key")
+            raise ShapeMismatch("a query row blocks every key")
     d = q.shape[-1]
     scores = scale(matmul(q, swap_last_two(k)), 1.0 / math.sqrt(d))
     if mask is not None:

@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import (BadConfig, BadMagic, ShapeMismatch, TruncatedFile,
-                     UnknownParameter, read_json)
+from .errors import BadConfig, read_json
 
 CHECKPOINT_MAGIC = b"TFZ1"
 
@@ -45,7 +44,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     except OSError as err:
         raise BadConfig(f"cannot read checkpoint {path}: {err}") from err
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise BadMagic(f"{path}: not a TFZ1 checkpoint")
+        raise BadConfig(f"{path}: not a TFZ1 checkpoint")
     out: dict[str, np.ndarray] = {}
     offset = 4
     end = len(blob)
@@ -53,7 +52,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     def need(n: int):
         nonlocal offset
         if offset + n > end:
-            raise TruncatedFile(f"{path}: record cut off at byte {offset}")
+            raise BadConfig(f"{path}: record cut off at byte {offset}")
         offset += n
         return offset - n
 
@@ -91,8 +90,8 @@ def apply_checkpoint(params: dict[str, Tensor], loaded: dict[str, np.ndarray]) -
     extra = sorted(set(loaded) - set(params))
     missing = sorted(set(params) - set(loaded))
     if extra or missing:
-        raise UnknownParameter(f"checkpoint/model name mismatch: extra {extra}, missing {missing}")
+        raise BadConfig(f"checkpoint/model name mismatch: extra {extra}, missing {missing}")
     for name, values in loaded.items():
         if params[name].shape != values.shape:
-            raise ShapeMismatch(f"{name}: checkpoint {values.shape} vs model {params[name].shape}")
+            raise BadConfig(f"{name}: checkpoint {values.shape} vs model {params[name].shape}")
         params[name].data[...] = values

@@ -11,9 +11,8 @@ import sys
 from .checkpoint import (apply_checkpoint, load_checkpoint,
                          load_checkpoint_meta, save_checkpoint)
 from .compressor import token_budget
-from .errors import (BadConfig, GradientCheckFailed, NumericalError,
-                     ValidationError, check_json, out_path, read_json,
-                     read_text)
+from .errors import (BadConfig, NumericalError, ValidationError, check_json,
+                     check_keys, out_path, read_json, read_text)
 from .frontend import FusionMethod, parse_method
 from .gradcheck import SUITES, run_gradient_suite
 from .grid import ExperimentSpec, GridAxis, results_to_csv, run_grid
@@ -22,14 +21,6 @@ from .report import read_table_csv, render_table
 from .synthclips import (CATEGORY_ORDER, GenConfig, dataset_stats, gen_dataset,
                          load_dataset, save_dataset)
 from .training import TrainConfig, evaluate, train
-
-
-def _train_config(d: dict) -> TrainConfig:
-    check_json(d, dict, "train config")
-    unknown = sorted(set(d) - set(TrainConfig.__dataclass_fields__))
-    if unknown:
-        raise BadConfig(f"unknown train config keys {unknown}")
-    return TrainConfig(**d)
 
 
 def cmd_gen_data(args) -> int:
@@ -44,7 +35,8 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     out_path(args.out, "checkpoint")
     out_path(f"{args.out}.json", "checkpoint sidecar")
-    tcfg = _train_config(read_json(args.config, "config")) if args.config else TrainConfig()
+    tcfg = (TrainConfig(**check_keys(read_json(args.config, "config"), TrainConfig, "train config"))
+            if args.config else TrainConfig())
     if args.data:
         dataset, gcfg = load_dataset(args.data)
         if gcfg.frames != args.n_input:
@@ -87,10 +79,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    kwargs = read_json(args.config, "config")
-    unknown = sorted(set(kwargs) - set(ExperimentSpec.__dataclass_fields__))
-    if unknown:
-        raise BadConfig(f"unknown experiment config keys {unknown}")
+    kwargs = check_keys(read_json(args.config, "config"), ExperimentSpec, "experiment config")
     axes = ", ".join(a.value for a in GridAxis)
     if "axis" not in kwargs:
         raise BadConfig(f"experiment config {args.config} needs an \"axis\": {axes}")
@@ -99,7 +88,7 @@ def cmd_grid(args) -> int:
     except ValueError:
         raise BadConfig(f"unknown axis {kwargs['axis']!r}; expected one of {axes}") from None
     if "train" in kwargs:
-        kwargs["train"] = _train_config(kwargs["train"])
+        kwargs["train"] = TrainConfig(**check_keys(kwargs["train"], TrainConfig, "train config"))
     if "methods" in kwargs:
         methods = check_json(kwargs["methods"], list, "methods")
         kwargs["methods"] = tuple(parse_method(m) for m in methods)
@@ -132,7 +121,7 @@ def cmd_gradcheck(args) -> int:
         if not report.passed:
             failed.append(name)
     if failed:
-        raise GradientCheckFailed(f"{len(failed)} case(s) failed: {', '.join(failed)}")
+        raise NumericalError(f"{len(failed)} case(s) failed: {', '.join(failed)}")
     return 0
 
 

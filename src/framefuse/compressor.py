@@ -18,7 +18,7 @@ from .autodiff import (Tensor, add, constant, gelu, linear, mean_over_axis,
                        permute, reshape, rms_norm)
 from .encoder import (ParamInit, feed_forward, multihead_attention,
                       self_attention)
-from .errors import NonIntegralBudget
+from .errors import BadConfig
 from .frontend import FusionMethod
 from .rng import RngState
 
@@ -37,9 +37,9 @@ class TokenBudget:
 def token_budget(n_input: int, l: int, k: int) -> TokenBudget:
     """Decoder-side token count N_input * l / k; must divide exactly."""
     if n_input < 1 or l < 1 or k < 1:
-        raise NonIntegralBudget(f"budget needs positive n_input/l/k, got {n_input}/{l}/{k}")
+        raise BadConfig(f"budget needs positive n_input/l/k, got {n_input}/{l}/{k}")
     if (n_input * l) % k:
-        raise NonIntegralBudget(f"{n_input}*{l} not divisible by k={k}")
+        raise BadConfig(f"{n_input}*{l} not divisible by k={k}")
     return TokenBudget(n_input=n_input, per_frame_tokens=l, ratio=k,
                        l_decoder=n_input * l // k)
 

@@ -13,7 +13,7 @@ import numpy as np
 from .autodiff import (MASK_BLOCKED, Tensor, concat_axis, cross_entropy,
                        embedding_lookup, linear, narrow, reshape, rms_norm)
 from .encoder import ParamInit, block
-from .errors import SequenceTooLong
+from .errors import BadConfig
 from .rng import RngState
 
 if TYPE_CHECKING:
@@ -61,7 +61,7 @@ def decode_hidden(video_tokens: Tensor, question_ids: np.ndarray, cfg: ModelConf
     x = concat_axis([video, question], 1)
     seq = x.shape[1]
     if seq > cfg.max_seq:
-        raise SequenceTooLong(f"sequence {seq} exceeds max_seq {cfg.max_seq}")
+        raise BadConfig(f"sequence {seq} exceeds max_seq {cfg.max_seq}")
     mask = build_causal_mask(seq)
     cos, sin = rotary_tables(seq, cfg.dec_hidden // cfg.dec_heads, ROTARY_BASE)
     rotary = (Tensor(cos), Tensor(sin))

@@ -18,46 +18,12 @@ class NumericalError(FrameFuseError):
     pass
 
 
-# -- numerics --
+class BadConfig(ValidationError):
+    """A config, CLI argument, file or dataset from outside the program was rejected."""
+
 
 class ShapeMismatch(ValidationError):
-    pass
-
-
-class AllMaskedRow(ValidationError):
-    """An attention query row whose mask blocks every key."""
-
-
-class NotScalarLoss(ValidationError):
-    pass
-
-
-# -- frontend --
-
-class IndivisibleResolution(ValidationError):
-    pass
-
-
-class IndivisibleFrames(ValidationError):
-    pass
-
-
-# -- compressor --
-
-class NonIntegralBudget(ValidationError):
-    pass
-
-
-# -- decoder --
-
-class SequenceTooLong(ValidationError):
-    pass
-
-
-# -- synthclips --
-
-class BadConfig(ValidationError):
-    pass
+    """Code passed an autodiff op or a forward an operand it cannot take."""
 
 
 def check_fields(cfg, positive: tuple[str, ...] = ()) -> None:
@@ -82,6 +48,15 @@ def check_json(value, kind: type, what: str):
     if not isinstance(value, kind):
         shape = "object" if kind is dict else "list"
         raise BadConfig(f"{what} must be a JSON {shape}, got {value!r}")
+    return value
+
+
+def check_keys(value, cls: type, what: str) -> dict:
+    """Return `value` if it is a JSON object whose keys are all fields of
+    dataclass `cls`, else raise BadConfig naming `what`."""
+    unknown = sorted(set(check_json(value, dict, what)) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise BadConfig(f"unknown {what} keys {unknown}")
     return value
 
 
@@ -114,33 +89,3 @@ def out_path(path, what: str) -> Path:
     if not path.parent.is_dir():
         raise BadConfig(f"cannot write {what} {path}: {path.parent} is not a directory")
     return path
-
-
-class ZeroDuration(ValidationError):
-    pass
-
-
-# -- harness --
-
-class DivergedLoss(NumericalError):
-    pass
-
-
-class GradientCheckFailed(NumericalError):
-    pass
-
-
-class SchemaMismatch(ValidationError):
-    pass
-
-
-class BadMagic(ValidationError):
-    pass
-
-
-class TruncatedFile(ValidationError):
-    pass
-
-
-class UnknownParameter(ValidationError):
-    pass

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, add, reshape
-from .errors import BadConfig, BadMagic, ShapeMismatch, TruncatedFile
+from .errors import BadConfig, ShapeMismatch
 
 CLIP_MAGIC = b"CLP1"
 
@@ -113,14 +113,13 @@ def load_clip(path) -> VideoClip:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CLIP_MAGIC:
-        raise BadMagic(f"{path}: not a CLP1 clip")
+        raise BadConfig(f"{path}: not a CLP1 clip")
     if len(blob) < 20:
-        raise TruncatedFile(f"{path}: clip header truncated")
+        raise BadConfig(f"{path}: clip header truncated")
     f, c, h, w = struct.unpack_from("<4I", blob, 4)
     need = 20 + 4 * f * c * h * w
     if len(blob) != need:
-        error = TruncatedFile if len(blob) < need else BadConfig
-        raise error(f"{path}: expected {need} bytes, found {len(blob)}")
+        raise BadConfig(f"{path}: expected {need} bytes, found {len(blob)}")
     pixels = np.frombuffer(blob, dtype="<f4", count=f * c * h * w, offset=20)
     if not np.isfinite(pixels).all():
         raise BadConfig(f"{path}: non-finite pixel values")

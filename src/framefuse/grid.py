@@ -75,7 +75,6 @@ class RunResult:
     per_category: dict[str, float]
     accuracy: float
     final_loss: float
-    wall_seconds: float
     flops_per_clip: int
     steps: int
 
@@ -120,7 +119,6 @@ def run_cell(spec: ExperimentSpec, method: FusionMethod, k: int, n_input: int,
     return RunResult(method=method.value, k=k, n_input=n_input,
                      l_decoder=cfg.budget.l_decoder, per_category=score.per_category,
                      accuracy=score.accuracy, final_loss=outcome.final_loss,
-                     wall_seconds=outcome.wall_seconds,
                      flops_per_clip=model_flops_per_clip(cfg),
                      steps=outcome.steps_run)
 

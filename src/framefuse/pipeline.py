@@ -30,8 +30,7 @@ from .compressor import (TokenBudget, compress, init_compressor_params,
 from .decoder import (answer_logits, causal_decode, init_decoder_params,
                       mcq_loss)
 from .encoder import encode, init_encoder_params
-from .errors import (BadConfig, IndivisibleFrames, IndivisibleResolution,
-                     ShapeMismatch, check_fields, check_json)
+from .errors import BadConfig, ShapeMismatch, check_fields, check_keys
 from .frontend import (FusionMethod, extract_patches, merge_neighbor_frames,
                        merge_temporal_channels, parse_method)
 from .rng import RngState, derive_seed
@@ -70,25 +69,24 @@ class ModelConfig:
         if self.method is FusionMethod.BASELINE and self.k != 1:
             raise BadConfig("baseline path has no compression ratio; use k=1")
         if self.enc_hidden % self.enc_heads:
-            raise ShapeMismatch(f"enc_hidden {self.enc_hidden} not divisible by "
-                                f"enc_heads {self.enc_heads}")
+            raise BadConfig(f"enc_hidden {self.enc_hidden} not divisible by "
+                            f"enc_heads {self.enc_heads}")
         if self.dec_hidden % self.dec_heads:
-            raise ShapeMismatch(f"dec_hidden {self.dec_hidden} not divisible by "
-                                f"dec_heads {self.dec_heads}")
+            raise BadConfig(f"dec_hidden {self.dec_hidden} not divisible by "
+                            f"dec_heads {self.dec_heads}")
         if (self.dec_hidden // self.dec_heads) % 2:
-            raise ShapeMismatch("rotary needs an even per-head dimension (dec_hidden / dec_heads)")
+            raise BadConfig("rotary needs an even per-head dimension (dec_hidden / dec_heads)")
         if self.method is FusionMethod.POST_QFORMER and self.out_hidden % self.qformer_heads:
-            raise ShapeMismatch(f"out_hidden {self.out_hidden} not divisible by "
-                                f"qformer_heads {self.qformer_heads}")
+            raise BadConfig(f"out_hidden {self.out_hidden} not divisible by "
+                            f"qformer_heads {self.qformer_heads}")
         if self.height % self.patch or self.width % self.patch:
-            raise IndivisibleResolution(
-                f"{self.height}x{self.width} not divisible by patch {self.patch}")
+            raise BadConfig(f"{self.height}x{self.width} not divisible by patch {self.patch}")
         side = self.height // self.patch
         if side != self.width // self.patch or side % 2:
             raise BadConfig(f"patch grid {side}x{self.width // self.patch} "
                             "must be square with even side")
         if self.n_input % self.k:
-            raise IndivisibleFrames(f"{self.n_input} frames not divisible by k={self.k}")
+            raise BadConfig(f"{self.n_input} frames not divisible by k={self.k}")
         if self.vocab < len(VOCAB):
             raise BadConfig(f"vocab {self.vocab} smaller than question vocabulary {len(VOCAB)}")
 
@@ -181,12 +179,6 @@ def _distinct_scopes(scopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fingerprint but not their bytes (0.0 and -0.0 both sum to 0.0) send the
     grouping to the rows' own bytes."""
     weights = np.cos(np.arange(scopes.shape[1]) * 0.7548776662466927)
-    n = len(scopes)
-    # rows whose first 64 values differ are distinct: an all-distinct batch
-    # costs one pass over 64 columns, not over every row
-    head = np.einsum("ij,j->i", scopes[:, :64], weights[:64]).view(np.uint64)
-    if len(set(head.tolist())) == n:
-        return np.arange(n), np.arange(n)
     fingerprints = np.einsum("ij,j->i", scopes, weights).view(np.uint64).tolist()
     first, index = _first_and_index(fingerprints)
     source = first[index]
@@ -245,12 +237,7 @@ def config_to_dict(cfg: ModelConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ModelConfig:
-    check_json(d, dict, "model config")
-    known = set(ModelConfig.__dataclass_fields__)
-    unknown = sorted(set(d) - known)
-    if unknown:
-        raise BadConfig(f"unknown model config keys {unknown}")
-    kwargs = dict(d)
+    kwargs = dict(check_keys(d, ModelConfig, "model config"))
     kwargs["method"] = parse_method(kwargs.get("method"))
     return ModelConfig(**kwargs)
 

@@ -11,7 +11,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .errors import BadConfig, SchemaMismatch
+from .errors import BadConfig
 
 # identifier and cost columns; never bolded even though they parse as numbers
 NON_METRIC_COLUMNS = frozenset({"method", "k", "n_input", "l_decoder",
@@ -27,10 +27,10 @@ class ReportTable:
 
     def __post_init__(self):
         if len(set(self.columns)) != len(self.columns):
-            raise SchemaMismatch(f"duplicate columns in {self.columns}")
+            raise BadConfig(f"duplicate columns in {self.columns}")
         for i, row in enumerate(self.rows):
             if set(row) != set(self.columns):
-                raise SchemaMismatch(f"row {i} keys {sorted(row)} != schema {sorted(self.columns)}")
+                raise BadConfig(f"row {i} keys {sorted(row)} != schema {sorted(self.columns)}")
 
 
 def read_table_csv(text: str) -> ReportTable:
@@ -39,13 +39,13 @@ def read_table_csv(text: str) -> ReportTable:
     try:
         header = next(reader)
     except StopIteration:
-        raise SchemaMismatch("empty CSV: no header row") from None
+        raise BadConfig("empty CSV: no header row") from None
     rows = []
     for i, record in enumerate(reader):
         if not record:
             continue
         if len(record) != len(header):
-            raise SchemaMismatch(f"row {i} has {len(record)} cells, header has {len(header)}")
+            raise BadConfig(f"row {i} has {len(record)} cells, header has {len(header)}")
         rows.append(dict(zip(header, record)))
     return ReportTable(columns=tuple(header), rows=rows)
 

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import (BadConfig, SchemaMismatch, ValidationError, ZeroDuration,
-                     check_fields, read_json, read_text)
+from .errors import (BadConfig, ValidationError, check_fields, read_json,
+                     read_text)
 from .frontend import VideoClip, load_clip, save_clip
 from .rng import RngState, derive_seed
 
@@ -473,7 +473,7 @@ def gen_sample(category: TaskCategory, seed: int, gcfg: GenConfig) -> SyntheticS
 def annotation_density(total_question_length: float, duration_seconds: float) -> float:
     """Total question length over total clip duration (words per second)."""
     if duration_seconds <= 0:
-        raise ZeroDuration(f"duration {duration_seconds}s")
+        raise BadConfig(f"duration {duration_seconds}s")
     return float(total_question_length) / float(duration_seconds)
 
 
@@ -601,7 +601,7 @@ def load_dataset(in_dir):
     samples = []
     reader = csv.DictReader(io.StringIO(records, newline=""))
     if tuple(reader.fieldnames or ()) != RECORD_FIELDS:
-        raise SchemaMismatch(f"records.csv columns {reader.fieldnames}")
+        raise BadConfig(f"records.csv columns {reader.fieldnames}")
     for n, row in enumerate(reader, 1):
         try:
             samples.append(_load_record(src, row, gcfg))

@@ -2,13 +2,12 @@
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tape, backward, concat_axis
-from .errors import BadConfig, DivergedLoss, check_fields
+from .errors import BadConfig, NumericalError, check_fields
 from .pipeline import ModelBundle, batch_loss, forward_logits
 from .decoder import mcq_loss, predict
 from .rng import RngState, derive_seed
@@ -87,8 +86,6 @@ class TrainResult:
     losses: list[float] = field(default_factory=list)
     evals: list[tuple[int, float]] = field(default_factory=list)
     steps_run: int = 0
-    stopped_early: bool = False
-    wall_seconds: float = 0.0
 
     @property
     def final_loss(self) -> float:
@@ -97,7 +94,7 @@ class TrainResult:
 
 def train(bundle: ModelBundle, dataset, cfg: TrainConfig, eval_samples=None,
           eval_every: int | None = None, stop_accuracy: float | None = None) -> TrainResult:
-    """Seeded-shuffle minibatch Adam. Raises DivergedLoss with the step index
+    """Seeded-shuffle minibatch Adam. Raises NumericalError with the step index
     if the loss goes non-finite. Optional periodic eval with accuracy-based
     early stop."""
     if not dataset:
@@ -106,7 +103,6 @@ def train(bundle: ModelBundle, dataset, cfg: TrainConfig, eval_samples=None,
     order_rng = RngState(derive_seed(cfg.seed, "order"))
     order: list[int] = []
     result = TrainResult()
-    start = time.monotonic()
     for step in range(cfg.total_steps):
         if len(order) < cfg.batch:
             order += order_rng.shuffle(list(range(len(dataset))))
@@ -116,7 +112,7 @@ def train(bundle: ModelBundle, dataset, cfg: TrainConfig, eval_samples=None,
             loss = batch_loss(bundle, pixels, questions, answers)
             value = loss.item()
             if not math.isfinite(value):
-                raise DivergedLoss(f"step {step}: loss {value}")
+                raise NumericalError(f"step {step}: loss {value}")
             grads = backward(tape, loss)
         optimizer.step(bundle.params, grads, lr_at(step, cfg))
         result.losses.append(value)
@@ -125,9 +121,7 @@ def train(bundle: ModelBundle, dataset, cfg: TrainConfig, eval_samples=None,
             acc = evaluate(bundle, eval_samples).accuracy
             result.evals.append((step + 1, acc))
             if stop_accuracy is not None and acc >= stop_accuracy:
-                result.stopped_early = True
                 break
-    result.wall_seconds = time.monotonic() - start
     return result
 
 

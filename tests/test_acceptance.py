@@ -15,7 +15,7 @@ from framefuse.autodiff import Tensor
 from framefuse.compressor import (kangaroo_temporal_mlp, pllava_temporal_pool,
                                   spatial_downsample_with_proj, token_budget)
 from framefuse.encoder import init_encoder_params
-from framefuse.errors import IndivisibleFrames
+from framefuse.errors import BadConfig
 from framefuse.frontend import COMPRESSION_METHODS, FusionMethod
 from framefuse.pipeline import (ModelConfig, build_model, forward_logits,
                                 video_token_forward)
@@ -78,7 +78,8 @@ def test_criterion_2_budget_exactness():
                 if n_input % k:
                     try:
                         _audit_config(method, k, n_input)
-                    except IndivisibleFrames:
+                    except BadConfig as err:
+                        assert "not divisible by k" in str(err)
                         undefined += 1
                         continue
                     raise AssertionError(f"k={k} n={n_input} accepted")

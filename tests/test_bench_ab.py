@@ -32,3 +32,23 @@ def test_verdict_follows_the_better_direction():
     lower = bench_ab.compare(_runs(PARENT), _runs([v + 10 for v in PARENT]),
                              {"clips_per_s": "lower"})
     assert lower["clips_per_s"]["verdict"] == "worse"
+
+
+@pytest.mark.parametrize("better,factor,want", [
+    ("higher", 1.5, True),
+    ("higher", 0.8, True),    # 20% worse, inside a 0.25 bound
+    ("higher", 0.7, False),   # 30% worse
+    ("lower", 0.5, True),
+    ("lower", 1.2, True),
+    ("lower", 1.3, False),
+])
+def test_within_bound_allows_the_bound_fraction_worse(better, factor, want):
+    change = [v * factor for v in PARENT]
+    metric = bench_ab.compare(_runs(PARENT), _runs(change), {"clips_per_s": better},
+                              {"clips_per_s": 0.25})
+    assert metric["clips_per_s"]["within_bound"] is want
+
+
+def test_within_bound_only_for_metrics_with_a_bound():
+    metric = bench_ab.compare(_runs(PARENT), _runs(PARENT), {"clips_per_s": "higher"})
+    assert "within_bound" not in metric["clips_per_s"]

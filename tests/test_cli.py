@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ from framefuse.checkpoint import load_checkpoint, load_checkpoint_meta, save_che
 from framefuse.frontend import FusionMethod, VideoClip, save_clip
 from framefuse.gradcheck import FiniteDiffReport
 from framefuse.grid import ExperimentSpec
-from framefuse.pipeline import ModelConfig, config_to_dict
+from framefuse.pipeline import ModelConfig, build_model, config_to_dict
+from framefuse.synthclips import GenConfig, gen_dataset, save_dataset
 from framefuse.training import TrainConfig
 
 FIXTURE = Path(__file__).parent / "data" / "ablation_16frame.csv"
@@ -554,3 +556,49 @@ def test_train_config_json_keeps_exit_contract(capsys, tmp_path, config):
                                   "--n-input", "8", "--config", str(cfg_path),
                                   "--data", str(tmp_path / "missing"),
                                   "--out", str(tmp_path / "x.tfz")))
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    """An untrained 8-frame baseline checkpoint and a 6-clip dataset it can score."""
+    root = tmp_path_factory.mktemp("eval-inputs")
+    gcfg = GenConfig(frames=8)
+    samples, stats = gen_dataset(1, 5, gcfg)
+    save_dataset(samples, root / "ds", gcfg, stats)
+    cfg = ModelConfig(method=FusionMethod.BASELINE)
+    save_checkpoint(build_model(cfg, 0).params, root / "m.tfz", {"model": config_to_dict(cfg)})
+    return root
+
+
+# (kind, byte position modulo the file length, xor mask); positions below 64
+# land in the checkpoint record header or the clip header
+BYTE_MUTATIONS = st.tuples(st.sampled_from(("flip", "truncate")),
+                           st.integers(0, 63) | st.integers(0, 1 << 20), st.integers(1, 255))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(("m.tfz", "m.tfz.json", "ds/clips/00000.clp", "ds/meta.json",
+                        "ds/records.csv")),
+       st.lists(BYTE_MUTATIONS, min_size=1, max_size=2))
+def test_eval_binary_inputs_keep_exit_contract(capsys, eval_inputs, target, mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "inputs"
+        shutil.copytree(eval_inputs, work)
+        blob = bytearray((work / target).read_bytes())
+        for kind, at, mask in mutations:
+            if not blob:
+                break
+            if kind == "flip":
+                blob[at % len(blob)] ^= mask
+            else:
+                del blob[at % len(blob):]
+        (work / target).write_bytes(bytes(blob))
+        code, out, err = run(capsys, "eval", "--ckpt", str(work / "m.tfz"),
+                             "--data", str(work / "ds"))
+    assert code in (0, 1)
+    if code == 1:
+        assert out == ""
+        assert_one_error_line(err)
+    else:
+        assert err == ""

@@ -9,7 +9,7 @@ from framefuse.compressor import (TokenBudget, init_compressor_params,
                                   qformer_compress,
                                   spatial_downsample_with_proj,
                                   te_concat_and_project, token_budget)
-from framefuse.errors import BadConfig, NonIntegralBudget, ShapeMismatch
+from framefuse.errors import BadConfig, ShapeMismatch
 from framefuse.frontend import COMPRESSION_METHODS, FusionMethod
 from framefuse.pipeline import ModelConfig
 from framefuse.rng import RngState
@@ -28,18 +28,18 @@ def test_token_budget_carries_inputs():
 
 
 def test_token_budget_rejects_non_integral():
-    with pytest.raises(NonIntegralBudget):
+    with pytest.raises(BadConfig, match="16\\*64 not divisible by k=3"):
         token_budget(16, 64, 3)
-    with pytest.raises(NonIntegralBudget):
+    with pytest.raises(BadConfig, match="budget needs positive n_input/l/k, got 0/64/1"):
         token_budget(0, 64, 1)
-    with pytest.raises(NonIntegralBudget):
+    with pytest.raises(BadConfig, match="budget needs positive n_input/l/k, got 16/64/0"):
         token_budget(16, 64, 0)
 
 
 @given(st.integers(1, 64), st.integers(1, 256), st.integers(1, 32))
 def test_token_budget_formula(n, l, k):
     if (n * l) % k:
-        with pytest.raises(NonIntegralBudget):
+        with pytest.raises(BadConfig, match=f"{n}\\*{l} not divisible by k={k}"):
             token_budget(n, l, k)
     else:
         assert token_budget(n, l, k).l_decoder == n * l // k

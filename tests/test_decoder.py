@@ -9,7 +9,7 @@ from framefuse.autodiff import Tensor
 from framefuse.decoder import (answer_logits, build_causal_mask, causal_decode,
                                decode_hidden, init_decoder_params, mcq_loss,
                                predict, rotary_tables)
-from framefuse.errors import SequenceTooLong, ShapeMismatch
+from framefuse.errors import BadConfig, ShapeMismatch
 from framefuse.frontend import FusionMethod
 from framefuse.pipeline import ModelConfig
 from framefuse.rng import RngState
@@ -29,9 +29,9 @@ def batch_of(rng, b=2, l=3, q=5, video_hidden=6, vocab=40):
 
 
 def test_config_rejects_odd_head_dim():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(BadConfig, match="rotary needs an even per-head dimension"):
         ModelConfig(method=FusionMethod.BASELINE, dec_hidden=6, dec_heads=2)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(BadConfig, match="dec_hidden 10 not divisible by dec_heads 4"):
         ModelConfig(method=FusionMethod.BASELINE, dec_hidden=10, dec_heads=4)
 
 
@@ -84,7 +84,7 @@ def test_sequence_too_long():
     cfg = replace(CFG, max_seq=6)
     params = init_decoder_params(cfg, RngState(0))
     rng = np.random.default_rng(3)
-    with pytest.raises(SequenceTooLong):
+    with pytest.raises(BadConfig, match="sequence 9 exceeds max_seq 6"):
         causal_decode(*batch_of(rng, l=4, q=5), cfg, params)
 
 

@@ -4,7 +4,7 @@ import pytest
 from framefuse.autodiff import MASK_BLOCKED, Tensor
 from framefuse.encoder import (encode, init_encoder_params, merge_heads,
                                multihead_attention, split_heads)
-from framefuse.errors import ShapeMismatch
+from framefuse.errors import BadConfig, ShapeMismatch
 from framefuse.frontend import FusionMethod
 from framefuse.pipeline import ModelConfig
 from framefuse.rng import RngState
@@ -37,7 +37,7 @@ def test_scope_mask_single_block_is_dense():
 
 
 def test_encoder_config_head_divisibility():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(BadConfig, match="enc_hidden 10 not divisible by enc_heads 4"):
         ModelConfig(method=FusionMethod.BASELINE, enc_hidden=10, enc_heads=4)
 
 

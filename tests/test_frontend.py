@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from framefuse.autodiff import Tensor
-from framefuse.errors import BadConfig, BadMagic, ShapeMismatch, TruncatedFile
+from framefuse.errors import BadConfig, ShapeMismatch
 from framefuse.frontend import (VideoClip, extract_patches, load_clip,
                                 merge_neighbor_frames, merge_temporal_channels,
                                 save_clip)
@@ -144,14 +144,14 @@ def test_clip_round_trip(tmp_path):
 def test_clip_bad_magic(tmp_path):
     path = tmp_path / "junk.clp"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(BadMagic):
+    with pytest.raises(BadConfig, match="not a CLP1 clip"):
         load_clip(path)
 
 
 def test_clip_truncated_header(tmp_path):
     path = tmp_path / "short.clp"
     path.write_bytes(b"CLP1\x01\x00")
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(BadConfig, match="clip header truncated"):
         load_clip(path)
 
 
@@ -162,7 +162,7 @@ def test_clip_truncated_payload(tmp_path):
     save_clip(clip, path)
     blob = path.read_bytes()
     path.write_bytes(blob[:len(blob) - 10])
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(BadConfig, match=f"expected {len(blob)} bytes, found {len(blob) - 10}"):
         load_clip(path)
 
 

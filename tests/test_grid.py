@@ -95,7 +95,7 @@ def fake_result(method="baseline", k=1, loss=1.25):
     cats = {c: 0.5 for c in ("MR", "LM", "CM", "MO", "AO", "RC")}
     return RunResult(method=method, k=k, n_input=8, l_decoder=16,
                      per_category=cats, accuracy=0.5, final_loss=loss,
-                     wall_seconds=3.7, flops_per_clip=1234, steps=2)
+                     flops_per_clip=1234, steps=2)
 
 
 def test_csv_columns_and_formatting():

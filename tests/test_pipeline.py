@@ -6,8 +6,7 @@ import pytest
 from framefuse import autodiff, pipeline
 from framefuse.autodiff import Tape, backward
 from framefuse.decoder import mcq_loss
-from framefuse.errors import (BadConfig, IndivisibleFrames,
-                              IndivisibleResolution, ShapeMismatch)
+from framefuse.errors import BadConfig, ShapeMismatch
 from framefuse.frontend import COMPRESSION_METHODS, FusionMethod
 from framefuse.gradcheck import micro_gradcheck_cases
 from framefuse.pipeline import (ModelConfig, batch_loss, build_model,
@@ -47,7 +46,7 @@ def test_default_config_arithmetic():
 
 
 def test_config_validation():
-    with pytest.raises(IndivisibleResolution):
+    with pytest.raises(BadConfig, match="30x28 not divisible by patch 14"):
         ModelConfig(method=FusionMethod.BASELINE, height=30, width=28)
     with pytest.raises(BadConfig):
         # 1x2 patch grid is not square
@@ -58,13 +57,13 @@ def test_config_validation():
     with pytest.raises(BadConfig):
         # 3x3 patch grid has no 2x2 window tiling
         ModelConfig(method=FusionMethod.BASELINE, height=42, width=42)
-    with pytest.raises(ShapeMismatch, match="out_hidden 6 .*qformer_heads 4"):
+    with pytest.raises(BadConfig, match="out_hidden 6 .*qformer_heads 4"):
         ModelConfig(method=FusionMethod.POST_QFORMER, k=2, out_hidden=6, qformer_heads=4)
     # only the Q-Former splits out_hidden into heads
     for method in COMPRESSION_METHODS:
         if method is not FusionMethod.POST_QFORMER:
             ModelConfig(method=method, k=2, out_hidden=6, qformer_heads=4)
-    with pytest.raises(IndivisibleFrames):
+    with pytest.raises(BadConfig, match="8 frames not divisible by k=3"):
         micro_cfg(FusionMethod.THROUGH_ENCODER, k=3, n_input=8)
     with pytest.raises(BadConfig):
         micro_cfg(FusionMethod.BASELINE, vocab=10)

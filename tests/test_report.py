@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from framefuse.errors import BadConfig, SchemaMismatch
+from framefuse.errors import BadConfig
 from framefuse.report import (NON_METRIC_COLUMNS, ReportTable, _bold_positions,
                               read_table_csv, render_table)
 
@@ -20,12 +20,12 @@ def small_table():
 
 
 def test_duplicate_columns_rejected():
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(BadConfig, match="duplicate columns"):
         ReportTable(columns=("a", "a"), rows=[])
 
 
 def test_row_key_mismatch_rejected():
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(BadConfig, match="row 0 keys"):
         ReportTable(columns=("a", "b"), rows=[{"a": "1"}])
 
 
@@ -54,12 +54,12 @@ def test_read_table_skips_blank_lines():
 def test_read_table_empty_rejected(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("")
-    with pytest.raises(SchemaMismatch, match="no header"):
+    with pytest.raises(BadConfig, match="empty CSV: no header row"):
         read_table_csv(p.read_text())
 
 
 def test_read_table_ragged_rejected():
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(BadConfig, match="row 0 has 3 cells, header has 2"):
         read_table_csv("x,y\n1,2,3\n")
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framefuse.errors import BadConfig, SchemaMismatch, ZeroDuration
+from framefuse.errors import BadConfig
 from framefuse.synthclips import (CATEGORY_ORDER, COUNTS, DIR_STEPS, PALETTE,
                                   QUESTION_LEN, RECORD_FIELDS, VOCAB,
                                   DatasetStats, GenConfig, SyntheticSample,
@@ -203,9 +203,9 @@ def test_annotation_density_frozen_values():
 
 
 def test_annotation_density_zero_duration():
-    with pytest.raises(ZeroDuration):
+    with pytest.raises(BadConfig, match="duration 0.0s"):
         annotation_density(100, 0.0)
-    with pytest.raises(ZeroDuration):
+    with pytest.raises(BadConfig, match="duration -1.0s"):
         annotation_density(100, -1.0)
 
 
@@ -294,7 +294,7 @@ def test_load_rejects_wrong_schema(tmp_path):
     records = out / "records.csv"
     text = records.read_text().replace("answer_idx", "answer")
     records.write_text(text)
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(BadConfig, match="records.csv columns"):
         load_dataset(out)
 
 

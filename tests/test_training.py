@@ -6,7 +6,7 @@ import pytest
 from framefuse import training
 from framefuse.autodiff import Tensor
 from framefuse.decoder import mcq_loss, predict
-from framefuse.errors import BadConfig, DivergedLoss
+from framefuse.errors import BadConfig, NumericalError
 from framefuse.frontend import FusionMethod
 from framefuse.pipeline import ModelConfig, build_model, forward_logits
 from framefuse.synthclips import GenConfig, TaskCategory, gen_dataset, gen_sample
@@ -117,8 +117,7 @@ def test_train_runs_and_records_losses():
     assert len(result.losses) == 5
     assert all(math.isfinite(v) for v in result.losses)
     assert result.final_loss == result.losses[-1]
-    assert result.wall_seconds > 0.0
-    assert not result.stopped_early
+    assert result.evals == []
 
 
 def test_train_is_deterministic():
@@ -133,7 +132,7 @@ def test_train_diverged_loss_aborts_with_step_index():
     bundle = micro_bundle(3)
     bundle.params["patch_proj.w"].data[0, 0] = np.nan
     cfg = TrainConfig(total_steps=5, warmup_steps=1, batch=4)
-    with pytest.raises(DivergedLoss, match="step 0"):
+    with pytest.raises(NumericalError, match="step 0: loss nan"):
         train(bundle, tiny_dataset(), cfg)
 
 
@@ -143,9 +142,8 @@ def test_train_early_stop_on_accuracy():
     cfg = TrainConfig(total_steps=6, warmup_steps=1, batch=4)
     result = train(bundle, data, cfg, eval_samples=data, eval_every=2,
                    stop_accuracy=0.0)
-    assert result.stopped_early
     assert result.steps_run == 2
-    assert result.evals[0][0] == 2
+    assert [step for step, _ in result.evals] == [2]
 
 
 def test_evaluate_counts_and_categories():
