@@ -571,7 +571,7 @@ def eval_inputs(tmp_path_factory):
 
 
 # (kind, byte position modulo the file length, xor mask); positions below 64
-# land in the checkpoint record header or the clip header
+# cover the clip header and the first checkpoint record's header
 BYTE_MUTATIONS = st.tuples(st.sampled_from(("flip", "truncate")),
                            st.integers(0, 63) | st.integers(0, 1 << 20), st.integers(1, 255))
 
