@@ -17,12 +17,14 @@ than the parent's by more than the metric's `bound` fraction in
 `BENCHMARK.json`, the rule a change that claims no gain is held to.
 
 Usage:
-    python3 scripts/bench_ab.py --parent HEAD~1 --workload train-desk \\
+    python3 scripts/bench_ab.py --parent HEAD~1 --workload all \\
         --pairs 10 --seconds 30 --seed-base 600 --out BENCH.json
 
-The result is stored under the workload's name (with `-trace` appended for
-`--trace 1`) in the `--out` JSON file; other entries already there are kept,
-so one file can gather several workloads.
+`--workload` repeats (`--workload train-desk --workload grid-ff`), and `all`
+names every workload. The workloads run one after another, each with all its
+pairs, and each result is stored under the workload's name (with `-trace`
+appended for `--trace 1`) in the `--out` JSON file as soon as it is done;
+other entries already there are kept, so one file can gather several runs.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("train-desk", "eval-fine", "grid-ff")
 
 
 def extract(ref: str, dest: Path) -> None:
@@ -99,10 +102,27 @@ def verdict(wins: int, losses: int, pairs: int, beyond_iqr: bool) -> str:
     return "unresolved"
 
 
+def describe() -> str:
+    return subprocess.run(["git", "-C", str(ROOT), "describe", "--always", "--dirty"],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+def run_pairs(trees: dict[str, Path], workload: str, args) -> dict[str, list[dict]]:
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(trees[side], workload, args.seed_base + i,
+                                       args.seconds, args.trace))
+        print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
+    return runs
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git ref of the parent commit")
-    ap.add_argument("--workload", required=True, choices=("train-desk", "eval-fine", "grid-ff"))
+    ap.add_argument("--workload", required=True, action="append", choices=WORKLOADS + ("all",),
+                    help="repeatable; `all` runs every workload")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--seed-base", type=int, required=True)
@@ -111,41 +131,38 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 to give quartiles")
+    workloads = WORKLOADS if "all" in args.workload else tuple(dict.fromkeys(args.workload))
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    change = describe()
+    out = Path(args.out)
     with tempfile.TemporaryDirectory() as tmp:
         parent_tree = Path(tmp)
         extract(args.parent, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(run_once(trees[side], args.workload, args.seed_base + i,
-                                           args.seconds, args.trace))
-            print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
-
-    change = subprocess.run(["git", "-C", str(ROOT), "describe", "--always", "--dirty"],
-                            check=True, capture_output=True, text=True).stdout.strip()
-    entry = {
-        "parent": args.parent, "change": change,
-        "pairs": args.pairs, "seconds": args.seconds, "seed_base": args.seed_base,
-        "trace": args.trace,
-        "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
-        "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
-        "grid_csv_sha256": {side: [r["grid_csv_sha256"] for r in rs] for side, rs in runs.items()},
-        "metrics": compare(runs["parent"], runs["change"], better, bounds),
-    }
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc[args.workload + ("-trace" if args.trace else "")] = entry
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    for name, m in entry["metrics"].items():
-        print(f"{name:34s} parent {m['parent']['median']:.6g}  change {m['change']['median']:.6g}"
-              f"  wins {m['change_wins']}/{m['pairs']}  {m['verdict']}"
-              + ("" if m.get("within_bound", True) else "  OUTSIDE BOUND"))
+        for workload in workloads:
+            runs = run_pairs(trees, workload, args)
+            entry = {
+                "parent": args.parent, "change": change,
+                "pairs": args.pairs, "seconds": args.seconds, "seed_base": args.seed_base,
+                "trace": args.trace,
+                "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
+                "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+                "grid_csv_sha256": {side: [r["grid_csv_sha256"] for r in rs]
+                                    for side, rs in runs.items()},
+                "metrics": compare(runs["parent"], runs["change"], better, bounds),
+            }
+            doc = json.loads(out.read_text()) if out.exists() else {}
+            doc[workload + ("-trace" if args.trace else "")] = entry
+            out.write_text(json.dumps(doc, indent=2) + "\n")
+            print(workload)
+            for name, m in entry["metrics"].items():
+                print(f"  {name:34s} parent {m['parent']['median']:.6g}  "
+                      f"change {m['change']['median']:.6g}"
+                      f"  wins {m['change_wins']}/{m['pairs']}  {m['verdict']}"
+                      + ("" if m.get("within_bound", True) else "  OUTSIDE BOUND"))
     return 0
 
 

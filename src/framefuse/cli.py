@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 validation error (bad config, bad file, bad shapes),
-2 numerical failure (diverged loss, failed gradient check).
+2 numerical failure (diverged loss, failed gradient check, overflowing eval
+forward).
 """
 from __future__ import annotations
 

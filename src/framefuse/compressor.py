@@ -148,7 +148,7 @@ def init_compressor_params(cfg: ModelConfig, rng: RngState,
             init.attention(f"{p}.self", out)
             init.attention(f"{p}.cross", out)
             init.ffn(p, out, 2 * out)
-    return init.params
+    return init.done()
 
 
 def compress(encoder_output: Tensor, cfg: ModelConfig, params: dict[str, Tensor]) -> Tensor:

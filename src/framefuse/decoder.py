@@ -49,7 +49,7 @@ def init_decoder_params(cfg: ModelConfig, rng: RngState, std: float = 0.02) -> d
     init.ones("dec.final_norm", (h,))
     init.normal("dec.head_w", (h, 4))
     init.zeros("dec.head_b", (4,))
-    return init.params
+    return init.done()
 
 
 def decode_hidden(video_tokens: Tensor, question_ids: np.ndarray, cfg: ModelConfig,

@@ -6,6 +6,7 @@ into the batch axis, so the encoder stack runs unmasked.
 """
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -19,16 +20,49 @@ if TYPE_CHECKING:
     from .pipeline import ModelConfig
 
 
+# most values one grouped draw takes, so its temporaries stay small; a larger
+# tensor gets a draw of its own
+_GROUP_VALUES = 16384
+
+
 class ParamInit:
     """Builds one trainable-parameter dict. Only `normal` draws from rng, so
-    the draw order is the order of the `normal` calls."""
+    the draw order is the order of the `normal` calls. `normal` queues its
+    tensor, and `done` draws the queue in few `normal_array` calls: each
+    stream call costs about as much as a small tensor's values."""
 
     def __init__(self, rng: RngState, std: float):
         self.rng, self.std = rng, std
         self.params: dict[str, Tensor] = {}
+        self._queue: list[tuple[str, tuple[int, ...]]] = []
 
     def normal(self, name: str, shape: tuple[int, ...]) -> None:
-        self.params[name] = param(self.rng.normal_array(shape, self.std))
+        self.params[name] = None  # holds the name's place in dict order
+        self._queue.append((name, shape))
+
+    def done(self) -> dict[str, Tensor]:
+        """Draw the queued tensors and return the dict. Each tensor's block is
+        padded to an even count, so Box-Muller pairs the uniforms its own
+        `normal_array` call would (an odd size still drops its last sin), and
+        the values are those of one call per tensor, bit for bit."""
+        groups: list[list[tuple[str, tuple[int, ...], int]]] = []
+        room = 0
+        for name, shape in self._queue:
+            n = math.prod(shape)
+            n += n % 2
+            if n > room:
+                groups.append([])
+                room = _GROUP_VALUES
+            groups[-1].append((name, shape, n))
+            room -= n
+        for group in groups:
+            values = self.rng.normal_array((sum(n for *_, n in group),), self.std)
+            at = 0
+            for name, shape, n in group:
+                self.params[name] = param(values[at:at + math.prod(shape)].reshape(shape).copy())
+                at += n
+        self._queue.clear()
+        return self.params
 
     def zeros(self, name: str, shape: tuple[int, ...]) -> None:
         self.params[name] = param(np.zeros(shape))
@@ -61,7 +95,7 @@ def init_encoder_params(cfg: ModelConfig, rng: RngState, std: float = 0.02) -> d
     init = ParamInit(rng, std)
     for i in range(cfg.enc_layers):
         init.block(f"enc.{i}", cfg.enc_hidden, cfg.enc_ffn)
-    return init.params
+    return init.done()
 
 
 def split_heads(x: Tensor, heads: int) -> Tensor:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import io
 import json
 from dataclasses import dataclass, field
@@ -99,7 +100,16 @@ PALETTE = ((1.0, 0.25, 0.25), (0.25, 1.0, 0.25), (0.25, 0.5, 1.0),
            (1.0, 1.0, 0.25), (1.0, 0.5, 0.25), (0.75, 0.25, 1.0))
 
 
+@functools.cache
 def _shape_mask(shape: str, h: int, w: int) -> np.ndarray:
+    """The sprite's [h, w] boolean footprint, read-only: it is cached, and the
+    generators' sprites are 3-14 px, so the keys stay few."""
+    mask = _draw_mask(shape, h, w)
+    mask.setflags(write=False)
+    return mask
+
+
+def _draw_mask(shape: str, h: int, w: int) -> np.ndarray:
     ys, xs = np.mgrid[0:h, 0:w]
     if shape == "shape:rect":
         return np.ones((h, w), dtype=bool)

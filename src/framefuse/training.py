@@ -139,7 +139,10 @@ def evaluate(bundle: ModelBundle, samples, batch_size: int = 64) -> EvalResult:
     consumes it in chunks of `batch_size`, so the sample stream never has to
     fit in memory. Each chunk runs as consecutive forwards of at most
     `_EVAL_TOKENS` pixel tokens (at least one clip each); loss, predictions
-    and counts then run once over the chunk's logits."""
+    and counts then run once over the chunk's logits. Raises NumericalError
+    if a chunk's forward or loss overflows (a checkpoint with huge finite
+    values can), instead of warning and scoring whatever the logits became;
+    parameters and pixels are finite, so no other path makes them non-finite."""
     cfg = bundle.cfg
     per_forward = max(1, _EVAL_TOKENS // (cfg.n_input * cfg.tokens_per_frame))
     right: dict[str, int] = {}
@@ -151,12 +154,16 @@ def evaluate(bundle: ModelBundle, samples, batch_size: int = 64) -> EvalResult:
     def flush():
         nonlocal loss_sum, total
         parts = []
-        for at in range(0, len(chunk), per_forward):
-            pixels, questions, _ = _batch_arrays(chunk[at:at + per_forward])
-            parts.append(forward_logits(bundle, pixels, questions))
-        logits = concat_axis(parts, 0)
-        answers = np.array([s.answer_idx for s in chunk], dtype=np.int64)
-        loss_sum += mcq_loss(logits, answers).item() * len(chunk)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                for at in range(0, len(chunk), per_forward):
+                    pixels, questions, _ = _batch_arrays(chunk[at:at + per_forward])
+                    parts.append(forward_logits(bundle, pixels, questions))
+                logits = concat_axis(parts, 0)
+                answers = np.array([s.answer_idx for s in chunk], dtype=np.int64)
+                loss_sum += mcq_loss(logits, answers).item() * len(chunk)
+        except FloatingPointError as err:
+            raise NumericalError(f"clips {total}-{total + len(chunk) - 1}: {err}") from err
         preds = predict(logits)
         for s, p in zip(chunk, preds):
             cat = s.category.value

@@ -596,9 +596,32 @@ def test_eval_binary_inputs_keep_exit_contract(capsys, eval_inputs, target, muta
         (work / target).write_bytes(bytes(blob))
         code, out, err = run(capsys, "eval", "--ckpt", str(work / "m.tfz"),
                              "--data", str(work / "ds"))
-    assert code in (0, 1)
-    if code == 1:
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    else:
         assert out == ""
+        assert_one_failure_line(code, err)
+
+
+def assert_one_failure_line(code, err):
+    if code == 1:
         assert_one_error_line(err)
     else:
-        assert err == ""
+        assert err.startswith("numerical failure:")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eval_overflowing_checkpoint_is_numerical_failure(capsys, eval_inputs, tmp_path):
+    # byte 62 is the top byte of a zero in the first record (comp.proj_b); xor
+    # 0x70 makes it 2^769, finite but large enough to overflow rms_norm
+    work = tmp_path / "inputs"
+    shutil.copytree(eval_inputs, work)
+    blob = bytearray((work / "m.tfz").read_bytes())
+    blob[62] ^= 0x70
+    (work / "m.tfz").write_bytes(bytes(blob))
+    code, out, err = run(capsys, "eval", "--ckpt", str(work / "m.tfz"), "--data", str(work / "ds"))
+    assert (code, out) == (2, "")
+    assert_one_failure_line(code, err)
+    assert "overflow" in err

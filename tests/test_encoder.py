@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from framefuse.autodiff import MASK_BLOCKED, Tensor
-from framefuse.encoder import (encode, init_encoder_params, merge_heads,
+from framefuse.encoder import (_GROUP_VALUES, ParamInit, encode,
+                               init_encoder_params, merge_heads,
                                multihead_attention, split_heads)
 from framefuse.errors import BadConfig, ShapeMismatch
 from framefuse.frontend import FusionMethod
@@ -16,6 +19,33 @@ def small_encoder(layers=1, hidden=8, heads=2, ffn=12, seed=0):
                       enc_heads=heads, enc_ffn=ffn)
     params = init_encoder_params(cfg, RngState(seed))
     return cfg, params
+
+
+SHAPES = st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(st.tuples(st.booleans(), SHAPES), min_size=1,
+                                           max_size=6))
+@example(3, [(True, (5, 7)), (False, (4,)), (True, (_GROUP_VALUES + 1,)), (True, (3,)),
+             (True, (_GROUP_VALUES - 4,)), (True, (1,))])
+def test_grouped_draw_matches_one_draw_per_tensor(seed, tensors):
+    """`done` gives each tensor the bytes of its own `normal_array` call, odd
+    sizes and tensors past one group's size included, keeps the `normal` and
+    `zeros` calls' dict order, and leaves the stream where those calls would."""
+    init, rng = ParamInit(RngState(seed), 0.02), RngState(seed)
+    want = {}
+    for i, (drawn, shape) in enumerate(tensors):
+        if drawn:
+            init.normal(f"t{i}", shape)
+            want[f"t{i}"] = rng.normal_array(shape, 0.02)
+        else:
+            init.zeros(f"t{i}", shape)
+            want[f"t{i}"] = np.zeros(shape)
+    got = init.done()
+    assert list(got) == list(want)
+    assert all(got[n].data.tobytes() == w.tobytes() for n, w in want.items())
+    assert init.rng.next_u64() == rng.next_u64()
 
 
 def test_scope_mask_small_case():

@@ -1,0 +1,81 @@
+"""Golden digests of built parameters and generated clips.
+
+The digests were taken before model building drew each parameter group in one
+stream call and before sprite masks were cached, so any change to how
+construction draws from the stream that moves a parameter or pixel byte fails
+here.
+"""
+import hashlib
+
+import pytest
+
+from framefuse.frontend import FusionMethod
+from framefuse.pipeline import ModelConfig, build_model
+from framefuse.synthclips import GenConfig, gen_dataset
+
+# desk: B=32 training shape; fine: the eval-fine shape (16 frames, patch 7,
+# k=2); odd: odd-size encoder and Q-Former tensors (33x33 projections), so
+# some blocks of a grouped draw end on a dropped sin
+CONFIGS = {
+    "desk": (4, dict(n_input=8)),
+    "fine": (2, dict(n_input=16, patch=7)),
+    "odd": (4, dict(n_input=8, enc_hidden=33, enc_heads=3, out_hidden=33, qformer_heads=3)),
+}
+
+PARAM_DIGESTS = {
+    "desk": {
+        "baseline": "5cb58b4c23a0e1fc5442dbea5cc87d7f8d51ac4298e4584e5ad10dc309f30854",
+        "channel-merge": "0aa77cd38d0c8edea038155f693c0f9f6c56483719fec7be92e5fcf09d3799f4",
+        "pllava-pool": "5cb58b4c23a0e1fc5442dbea5cc87d7f8d51ac4298e4584e5ad10dc309f30854",
+        "kangaroo-mlp": "0e4866db10e060d382c77d89b8d4780fcb3d3c891f4736b2b08d0213c8758483",
+        "qformer": "6dcc04f50e940da6eb6ed74495b6401c2e3984068cd4841011a49680640d2a94",
+        "through-encoder": "6f3561d67af0a38d501d5b86d8603a593756629954580e02c9f1bcf9ba3f9842",
+    },
+    "fine": {
+        "baseline": "2252e6486301786668b7cb4d6da72ee4cb800a664dccb9e122c4d2f49abe1bc3",
+        "channel-merge": "6a04d83d266cf5c84d87128bfdea8c89eea1990d3394f693f8bbaaa0f0234f18",
+        "pllava-pool": "2252e6486301786668b7cb4d6da72ee4cb800a664dccb9e122c4d2f49abe1bc3",
+        "kangaroo-mlp": "230982c9c7dc087d32b3c14d9a0a856a78bdd59aeb00c2bbc6acea7e96d69453",
+        "qformer": "f1df60a3d90abec38780d8a7a558e849982739820ed1fa45e04e81a8a6326580",
+        "through-encoder": "ba4e66c890a826a07c47ef5bdcde31cd8a52bca773d8630a068583a33c49e45f",
+    },
+    "odd": {
+        "baseline": "ab5db134f93f3ff630dc65e8a47a75bdb6a8beecadeb43196d3db9dc98407ca1",
+        "channel-merge": "6dab2e14f9f3e86726a905c79ab431c36c66ad65bd62e27c1677b253e6d21e7f",
+        "pllava-pool": "ab5db134f93f3ff630dc65e8a47a75bdb6a8beecadeb43196d3db9dc98407ca1",
+        "kangaroo-mlp": "e0b0ed7a34e9c8b652a2b490dfb6a5f15911c4f293b8f03ab044017b58069e58",
+        "qformer": "e062210e042d61bfc61c438e459eea163fd676c791d88f7463ef0b1d6ead9039",
+        "through-encoder": "5b007aefd4da07b4718d06c5288ca68e072fa4d7b0e167621da41d55b5cbbe96",
+    },
+}
+
+CLIP_DIGESTS = {
+    8: "0af3bb9338cb317627cc0d2b31363fe62eff14ffc67d19269075b2fadf64f773",
+    16: "63d2aaa9cdaf40f2ec65b87a6a634cc7437e697b12496f3ef4fdb5ae9a0a5000",
+}
+
+
+def params_digest(params) -> str:
+    """sha256 over every parameter's name, shape and bytes, in dict order."""
+    h = hashlib.sha256()
+    for name, t in params.items():
+        h.update(f"{name}{t.shape}".encode())
+        h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("method", list(FusionMethod), ids=lambda m: m.value)
+def test_build_model_parameter_bytes(config, method):
+    k, fields = CONFIGS[config]
+    cfg = ModelConfig(method=method, k=1 if method is FusionMethod.BASELINE else k, **fields)
+    assert params_digest(build_model(cfg, 11).params) == PARAM_DIGESTS[config][method.value]
+
+
+@pytest.mark.parametrize("frames", sorted(CLIP_DIGESTS))
+def test_gen_dataset_pixel_bytes(frames):
+    samples, _ = gen_dataset(2, 23, GenConfig(frames=frames))
+    h = hashlib.sha256()
+    for s in samples:
+        h.update(s.clip.pixels.data.tobytes())
+    assert h.hexdigest() == CLIP_DIGESTS[frames]

@@ -8,7 +8,8 @@ from framefuse.synthclips import (CATEGORY_ORDER, COUNTS, DIR_STEPS, PALETTE,
                                   TaskCategory, annotation_density,
                                   dataset_stats, encode_question, gen_dataset,
                                   gen_sample, load_dataset, max_repetitions,
-                                  question_length, save_dataset)
+                                  question_length, save_dataset, _paint,
+                                  _shape_mask)
 from oracles import rc_transition_count
 
 GCFG = GenConfig(frames=16)
@@ -301,3 +302,17 @@ def test_load_rejects_wrong_schema(tmp_path):
 def test_record_fields_are_stable():
     assert RECORD_FIELDS == ("category", "seed", "answer_idx",
                              "opt0", "opt1", "opt2", "opt3", "clip")
+
+
+@pytest.mark.parametrize("shape", ["shape:rect", "shape:cross", "shape:disc", "shape:ring",
+                                   "shape:hbar", "shape:vbar"])
+def test_cached_shape_mask_is_read_only_and_survives_painting(shape):
+    mask = _shape_mask(shape, 7, 9)
+    before = mask.copy()
+    assert not mask.flags.writeable
+    frame = np.zeros((3, 28, 28))
+    for top, left in ((10, 10), (-3, 24), (25, -4)):  # whole, and clipped at two corners
+        _paint(frame, shape, top, left, 7, 9, (1.0, 0.5, 0.25))
+    assert _shape_mask(shape, 7, 9) is mask
+    assert np.array_equal(mask, before)
+    assert frame[0].sum() > 0
