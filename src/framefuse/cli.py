@@ -26,7 +26,7 @@ from .training import TrainConfig, evaluate, train
 
 def cmd_gen_data(args) -> int:
     gcfg = GenConfig(frames=args.frames, fps=args.fps)
-    samples, stats = gen_dataset(args.per_category, args.seed, gcfg, unit=args.unit)
+    samples, stats = gen_dataset(args.per_category, args.seed, gcfg)
     save_dataset(samples, args.out, gcfg, stats)
     print(f"wrote {stats.samples} samples to {args.out} "
           f"(density {stats.annotation_density:.4f} {stats.unit}/s)")
@@ -38,13 +38,13 @@ def cmd_train(args) -> int:
     out_path(f"{args.out}.json", "checkpoint sidecar")
     tcfg = (TrainConfig(**check_keys(read_json(args.config, "config"), TrainConfig, "train config"))
             if args.config else TrainConfig())
+    cfg = ModelConfig(method=FusionMethod(args.method), k=args.k, n_input=args.n_input)
     if args.data:
         dataset, gcfg = load_dataset(args.data)
         if gcfg.frames != args.n_input:
             raise BadConfig(f"dataset clips have {gcfg.frames} frames, model wants {args.n_input}")
     else:
         dataset, _ = gen_dataset(args.per_category, tcfg.seed, GenConfig(frames=args.n_input))
-    cfg = ModelConfig(method=FusionMethod(args.method), k=args.k, n_input=args.n_input)
     bundle = build_model(cfg, tcfg.seed)
     result = train(bundle, dataset, tcfg)
     every = max(1, len(result.losses) // 10) if result.losses else 1
@@ -128,7 +128,12 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_report(args) -> int:
     out = out_path(args.out, "report") if args.out else None
-    table = read_table_csv(read_text(getattr(args, "in"), "table"))
+    src = getattr(args, "in")
+    text = read_text(src, "table")
+    try:
+        table = read_table_csv(text)
+    except BadConfig as err:
+        raise BadConfig(f"table {src}: {err}") from err
     text = render_table(table, args.format)
     if out:
         out.write_text(text)
@@ -162,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--frames", type=int, default=16)
     p.add_argument("--fps", type=float, default=8.0)
-    p.add_argument("--unit", choices=("words", "chars"), default="words")
     p.set_defaults(handler=cmd_gen_data)
 
     p = sub.add_parser("train", help="train one model")

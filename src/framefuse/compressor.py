@@ -114,20 +114,19 @@ def qformer_compress(per_frame: Tensor, cfg: ModelConfig, params: dict[str, Tens
     a gelu feed-forward, all with residuals.
     """
     *lead, f, l, out = per_frame.shape
-    k, heads, eps = cfg.k, cfg.qformer_heads, cfg.norm_eps
+    k, heads = cfg.k, cfg.qformer_heads
     window = reshape(per_frame, (*lead, f // k, k * l, out))
     q = add(constant(np.zeros((*lead, f // k, l, out))), params["comp.queries"])
     for i in range(cfg.qformer_layers):
         p = f"comp.qf.{i}"
-        q = self_attention(q, params[f"{p}.norm1"], params, f"{p}.self", heads, eps)
-        cq = rms_norm(q, params[f"{p}.norm2"], eps)
+        q = self_attention(q, params[f"{p}.norm1"], params, f"{p}.self", heads)
+        cq = rms_norm(q, params[f"{p}.norm2"])
         q = add(q, multihead_attention(cq, window, None, params, f"{p}.cross", heads))
-        q = feed_forward(q, params[f"{p}.norm3"], params, p, eps)
+        q = feed_forward(q, params[f"{p}.norm3"], params, p)
     return q
 
 
-def init_compressor_params(cfg: ModelConfig, rng: RngState,
-                           std: float = 0.02) -> dict[str, Tensor]:
+def init_compressor_params(cfg: ModelConfig, rng: RngState, std: float) -> dict[str, Tensor]:
     h, out, l = cfg.enc_hidden, cfg.out_hidden, cfg.tokens_per_group
     init = ParamInit(rng, std)
     # through-encoder projects the k frames' vectors of each 2x2 window at once

@@ -13,7 +13,6 @@ import numpy as np
 from .autodiff import (MASK_BLOCKED, Tensor, concat_axis, cross_entropy,
                        embedding_lookup, linear, narrow, reshape, rms_norm)
 from .encoder import ParamInit, block
-from .errors import BadConfig
 from .rng import RngState
 
 if TYPE_CHECKING:
@@ -38,7 +37,7 @@ def build_causal_mask(seq_len: int) -> Tensor:
     return Tensor(np.where(allowed, 0.0, MASK_BLOCKED))
 
 
-def init_decoder_params(cfg: ModelConfig, rng: RngState, std: float = 0.02) -> dict[str, Tensor]:
+def init_decoder_params(cfg: ModelConfig, rng: RngState, std: float) -> dict[str, Tensor]:
     h = cfg.dec_hidden
     init = ParamInit(rng, std)
     init.normal("dec.video_proj_w", (cfg.out_hidden, h))
@@ -60,14 +59,12 @@ def decode_hidden(video_tokens: Tensor, question_ids: np.ndarray, cfg: ModelConf
     question = embedding_lookup(params["dec.embed"], question_ids)
     x = concat_axis([video, question], 1)
     seq = x.shape[1]
-    if seq > cfg.max_seq:
-        raise BadConfig(f"sequence {seq} exceeds max_seq {cfg.max_seq}")
     mask = build_causal_mask(seq)
     cos, sin = rotary_tables(seq, cfg.dec_hidden // cfg.dec_heads, ROTARY_BASE)
     rotary = (Tensor(cos), Tensor(sin))
     for i in range(cfg.dec_layers):
-        x = block(x, params, f"dec.{i}", cfg.dec_heads, cfg.norm_eps, mask, rotary)
-    return rms_norm(x, params["dec.final_norm"], cfg.norm_eps)
+        x = block(x, params, f"dec.{i}", cfg.dec_heads, mask, rotary)
+    return rms_norm(x, params["dec.final_norm"])
 
 
 def causal_decode(video_tokens: Tensor, question_ids: np.ndarray, cfg: ModelConfig,

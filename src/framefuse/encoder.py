@@ -91,7 +91,7 @@ class ParamInit:
         self.ffn(prefix, h, f)
 
 
-def init_encoder_params(cfg: ModelConfig, rng: RngState, std: float = 0.02) -> dict[str, Tensor]:
+def init_encoder_params(cfg: ModelConfig, rng: RngState, std: float) -> dict[str, Tensor]:
     init = ParamInit(rng, std)
     for i in range(cfg.enc_layers):
         init.block(f"enc.{i}", cfg.enc_hidden, cfg.enc_ffn)
@@ -142,31 +142,30 @@ def multihead_attention(xq: Tensor, xkv: Tensor, mask: Tensor | None,
 
 
 def self_attention(x: Tensor, gain: Tensor, params: dict[str, Tensor], prefix: str,
-                   heads: int, eps: float, mask: Tensor | None = None,
+                   heads: int, mask: Tensor | None = None,
                    rotary: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """Pre-norm residual self-attention: x + MHA(rms_norm(x))."""
-    a = rms_norm(x, gain, eps)
+    a = rms_norm(x, gain)
     return add(x, multihead_attention(a, a, mask, params, prefix, heads, rotary))
 
 
-def feed_forward(x: Tensor, gain: Tensor, params: dict[str, Tensor], prefix: str,
-                 eps: float) -> Tensor:
+def feed_forward(x: Tensor, gain: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     """Pre-norm residual gelu feed-forward: x + W2 gelu(W1 rms_norm(x) + b1) + b2."""
-    hidden = gelu(linear(rms_norm(x, gain, eps), params[f"{prefix}.ffn_w1"],
+    hidden = gelu(linear(rms_norm(x, gain), params[f"{prefix}.ffn_w1"],
                          params[f"{prefix}.ffn_b1"]))
     return add(x, linear(hidden, params[f"{prefix}.ffn_w2"], params[f"{prefix}.ffn_b2"]))
 
 
-def block(x: Tensor, params: dict[str, Tensor], prefix: str, heads: int, eps: float,
+def block(x: Tensor, params: dict[str, Tensor], prefix: str, heads: int,
           mask: Tensor | None = None, rotary: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """One pre-norm transformer layer: self-attention, then feed-forward."""
-    x = self_attention(x, params[f"{prefix}.norm1"], params, prefix, heads, eps, mask, rotary)
-    return feed_forward(x, params[f"{prefix}.norm2"], params, prefix, eps)
+    x = self_attention(x, params[f"{prefix}.norm1"], params, prefix, heads, mask, rotary)
+    return feed_forward(x, params[f"{prefix}.norm2"], params, prefix)
 
 
 def encode(tokens: Tensor, cfg: ModelConfig, params: dict[str, Tensor]) -> Tensor:
     """Run the encoder stack over tokens [B, S, h] with full attention."""
     x = tokens
     for i in range(cfg.enc_layers):
-        x = block(x, params, f"enc.{i}", cfg.enc_heads, cfg.norm_eps)
+        x = block(x, params, f"enc.{i}", cfg.enc_heads)
     return x

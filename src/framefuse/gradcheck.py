@@ -127,8 +127,7 @@ def micro_gradcheck_cases():
         cfg = ModelConfig(method=method, k=2, n_input=2, height=4, width=4, patch=2,
                           enc_layers=1, enc_hidden=8, enc_heads=2, enc_ffn=12,
                           out_hidden=8, dec_layers=1, dec_hidden=8, dec_heads=2,
-                          dec_ffn=12, vocab=len(VOCAB), max_seq=16,
-                          qformer_layers=1, qformer_heads=2)
+                          dec_ffn=12, vocab=len(VOCAB), qformer_layers=1, qformer_heads=2)
         # the 0.02 training init leaves attention too uniform: some projection
         # gradients drop below the ~1e-11 central-difference noise floor and
         # the relative comparison becomes meaningless; a livelier init keeps

@@ -98,11 +98,9 @@ def _cells(spec: ExperimentSpec):
 
 
 def run_cell(spec: ExperimentSpec, method: FusionMethod, k: int, n_input: int,
-             datasets: dict | None = None) -> RunResult:
+             datasets: dict) -> RunResult:
     """Train and score one grid cell from scratch. `datasets` caches the
     per-n_input train/eval sets across cells."""
-    if datasets is None:
-        datasets = {}
     if n_input not in datasets:
         gcfg = GenConfig(frames=n_input, height=spec.height, width=spec.width)
         data_seed = derive_seed(spec.seed, "data", n_input)

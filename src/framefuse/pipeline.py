@@ -34,7 +34,7 @@ from .errors import BadConfig, ShapeMismatch, check_fields, check_keys
 from .frontend import (FusionMethod, extract_patches, merge_neighbor_frames,
                        merge_temporal_channels, parse_method)
 from .rng import RngState, derive_seed
-from .synthclips import QUESTION_LEN, VOCAB
+from .synthclips import CHANNELS, QUESTION_LEN, VOCAB
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,6 @@ class ModelConfig:
     n_input: int = 8
     height: int = 28
     width: int = 28
-    channels: int = 3
     # 14px patches on the 28px canvas leave one merged token per frame; the
     # coarse spatial bottleneck is what makes the motion tasks learnable from
     # a few hundred samples (finer patches let the model memorize positions)
@@ -59,10 +58,9 @@ class ModelConfig:
     dec_heads: int = 4
     dec_ffn: int = 128
     vocab: int = 64
-    max_seq: int = 512
     qformer_layers: int = 2
     qformer_heads: int = 4
-    norm_eps: float = 1e-6
+    channels = CHANNELS  # not a field: the generators paint RGB clips only
 
     def __post_init__(self):
         check_fields(self, ("k", "n_input", "patch", "enc_heads", "dec_heads", "qformer_heads"))

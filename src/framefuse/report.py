@@ -37,11 +37,14 @@ def read_table_csv(text: str) -> ReportTable:
     """The table in CSV `text`: a header row, then one row per record."""
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise BadConfig("empty CSV: no header row") from None
+        records = list(reader)
+    except csv.Error as err:  # e.g. a field past csv's size limit
+        raise BadConfig(f"line {reader.line_num}: {err}") from err
+    if not records:
+        raise BadConfig("empty CSV: no header row")
+    header = records[0]
     rows = []
-    for i, record in enumerate(reader):
+    for i, record in enumerate(records[1:]):
         if not record:
             continue
         if len(record) != len(header):

@@ -37,18 +37,19 @@ CATEGORY_ORDER = (TaskCategory.MR, TaskCategory.LM, TaskCategory.CM,
                   TaskCategory.MO, TaskCategory.AO, TaskCategory.RC)
 
 
+# every clip is RGB: the palette and the painters write three channels
+CHANNELS = 3
+
+
 @dataclass(frozen=True)
 class GenConfig:
     frames: int = 16
     height: int = 28
     width: int = 28
-    channels: int = 3
     fps: float = 8.0
 
     def __post_init__(self):
         check_fields(self)
-        if self.channels != 3:
-            raise BadConfig("generator paints RGB clips (channels=3)")
         if min(self.height, self.width) < 14:
             raise BadConfig(f"canvas {self.height}x{self.width} too small for sprites")
         if self.frames < 3:
@@ -152,7 +153,7 @@ def _paint(frame: np.ndarray, shape: str, top: int, left: int, h: int, w: int,
 
 
 def _blank(gcfg: GenConfig) -> np.ndarray:
-    return np.zeros((gcfg.frames, gcfg.channels, gcfg.height, gcfg.width))
+    return np.zeros((gcfg.frames, CHANNELS, gcfg.height, gcfg.width))
 
 
 DIR_STEPS = {"left": (0, -1), "right": (0, 1), "up": (-1, 0), "down": (1, 0)}
@@ -289,7 +290,7 @@ def _gen_cm(rng: RngState, gcfg: GenConfig):
     speed = 2 if (fcount - 1) * 2 <= max(hh, ww) // 2 else 1
     if speed * (fcount - 1) < 2:
         raise BadConfig("camera shift would be invisible: motion must occur")
-    base = np.zeros((gcfg.channels, hh, ww))
+    base = np.zeros((CHANNELS, hh, ww))
     slots = [(2, 2), (2, ww // 2 + 1), (hh // 2 + 1, 2), (hh // 2 + 1, ww // 2 + 1)]
     for i, sh in enumerate(rng.sample(SHAPES, 3)):
         size = 4 + rng.randint(3)
@@ -536,17 +537,15 @@ def dataset_stats(samples, gcfg: GenConfig, unit: str = "words") -> DatasetStats
                         unit=unit)
 
 
-def gen_dataset(n_per_category: int, seed: int, gcfg: GenConfig | None = None,
-                unit: str = "words"):
-    """n samples per category, deterministic in (seed, gcfg)."""
+def gen_dataset(n_per_category: int, seed: int, gcfg: GenConfig):
+    """n samples per category, deterministic in (seed, gcfg), and their stats."""
     if n_per_category < 1:
         raise BadConfig(f"n_per_category must be at least 1, got {n_per_category}")
-    gcfg = gcfg or GenConfig()
     samples = []
     for cat in CATEGORY_ORDER:
         for i in range(n_per_category):
             samples.append(gen_sample(cat, derive_seed(seed, cat.value, i), gcfg))
-    return samples, dataset_stats(samples, gcfg, unit)
+    return samples, dataset_stats(samples, gcfg)
 
 
 # ---- on-disk layout: records.csv + clips/*.clp + stats.csv + meta.json ----
@@ -554,7 +553,7 @@ def gen_dataset(n_per_category: int, seed: int, gcfg: GenConfig | None = None,
 RECORD_FIELDS = ("category", "seed", "answer_idx", "opt0", "opt1", "opt2", "opt3", "clip")
 
 
-def save_dataset(samples, out_dir, gcfg: GenConfig, stats: DatasetStats | None = None) -> None:
+def save_dataset(samples, out_dir, gcfg: GenConfig, stats: DatasetStats) -> None:
     out = Path(out_dir)
     try:
         (out / "clips").mkdir(parents=True, exist_ok=True)
@@ -572,12 +571,10 @@ def save_dataset(samples, out_dir, gcfg: GenConfig, stats: DatasetStats | None =
         writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
-    if stats is None:
-        stats = dataset_stats(samples, gcfg)
     (out / "stats.csv").write_text(stats.to_csv())
     (out / "meta.json").write_text(json.dumps({
         "frames": gcfg.frames, "height": gcfg.height, "width": gcfg.width,
-        "channels": gcfg.channels, "fps": gcfg.fps}, indent=2) + "\n")
+        "fps": gcfg.fps}, indent=2) + "\n")
 
 
 def _load_record(src: Path, row: dict, gcfg: GenConfig) -> SyntheticSample:
@@ -592,7 +589,7 @@ def _load_record(src: Path, row: dict, gcfg: GenConfig) -> SyntheticSample:
     if not path.resolve().is_relative_to(src.resolve()):
         raise BadConfig(f"clip {row['clip']!r} lies outside {src}")
     clip = load_clip(path)
-    want = (gcfg.frames, gcfg.channels, gcfg.height, gcfg.width)
+    want = (gcfg.frames, CHANNELS, gcfg.height, gcfg.width)
     if clip.pixels.shape != want:
         raise BadConfig(f"clip shape {clip.pixels.shape}, meta.json says {want}")
     return SyntheticSample(clip=clip, category=cat, seed=int(row["seed"]),
@@ -608,11 +605,16 @@ def load_dataset(in_dir):
         gcfg = GenConfig(**{name: meta[name] for name in GenConfig.__dataclass_fields__})
     except (KeyError, TypeError) as err:
         raise BadConfig(f"{src / 'meta.json'}: missing or bad key {err}") from err
-    samples = []
     reader = csv.DictReader(io.StringIO(records, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as err:  # e.g. a field past csv's size limit
+        # DictReader.line_num skips the row that failed; its inner reader's does not
+        raise BadConfig(f"{src / 'records.csv'} line {reader.reader.line_num}: {err}") from err
     if tuple(reader.fieldnames or ()) != RECORD_FIELDS:
         raise BadConfig(f"records.csv columns {reader.fieldnames}")
-    for n, row in enumerate(reader, 1):
+    samples = []
+    for n, row in enumerate(rows, 1):
         try:
             samples.append(_load_record(src, row, gcfg))
         except (ValidationError, OSError, TypeError, ValueError) as err:

@@ -19,6 +19,10 @@ from .synthclips import CATEGORY_ORDER
 # megabytes on every forward.
 _EVAL_TOKENS = 2048
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.95
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -27,9 +31,6 @@ class TrainConfig:
     batch: int = 32
     lr: float = 3e-4
     min_lr: float = 3e-5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.95
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -55,22 +56,21 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 
 class Adam:
-    def __init__(self, params, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, params):
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
     def step(self, params, grads, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.cfg.adam_beta1, self.cfg.adam_beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for name, p in params.items():
             g = grads[p]
             self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
             self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            update = (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + self.cfg.adam_eps)
+            update = (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + ADAM_EPS)
             p.data -= lr * update
 
 
@@ -99,7 +99,7 @@ def train(bundle: ModelBundle, dataset, cfg: TrainConfig, eval_samples=None,
     early stop."""
     if not dataset:
         raise BadConfig("empty training dataset")
-    optimizer = Adam(bundle.params, cfg)
+    optimizer = Adam(bundle.params)
     order_rng = RngState(derive_seed(cfg.seed, "order"))
     order: list[int] = []
     result = TrainResult()

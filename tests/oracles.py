@@ -45,7 +45,7 @@ def masked_encode(tokens: Tensor, cfg: ModelConfig, mask: Tensor | None,
     squeeze = tokens.ndim == 2
     x = reshape(tokens, (1,) + tokens.shape) if squeeze else tokens
     for i in range(cfg.enc_layers):
-        x = encoder.block(x, params, f"enc.{i}", cfg.enc_heads, cfg.norm_eps, mask)
+        x = encoder.block(x, params, f"enc.{i}", cfg.enc_heads, mask)
     return reshape(x, tokens.shape) if squeeze else x
 
 

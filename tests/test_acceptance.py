@@ -64,7 +64,7 @@ def _audit_config(method, k, n_input):
                        width=28, patch=7, enc_layers=1, enc_hidden=8,
                        enc_heads=2, enc_ffn=12, out_hidden=8, dec_layers=1,
                        dec_hidden=8, dec_heads=2, dec_ffn=12, vocab=38,
-                       max_seq=256, qformer_layers=1, qformer_heads=2)
+                       qformer_layers=1, qformer_heads=2)
 
 
 def test_criterion_2_budget_exactness():
@@ -103,7 +103,7 @@ def _perturbation_blocks_changed(layers, block, frames=4, tokens=4, hidden=8):
     """Encode, bump one frame's tokens, return which frames' outputs moved."""
     cfg = ModelConfig(method=FusionMethod.BASELINE, enc_layers=layers, enc_hidden=hidden,
                       enc_heads=2, enc_ffn=12)
-    params = init_encoder_params(cfg, RngState(derive_seed(9, "scope", layers)))
+    params = init_encoder_params(cfg, RngState(derive_seed(9, "scope", layers)), 0.02)
     mask = build_scope_mask(frames * tokens, block)
     base = RngState(derive_seed(9, "x", layers)).normal_array(
         (frames * tokens, hidden))

@@ -130,7 +130,7 @@ def test_model_checkpoint_restores_forward(tmp_path):
     cfg = ModelConfig(method=FusionMethod.THROUGH_ENCODER, k=2, n_input=4,
                       enc_layers=1, enc_hidden=8, enc_heads=2, enc_ffn=12,
                       out_hidden=8, dec_layers=1, dec_hidden=8, dec_heads=2,
-                      dec_ffn=12, vocab=38, max_seq=32,
+                      dec_ffn=12, vocab=38,
                       qformer_layers=1, qformer_heads=2)
     bundle = build_model(cfg, 7)
     rng = np.random.default_rng(0)

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -386,7 +387,11 @@ def test_mistyped_config_fields_are_validation_errors(capsys, tmp_path):
                                        ({"k": 2}, "baseline"),
                                        ({"enc_hidden": 10, "enc_heads": 4}, "enc_hidden"),
                                        ({"method": "qformer", "k": 2, "out_hidden": 6},
-                                        "out_hidden"))):
+                                        "out_hidden"),
+                                       # fields that no longer exist
+                                       ({"max_seq": 512}, "max_seq"),
+                                       ({"norm_eps": 1e-6}, "norm_eps"),
+                                       ({"channels": 3}, "channels"))):
         (tmp_path / f"m{i}.tfz.json").write_text(json.dumps({"model": {**model, **fields}}))
         cases.append((key, ("eval", "--ckpt", str(tmp_path / f"m{i}.tfz"),
                             "--data", str(tmp_path / "ds"))))
@@ -450,6 +455,49 @@ def test_broken_dataset_meta_is_validation_error(capsys, tmp_path):
         assert code == 1
         assert out == ""
         assert_one_error_line(err, "records.csv", "row 3", fragment)
+
+
+@pytest.mark.parametrize("case", ("records.csv", "report", "report-cr"))
+def test_unparsable_csv_is_validation_error(capsys, tmp_path, case):
+    # csv rejects a field longer than 131,072 characters, and a carriage return
+    # inside an unquoted field of text not split on it
+    long_field = "x" * 140_000
+    if case == "records.csv":
+        data = tmp_path / "ds"
+        run(capsys, "gen-data", "--per-category", "1", "--seed", "5",
+            "--out", str(data), "--frames", "8")
+        records = data / "records.csv"
+        with open(records, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[1]["opt0"] = long_field
+        with open(records, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=rows[0].keys())
+            writer.writeheader()
+            writer.writerows(rows)
+        bad, argv = records, ("stats", "--data", str(data))
+    else:
+        bad = tmp_path / "t.csv"
+        bad.write_bytes(b"x,y\n1,2\n3," + (b"4\r5" if case == "report-cr" else long_field.encode())
+                        + b"\n")
+        argv = ("report", "--in", str(bad))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err, str(bad), "line 3",
+                          "new-line character" if case == "report-cr" else "field limit")
+
+
+def test_train_checks_model_config_before_building_data(capsys, tmp_path, monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("built the dataset before the model config was checked")
+
+    monkeypatch.setattr(cli, "gen_dataset", built)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "train", "--method", "pllava-pool", "--k", "3",
+                         "--n-input", "8")
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err, "not divisible by k=3")
 
 
 @pytest.mark.parametrize("case", ("records.csv", "meta.json", "sidecar", "config", "report",
@@ -560,8 +608,11 @@ def test_train_config_json_keeps_exit_contract(capsys, tmp_path, config):
 
 @pytest.fixture(scope="module")
 def eval_inputs(tmp_path_factory):
-    """An untrained 8-frame baseline checkpoint and a 6-clip dataset it can score."""
+    """An untrained 8-frame baseline checkpoint, a 6-clip dataset it can score and
+    a one-step train config."""
     root = tmp_path_factory.mktemp("eval-inputs")
+    (root / "one_step.json").write_text(json.dumps({**TINY_TRAIN, "total_steps": 1,
+                                                    "warmup_steps": 0}))
     gcfg = GenConfig(frames=8)
     samples, stats = gen_dataset(1, 5, gcfg)
     save_dataset(samples, root / "ds", gcfg, stats)
@@ -576,12 +627,17 @@ BYTE_MUTATIONS = st.tuples(st.sampled_from(("flip", "truncate")),
                            st.integers(0, 63) | st.integers(0, 1 << 20), st.integers(1, 255))
 
 
-@settings(max_examples=100, deadline=None,
+# pytest records warnings instead of printing them, so `err == ""` cannot see a
+# numpy warning the CLI would print; the filter makes one fail the test instead
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(("m.tfz", "m.tfz.json", "ds/clips/00000.clp", "ds/meta.json",
+@given(st.sampled_from(("eval", "stats", "train")),
+       st.sampled_from(("m.tfz", "m.tfz.json", "ds/clips/00000.clp", "ds/meta.json",
                         "ds/records.csv")),
        st.lists(BYTE_MUTATIONS, min_size=1, max_size=2))
-def test_eval_binary_inputs_keep_exit_contract(capsys, eval_inputs, target, mutations):
+def test_eval_binary_inputs_keep_exit_contract(capsys, eval_inputs, command, target, mutations):
+    """`eval`, `stats --data` and `train --data` (one step) on mutated input bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp) / "inputs"
         shutil.copytree(eval_inputs, work)
@@ -594,8 +650,14 @@ def test_eval_binary_inputs_keep_exit_contract(capsys, eval_inputs, target, muta
             else:
                 del blob[at % len(blob):]
         (work / target).write_bytes(bytes(blob))
-        code, out, err = run(capsys, "eval", "--ckpt", str(work / "m.tfz"),
-                             "--data", str(work / "ds"))
+        data = ("--data", str(work / "ds"))
+        code, out, err = run(capsys, *{
+            "eval": ("eval", "--ckpt", str(work / "m.tfz"), *data),
+            "stats": ("stats", *data),
+            "train": ("train", "--method", "baseline", "--k", "1", "--n-input", "8", *data,
+                      "--config", str(eval_inputs / "one_step.json"),
+                      "--out", str(Path(tmp) / "out.tfz")),
+        }[command])
     assert code in (0, 1, 2)
     if code == 0:
         assert err == ""
@@ -610,6 +672,122 @@ def assert_one_failure_line(code, err):
     else:
         assert err.startswith("numerical failure:")
         assert err.count("\n") == 1
+
+
+# argv tokens: "{in}" stands for the read-only `eval_inputs` directory and "{work}"
+# for a fresh one per example. ARG_TEXT is any short text but NUL, which no real
+# argv holds.
+ARG_TEXT = st.text(st.characters(blacklist_characters="\x00", blacklist_categories=("Cs",)),
+                   max_size=6)
+
+
+def or_text(values):
+    """A token from `values`, or one time in eight any short text."""
+    return st.integers(0, 7).flatmap(lambda i: values if i else ARG_TEXT)
+
+
+def int_arg(lo, hi):
+    return or_text(st.integers(lo, hi).map(str))
+
+
+def path_arg(*choices):
+    """One of `choices`, the first (a usable one) as often as all others together."""
+    return st.sampled_from(choices[:1] * (len(choices) - 1) + choices[1:])
+
+
+def opt(flag, values=None):
+    """[flag, token from `values`], or [flag] alone for a bare flag."""
+    return st.just([flag]) if values is None else values.map(lambda value: [flag, value])
+
+
+DATA = opt("--data", path_arg("{in}/ds", "{in}/m.tfz", "{in}/ds/records.csv", "{work}/missing"))
+OUT = opt("--out", path_arg("{work}/out", "{work}/file", "{work}", "{work}/missing/out"))
+FORMATS = or_text(st.sampled_from(("md", "markdown", "csv")))
+PER_CATEGORY = opt("--per-category", int_arg(0, 2))
+FRAMES = int_arg(0, 32)
+K = or_text(st.sampled_from(("1", "2", "4")) | st.integers(-1, 33).map(str))
+METHODS = or_text(st.sampled_from([m.value for m in FusionMethod]))
+# a model config `train` accepts, as often as a free draw of the three flags
+MODEL = st.sampled_from([("baseline", "1", "8"), ("pllava-pool", "2", "8"),
+                         ("through-encoder", "4", "16")]) | st.tuples(METHODS, K, FRAMES)
+
+
+@st.composite
+def command_argv(draw, command, required, optional=(), always=()):
+    """`command` and the tokens of its `always` options, of its `required` ones
+    (each missing one time in ten) and of any of its `optional` ones."""
+    argv = [command]
+    for tokens in always + tuple(r for r in required if draw(st.integers(0, 9))):
+        argv += draw(tokens)
+    for tokens in optional:
+        if draw(st.booleans()):
+            argv += draw(tokens)
+    return argv
+
+
+# Every integer is small: at most 2 clips a category and 32 frames. `train` always
+# gets a one-step --config (or a bad one) and --per-category, `gradcheck` always a
+# --module, so no case runs the 2,000-step default, 50 clips a category or the
+# composite gradient checks.
+ARGV = st.one_of(
+    command_argv("gen-data", (PER_CATEGORY, opt("--seed", int_arg(-2, 2 ** 64)), OUT),
+                 (opt("--frames", FRAMES), opt("--fps", or_text(st.floats().map(str))))),
+    command_argv("train", (MODEL.map(lambda m: ["--method", m[0], "--k", m[1], "--n-input", m[2]]),),
+                 (DATA, OUT),
+                 always=(opt("--config", path_arg("{in}/one_step.json", "{in}/ds/meta.json",
+                                                  "{in}/m.tfz", "{work}/missing")),
+                         PER_CATEGORY)),
+    command_argv("eval", (opt("--ckpt", path_arg("{in}/m.tfz", "{in}/ds", "{work}/missing")),
+                          DATA)),
+    command_argv("grid", (opt("--config", path_arg("{work}/grid.json", "{in}/m.tfz",
+                                                   "{work}/missing")),),
+                 (OUT, opt("--flops"), opt("--report", FORMATS))),
+    command_argv("budget", (opt("--n-input", FRAMES), opt("--l", int_arg(-1, 64)), opt("--k", K))),
+    command_argv("gradcheck", (), always=(opt("--module", or_text(st.just("ops"))),)),
+    command_argv("report", (opt("--in", path_arg(str(FIXTURE), "{in}/ds/records.csv",
+                                                 "{in}/m.tfz", "{work}/missing")),),
+                 (opt("--format", FORMATS), OUT)),
+    command_argv("stats", (DATA,), (opt("--unit", or_text(st.sampled_from(("words", "chars")))),)),
+    st.lists(ARG_TEXT, max_size=3))
+
+# the grid.json that `grid --config` may read: a quick experiment config cut to
+# one method and at most two k values, as is or with one key dropped or set to
+# a small or mistyped value
+CUT_K_VALUES = {"fixed-budget": [1, 2], "fixed-frames": [4]}
+QUICK = [{**config, "methods": ["qformer"], "k_values": CUT_K_VALUES[config["axis"]]}
+         for config in (json.loads(path.read_text()) for path in EXPERIMENTS
+                        if path.stem.endswith("_quick"))]
+GRID_CONFIGS = st.sampled_from(QUICK) | st.builds(
+    lambda base, key, value: {k: v for k, v in {**base, key: value}.items() if v != "drop"},
+    st.sampled_from(QUICK), st.sampled_from(sorted(ExperimentSpec.__dataclass_fields__)),
+    st.sampled_from(("drop", -1, 0, 3, None, True, 1.5, "x", [], [1, 2], [2, 4],
+                     ["pllava-pool"], ["qformer", "bogus"])))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ARGV, GRID_CONFIGS)
+def test_argv_keeps_exit_contract(capsys, eval_inputs, tmp_path, monkeypatch, argv,
+                                  grid_config):
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        (Path(tmp) / "file").write_text("")
+        (Path(tmp) / "grid.json").write_text(json.dumps(grid_config))
+        argv = [a.replace("{in}", str(eval_inputs)).replace("{work}", tmp) for a in argv]
+        monkeypatch.chdir(tmp)  # where the default --out paths land
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help, or an abbreviation of it, exits 0
+            code = exc.code
+        finally:
+            os.chdir(tmp_path)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    else:
+        assert out == ""
+        assert_one_failure_line(code, err)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

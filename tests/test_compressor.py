@@ -188,7 +188,7 @@ def test_qformer_residual_identity_with_zero_outputs():
     # patch 7 on the 28px canvas: a 4x4 grid, so l = 4 tokens per group
     cfg = ModelConfig(method=FusionMethod.POST_QFORMER, k=2, patch=7, enc_hidden=8,
                       out_hidden=8, qformer_layers=1, qformer_heads=2)
-    params = init_compressor_params(cfg, RngState(7), std=0.1)
+    params = init_compressor_params(cfg, RngState(7), 0.1)
     for name, p in params.items():
         if name.endswith(".wo") or name.endswith(".ffn_w2"):
             p.data[...] = 0.0

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +14,11 @@ from framefuse.pipeline import ModelConfig
 from framefuse.rng import RngState
 
 CFG = ModelConfig(method=FusionMethod.BASELINE, out_hidden=6, dec_layers=1,
-                  dec_hidden=8, dec_heads=2, dec_ffn=12, vocab=40, max_seq=32)
+                  dec_hidden=8, dec_heads=2, dec_ffn=12, vocab=40)
 
 
 def small_decoder(cfg=CFG, seed=0):
-    return init_decoder_params(cfg, RngState(seed))
+    return init_decoder_params(cfg, RngState(seed), 0.02)
 
 
 def batch_of(rng, b=2, l=3, q=5, video_hidden=6, vocab=40):
@@ -78,25 +77,6 @@ def test_causal_decode_returns_last_position():
     final = causal_decode(*batch, CFG, params)
     assert final.shape == (2, 8)
     assert np.array_equal(final.data, hidden.data[:, -1, :])
-
-
-def test_sequence_too_long():
-    cfg = replace(CFG, max_seq=6)
-    params = init_decoder_params(cfg, RngState(0))
-    rng = np.random.default_rng(3)
-    with pytest.raises(BadConfig, match="sequence 9 exceeds max_seq 6"):
-        causal_decode(*batch_of(rng, l=4, q=5), cfg, params)
-
-
-def test_output_independent_of_max_seq():
-    # rotary tables cover the actual sequence, so max_seq only caps length
-    params = small_decoder()
-    rng = np.random.default_rng(4)
-    batch = batch_of(rng)
-    small = causal_decode(*batch, CFG, params)
-    big_cfg = replace(CFG, max_seq=512)
-    big = causal_decode(*batch, big_cfg, params)
-    assert np.array_equal(small.data, big.data)
 
 
 def test_causality_prefix_invariance():

@@ -17,7 +17,7 @@ from oracles import build_scope_mask, masked_encode
 def small_encoder(layers=1, hidden=8, heads=2, ffn=12, seed=0):
     cfg = ModelConfig(method=FusionMethod.BASELINE, enc_layers=layers, enc_hidden=hidden,
                       enc_heads=heads, enc_ffn=ffn)
-    params = init_encoder_params(cfg, RngState(seed))
+    params = init_encoder_params(cfg, RngState(seed), 0.02)
     return cfg, params
 
 

@@ -123,7 +123,7 @@ def test_csv_optional_flops_column():
 @pytest.mark.slow
 def test_run_cell_smoke():
     spec = tiny_spec(GridAxis.FIXED_FRAMES, n_input=8)
-    r = run_cell(spec, FusionMethod.POST_POOL_PLLAVA, 2, 8)
+    r = run_cell(spec, FusionMethod.POST_POOL_PLLAVA, 2, 8, {})
     assert r.method == "pllava-pool"
     assert r.k == 2 and r.n_input == 8
     assert r.l_decoder == 4  # 8 frames * 1 token/frame / k=2

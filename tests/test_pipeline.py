@@ -20,7 +20,7 @@ from test_acceptance import _audit_config
 
 MICRO = dict(n_input=4, height=8, width=8, patch=2, enc_layers=1, enc_hidden=8,
              enc_heads=2, enc_ffn=12, out_hidden=8, dec_layers=1, dec_hidden=8,
-             dec_heads=2, dec_ffn=12, vocab=len(VOCAB), max_seq=32,
+             dec_heads=2, dec_ffn=12, vocab=len(VOCAB),
              qformer_layers=1, qformer_heads=2)
 
 
@@ -144,10 +144,11 @@ def test_forward_checks_pixel_shape():
 
 
 def test_config_dict_round_trip():
-    cfg = micro_cfg(FusionMethod.POST_QFORMER, k=2)
-    d = config_to_dict(cfg)
-    assert d["method"] == "qformer"
-    assert config_from_dict(d) == cfg
+    for method in FusionMethod:
+        cfg = micro_cfg(method, k=1 if method is FusionMethod.BASELINE else 2)
+        d = config_to_dict(cfg)
+        assert d["method"] == method.value
+        assert config_from_dict(d) == cfg
 
 
 def test_config_from_dict_rejects_unknown_keys():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,6 @@ SMALL = GenConfig(frames=8)
 
 
 def test_gen_config_validation():
-    with pytest.raises(BadConfig):
-        GenConfig(channels=1)
     with pytest.raises(BadConfig):
         GenConfig(height=10, width=28)
     with pytest.raises(BadConfig):
@@ -286,6 +286,11 @@ def test_save_load_round_trip(tmp_path):
             back.clip.pixels.data,
             orig.clip.pixels.data.astype(np.float32).astype(np.float64))
         assert np.array_equal(back.question_ids, orig.question_ids)
+    # a meta.json written while GenConfig still had a channels field loads too
+    meta = json.loads((out / "meta.json").read_text())
+    assert sorted(meta) == ["fps", "frames", "height", "width"]
+    (out / "meta.json").write_text(json.dumps({**meta, "channels": 3}))
+    assert load_dataset(out)[1] == SMALL
 
 
 def test_load_rejects_wrong_schema(tmp_path):
