@@ -14,7 +14,11 @@ Each metric also gets a verdict: `better` (or `worse`) when the change wins
 than the parent's interquartile range, `unresolved` otherwise. Each
 end-to-end metric also gets `within_bound`: the change's median is no worse
 than the parent's by more than the metric's `bound` fraction in
-`BENCHMARK.json`, the rule a change that claims no gain is held to.
+`BENCHMARK.json`, the rule a change that claims no gain is held to, and
+`spread_exceeds_bound`: the parent's own IQR is wider than that bound, so
+the runs cannot tell a drift of the bound's size from noise. The print-out
+marks such a metric `UNRESOLVED (parent spread > bound)`, and any other
+metric outside its bound `OUTSIDE BOUND`.
 
 Usage:
     python3 scripts/bench_ab.py --parent HEAD~1 --workload all \\
@@ -88,7 +92,9 @@ def compare(parent_runs: list[dict], change_runs: list[dict], better: dict[str, 
         }
         if bounds and name in bounds:
             drift = sign * (change["median"] - parent["median"])
-            metrics[name]["within_bound"] = drift >= -bounds[name] * abs(parent["median"])
+            bound = bounds[name] * abs(parent["median"])
+            metrics[name]["within_bound"] = drift >= -bound
+            metrics[name]["spread_exceeds_bound"] = iqr > bound
     return metrics
 
 
@@ -159,10 +165,11 @@ def main(argv=None) -> int:
             out.write_text(json.dumps(doc, indent=2) + "\n")
             print(workload)
             for name, m in entry["metrics"].items():
+                note = ("  UNRESOLVED (parent spread > bound)" if m.get("spread_exceeds_bound")
+                        else "" if m.get("within_bound", True) else "  OUTSIDE BOUND")
                 print(f"  {name:34s} parent {m['parent']['median']:.6g}  "
                       f"change {m['change']['median']:.6g}"
-                      f"  wins {m['change_wins']}/{m['pairs']}  {m['verdict']}"
-                      + ("" if m.get("within_bound", True) else "  OUTSIDE BOUND"))
+                      f"  wins {m['change_wins']}/{m['pairs']}  {m['verdict']}" + note)
     return 0
 
 

@@ -19,7 +19,7 @@ from .errors import BadConfig, read_json
 CHECKPOINT_MAGIC = b"TFZ1"
 
 
-def save_checkpoint(params: dict[str, Tensor], path, meta: dict | None = None) -> None:
+def save_checkpoint(params: dict[str, Tensor], path, meta: dict) -> None:
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -33,7 +33,7 @@ def save_checkpoint(params: dict[str, Tensor], path, meta: dict | None = None) -
             fh.write(data.astype("<f8", copy=False).tobytes())
     sidecar = {"format": "TFZ1", "parameters": len(params),
                "values": int(sum(p.size for p in params.values()))}
-    sidecar.update(meta or {})
+    sidecar.update(meta)
     path.with_suffix(path.suffix + ".json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 

@@ -56,7 +56,7 @@ def _window_concat(x: Tensor) -> Tensor:
     return reshape(x, (*lead, t // 4, 4 * c))
 
 
-def spatial_downsample_with_proj(tokens: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def spatial_downsample_with_proj(tokens: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     """[..., T, h] -> [..., T/4, out] through 2x2 window concat + projection."""
     return linear(_window_concat(tokens), w, b)
 
@@ -73,8 +73,7 @@ def _ungroup_time(grouped: Tensor, k: int) -> Tensor:
     return reshape(x, (*lead, g, t, k * h))
 
 
-def te_concat_and_project(grouped: Tensor, k: int, w: Tensor,
-                          b: Tensor | None = None) -> Tensor:
+def te_concat_and_project(grouped: Tensor, k: int, w: Tensor, b: Tensor | None) -> Tensor:
     """Through-encoder compression: temporal concat to k*h per spatial
     position, then 2x2 window concat to 4*k*h, projected to out.
 

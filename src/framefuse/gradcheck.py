@@ -6,7 +6,7 @@ coordinates of all checked parameters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -27,11 +27,10 @@ class FiniteDiffReport:
     max_rel_err: float
     passed: bool
     tol: float
-    per_param: dict[str, float] = field(default_factory=dict)
 
 
 def finite_diff_check(f: Callable[[], Tensor], params: Mapping[str, Tensor],
-                      tol: float = 1e-6) -> FiniteDiffReport:
+                      tol: float) -> FiniteDiffReport:
     """Compare taped gradients of the scalar f() against central differences.
 
     f must read the parameters' current .data each call. Each coordinate is
@@ -43,7 +42,6 @@ def finite_diff_check(f: Callable[[], Tensor], params: Mapping[str, Tensor],
     grads = backward(tape, loss)
 
     worst = 0.0
-    per_param: dict[str, float] = {}
     for name, p in params.items():
         analytic = grads[p]
         numeric = np.zeros_like(p.data)
@@ -59,10 +57,8 @@ def finite_diff_check(f: Callable[[], Tensor], params: Mapping[str, Tensor],
             nflat[i] = (fp - fm) / (2.0 * STEP)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), REL_ERR_FLOOR)
         rel = float((np.abs(analytic - numeric) / denom).max()) if flat.size else 0.0
-        per_param[name] = rel
         worst = max(worst, rel)
-    return FiniteDiffReport(max_rel_err=worst, passed=worst < tol, tol=tol,
-                            per_param=per_param)
+    return FiniteDiffReport(max_rel_err=worst, passed=worst < tol, tol=tol)
 
 
 # ---- op-level and composite suites (used by the CLI and the acceptance test) ----

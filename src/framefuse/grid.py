@@ -21,7 +21,7 @@ from .errors import BadConfig, check_fields
 from .frontend import COMPRESSION_METHODS, FusionMethod
 from .pipeline import ModelConfig, build_model, model_flops_per_clip
 from .rng import derive_seed
-from .synthclips import CATEGORY_ORDER, GenConfig, gen_dataset
+from .synthclips import CANVAS, CATEGORY_ORDER, GenConfig, gen_dataset
 from .training import TrainConfig, evaluate, train
 
 
@@ -41,9 +41,10 @@ class ExperimentSpec:
     train: TrainConfig = field(default_factory=TrainConfig)
     train_per_category: int = 20
     eval_per_category: int = 10
-    height: int = 28
-    width: int = 28
-    patch: int = 14
+    # not fields, so no experiment config can set them: every cell runs on the
+    # generators' canvas at ModelConfig's default patch
+    height = width = CANVAS
+    patch = ModelConfig.patch
 
     def __post_init__(self):
         check_fields(self, positive=("train_per_category", "eval_per_category"))
@@ -102,14 +103,13 @@ def run_cell(spec: ExperimentSpec, method: FusionMethod, k: int, n_input: int,
     """Train and score one grid cell from scratch. `datasets` caches the
     per-n_input train/eval sets across cells."""
     if n_input not in datasets:
-        gcfg = GenConfig(frames=n_input, height=spec.height, width=spec.width)
+        gcfg = GenConfig(frames=n_input)
         data_seed = derive_seed(spec.seed, "data", n_input)
         train_ds, _ = gen_dataset(spec.train_per_category, derive_seed(data_seed, "train"), gcfg)
         eval_ds, _ = gen_dataset(spec.eval_per_category, derive_seed(data_seed, "eval"), gcfg)
         datasets[n_input] = (train_ds, eval_ds)
     train_ds, eval_ds = datasets[n_input]
-    cfg = ModelConfig(method=method, k=k, n_input=n_input, height=spec.height,
-                      width=spec.width, patch=spec.patch)
+    cfg = ModelConfig(method=method, k=k, n_input=n_input)
     cell_seed = derive_seed(spec.train.seed, method.value, k)
     bundle = build_model(cfg, cell_seed)
     outcome = train(bundle, train_ds, replace(spec.train, seed=cell_seed))

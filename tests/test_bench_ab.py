@@ -53,6 +53,38 @@ def test_within_bound_allows_the_bound_fraction_worse(better, factor, want):
 def test_within_bound_only_for_metrics_with_a_bound():
     metric = bench_ab.compare(_runs(PARENT), _runs(PARENT), {"clips_per_s": "higher"})
     assert "within_bound" not in metric["clips_per_s"]
+    assert "spread_exceeds_bound" not in metric["clips_per_s"]
+
+
+WIDE = [0.20, 0.33, 0.21, 0.32]  # IQR 0.115 against 0.25 of the 0.265 median
+NARROW = [0.25, 0.26, 0.25, 0.26]
+
+
+@pytest.mark.parametrize("parent,change,within,spread,note", [
+    (WIDE, [0.31, 0.32, 0.30, 0.33], True, True, "UNRESOLVED (parent spread > bound)"),
+    (WIDE, [0.40, 0.41, 0.40, 0.41], False, True, "UNRESOLVED (parent spread > bound)"),
+    (NARROW, [0.40, 0.41, 0.40, 0.41], False, False, "OUTSIDE BOUND"),
+    (NARROW, NARROW, True, False, None),
+])
+def test_parent_spread_wider_than_the_bound_is_unresolved(monkeypatch, tmp_path, capsys,
+                                                          parent, change, within, spread,
+                                                          note):
+    def run_once(tree, workload, seed, seconds, trace):
+        value = (change if tree == bench_ab.ROOT else parent)[seed]
+        return {"attempted": 1, "failed": 0, "grid_csv_sha256": [],
+                "metrics": {"setup_s": {"value": value, "unit": "s"}}}
+
+    monkeypatch.setattr(bench_ab, "extract", lambda ref, dest: None)
+    monkeypatch.setattr(bench_ab, "describe", lambda: "abc1234")
+    monkeypatch.setattr(bench_ab, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert bench_ab.main(["--parent", "HEAD~1", "--workload", "eval-fine", "--pairs", "4",
+                          "--seconds", "1", "--seed-base", "0", "--out", str(out)]) == 0
+    metric = json.loads(out.read_text())["eval-fine"]["metrics"]["setup_s"]
+    assert (metric["within_bound"], metric["spread_exceeds_bound"]) == (within, spread)
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if "setup_s" in line]
+    notes = [n for n in ("UNRESOLVED (parent spread > bound)", "OUTSIDE BOUND") if n in line]
+    assert notes == ([note] if note else [])
 
 
 def _fake_runs(monkeypatch):

@@ -23,7 +23,7 @@ def sample_params(seed=0):
 def test_round_trip_bit_exact(tmp_path):
     params = sample_params()
     path = tmp_path / "m.tfz"
-    save_checkpoint(params, path)
+    save_checkpoint(params, path, {})
     loaded = load_checkpoint(path)
     assert set(loaded) == set(params)
     for name, arr in loaded.items():
@@ -35,7 +35,7 @@ def test_round_trip_bit_exact(tmp_path):
 def test_records_are_name_sorted(tmp_path):
     params = sample_params()
     path = tmp_path / "m.tfz"
-    save_checkpoint(params, path)
+    save_checkpoint(params, path, {})
     blob = path.read_bytes()
     assert blob[:4] == CHECKPOINT_MAGIC
     names = []
@@ -78,7 +78,7 @@ def test_bad_magic(tmp_path):
 def test_truncated_record(tmp_path):
     params = sample_params()
     path = tmp_path / "m.tfz"
-    save_checkpoint(params, path)
+    save_checkpoint(params, path, {})
     blob = path.read_bytes()
     path.write_bytes(blob[:len(blob) - 7])
     with pytest.raises(BadConfig, match="record cut off at byte"):
@@ -87,7 +87,7 @@ def test_truncated_record(tmp_path):
 
 def test_repeated_tensor_name_rejected(tmp_path):
     path = tmp_path / "m.tfz"
-    save_checkpoint({"w": Tensor(np.ones((2, 3)))}, path)
+    save_checkpoint({"w": Tensor(np.ones((2, 3)))}, path, {})
     blob = path.read_bytes()
     path.write_bytes(blob + blob[4:])  # the one record, twice
     with pytest.raises(BadConfig, match="tensor w appears twice"):
@@ -97,7 +97,7 @@ def test_repeated_tensor_name_rejected(tmp_path):
 def test_apply_checkpoint_in_place(tmp_path):
     params = sample_params(1)
     path = tmp_path / "m.tfz"
-    save_checkpoint(params, path)
+    save_checkpoint(params, path, {})
     target = sample_params(2)
     arrays_before = {n: p.data for n, p in target.items()}
     apply_checkpoint(target, load_checkpoint(path))
@@ -137,7 +137,7 @@ def test_model_checkpoint_restores_forward(tmp_path):
     pixels = rng.random((1, 4, 3, 28, 28))
     before = video_token_forward(bundle, pixels).data
     path = tmp_path / "m.tfz"
-    save_checkpoint(bundle.params, path)
+    save_checkpoint(bundle.params, path, {})
     other = build_model(cfg, 8)
     assert not np.array_equal(video_token_forward(other, pixels).data, before)
     apply_checkpoint(other.params, load_checkpoint(path))

@@ -216,6 +216,19 @@ def test_grid_unknown_config_key(capsys, tmp_path):
     assert "unknown experiment config keys" in err
 
 
+@pytest.mark.parametrize("key", ("height", "width", "patch"))
+def test_grid_config_cannot_set_the_canvas(capsys, tmp_path, monkeypatch, key):
+    # every cell runs on the generators' fixed canvas at the default patch
+    monkeypatch.setattr(cli, "run_grid", lambda spec: [])
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps({"axis": "fixed-frames", "n_input": 8, key: 28}))
+    code, out, err = run(capsys, "grid", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err, "unknown experiment config keys", repr(key))
+
+
 def test_grid_requires_axis(capsys, tmp_path):
     cfg_path = tmp_path / "grid.json"
     cfg_path.write_text(json.dumps({"n_input": 8}))
@@ -425,7 +438,7 @@ def test_broken_dataset_meta_is_validation_error(capsys, tmp_path):
     run(capsys, "gen-data", "--per-category", "1", "--seed", "5",
         "--out", str(data), "--frames", "8")
     meta = json.loads((data / "meta.json").read_text())
-    for broken, fragment in (({"frames": 8}, "height"), ({**meta, "fps": "8"}, "fps")):
+    for broken, fragment in (({"frames": 8}, "fps"), ({**meta, "fps": "8"}, "fps")):
         (data / "meta.json").write_text(json.dumps(broken))
         code, out, err = run(capsys, "stats", "--data", str(data))
         assert code == 1
@@ -445,7 +458,8 @@ def test_broken_dataset_meta_is_validation_error(capsys, tmp_path):
                                  ("category", "XX", "XX"), ("seed", "abc", "abc"),
                                  ("opt0", "mr:bogus", "mr:bogus"), ("answer_idx", "7", "7"),
                                  ("clip", "clips/nan.clp", "non-finite"),
-                                 ("clip", "clips/short.clp", "(6, 3, 28, 28)"),
+                                 ("clip", "clips/short.clp",
+                                  "(6, 3, 28, 28), expected (8, 3, 28, 28)"),
                                  ("clip", "../x.clp", "outside")):
         with open(records, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=rows[0].keys())

@@ -57,7 +57,7 @@ def test_spatial_downsample_quarters_tokens():
     rng = np.random.default_rng(0)
     tokens = Tensor(rng.normal(size=(3, 16, 8)))
     w = Tensor(rng.normal(size=(32, 5)))
-    out = spatial_downsample_with_proj(tokens, w)
+    out = spatial_downsample_with_proj(tokens, w, None)
     assert out.shape == (3, 4, 5)
 
 
@@ -67,7 +67,7 @@ def test_spatial_downsample_constant_inputs_stay_constant():
     h = 4
     tokens = Tensor(np.full((1, 16, h), 0.5))
     w = Tensor(np.concatenate([np.eye(h)] * 4, axis=0) / 4.0)
-    out = spatial_downsample_with_proj(tokens, w)
+    out = spatial_downsample_with_proj(tokens, w, None)
     assert np.allclose(out.data, 0.5)
 
 
@@ -75,7 +75,7 @@ def test_spatial_downsample_window_order():
     # 4x4 grid, value = row-major token index; window (0,0) holds 0,1,4,5
     tokens = np.arange(16, dtype=np.float64).reshape(1, 16, 1)
     w = Tensor(np.eye(4))
-    out = spatial_downsample_with_proj(Tensor(tokens), w)
+    out = spatial_downsample_with_proj(Tensor(tokens), w, None)
     assert np.array_equal(out.data[0, 0], [0.0, 1.0, 4.0, 5.0])
     assert np.array_equal(out.data[0, 1], [2.0, 3.0, 6.0, 7.0])
     assert np.array_equal(out.data[0, 2], [8.0, 9.0, 12.0, 13.0])
@@ -86,11 +86,11 @@ def test_spatial_downsample_rejects_bad_grids():
     # the window reshape rejects both
     w = Tensor(np.zeros((32, 4)))
     with pytest.raises(ShapeMismatch):
-        spatial_downsample_with_proj(Tensor(np.zeros((1, 8, 8))), w)
+        spatial_downsample_with_proj(Tensor(np.zeros((1, 8, 8))), w, None)
     with pytest.raises(ShapeMismatch):
-        spatial_downsample_with_proj(Tensor(np.zeros((1, 9, 8))), w)
+        spatial_downsample_with_proj(Tensor(np.zeros((1, 9, 8))), w, None)
     with pytest.raises(ShapeMismatch):
-        spatial_downsample_with_proj(Tensor(np.zeros((1, 16, 8))), Tensor(np.zeros((16, 4))))
+        spatial_downsample_with_proj(Tensor(np.zeros((1, 16, 8))), Tensor(np.zeros((16, 4))), None)
 
 
 def test_paper_scale_downsample_arithmetic():
@@ -101,7 +101,7 @@ def test_te_concat_shapes():
     rng = np.random.default_rng(1)
     grouped = Tensor(rng.normal(size=(4, 32, 32)))
     w = Tensor(rng.normal(size=(4 * 2 * 32, 10)))
-    out = te_concat_and_project(grouped, 2, w)
+    out = te_concat_and_project(grouped, 2, w, None)
     assert out.shape == (4, 4, 10)
 
 
@@ -122,7 +122,7 @@ def test_te_temporal_concat_order():
     frames[0, :t] = 1.0   # frame 0
     frames[0, t:] = 2.0   # frame 1
     w = Tensor(np.eye(4 * 2 * h))
-    out = te_concat_and_project(Tensor(frames), 2, w)
+    out = te_concat_and_project(Tensor(frames), 2, w, None)
     assert out.shape == (1, 1, 16)
     window = out.data[0, 0].reshape(4, 2 * h)
     assert np.all(window[:, :h] == 1.0)

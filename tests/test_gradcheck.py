@@ -17,18 +17,21 @@ def test_sum_of_squares_is_exact():
             total = sq if total is None else add(total, sq)
         return total
 
-    report = finite_diff_check(f, params)
+    report = finite_diff_check(f, params, 1e-6)
     assert report.passed
     assert report.max_rel_err < 1e-8
 
 
 def test_dead_parameter_has_zero_error():
-    live = Tensor(np.ones(2), requires_grad=True)
+    # a leaf the loss never reads has a zero taped and a zero numeric gradient
+    live = Tensor(np.full(2, 0.3), requires_grad=True)
     dead = Tensor(np.ones(2), requires_grad=True)
-    report = finite_diff_check(lambda: sum_all(multiply(live, live)),
-                               {"live": live, "dead": dead})
-    assert report.passed
-    assert report.per_param["dead"] == 0.0
+
+    def loss():  # cubic, so central differences of the live leaf are inexact
+        return sum_all(multiply(live, multiply(live, live)))
+
+    assert finite_diff_check(loss, {"dead": dead}, 1e-6).max_rel_err == 0.0
+    assert finite_diff_check(loss, {"live": live, "dead": dead}, 1e-6).max_rel_err > 0.0
 
 
 def test_norm_linear_softmax_ce_chain():

@@ -11,8 +11,7 @@ TINY_TRAIN = TrainConfig(total_steps=2, warmup_steps=1, batch=4)
 
 
 def tiny_spec(axis, **kw):
-    defaults = dict(train=TINY_TRAIN, train_per_category=2, eval_per_category=2,
-                    height=28, width=28, patch=14)
+    defaults = dict(train=TINY_TRAIN, train_per_category=2, eval_per_category=2)
     defaults.update(kw)
     return ExperimentSpec(axis=axis, **defaults)
 

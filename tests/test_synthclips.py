@@ -4,23 +4,31 @@ import numpy as np
 import pytest
 
 from framefuse.errors import BadConfig
-from framefuse.synthclips import (CATEGORY_ORDER, COUNTS, DIR_STEPS, PALETTE,
-                                  QUESTION_LEN, RECORD_FIELDS, VOCAB,
-                                  DatasetStats, GenConfig, SyntheticSample,
+from framefuse.rng import derive_seed
+from framefuse.synthclips import (AO_OPTIONS, CANVAS, CATEGORY_ORDER, COUNTS,
+                                  DIR_STEPS, MR_KINDS, PALETTE, QUESTION_LEN,
+                                  RECORD_FIELDS, VOCAB, DatasetStats, GenConfig,
                                   TaskCategory, annotation_density,
-                                  dataset_stats, encode_question, gen_dataset,
-                                  gen_sample, load_dataset, max_repetitions,
+                                  encode_question, gen_dataset, gen_sample,
+                                  load_dataset, max_repetitions,
                                   question_length, save_dataset, _paint,
                                   _shape_mask)
-from oracles import rc_transition_count
+from oracles import rc_transition_count, sprite_bbox
 
 GCFG = GenConfig(frames=16)
 SMALL = GenConfig(frames=8)
 
 
+def answer(sample) -> str:
+    return sample.options[sample.answer_idx]
+
+
+def extent(box) -> tuple[int, int]:
+    """(height, width) of a sprite_bbox box."""
+    return box[2] - box[0], box[3] - box[1]
+
+
 def test_gen_config_validation():
-    with pytest.raises(BadConfig):
-        GenConfig(height=10, width=28)
     with pytest.raises(BadConfig):
         GenConfig(frames=2)
     with pytest.raises(BadConfig):
@@ -75,16 +83,32 @@ def test_mr_covers_all_kinds_with_valid_scripts():
     kinds_seen = set()
     for seed in range(60):
         s = gen_sample(TaskCategory.MR, seed, GCFG)
-        kind = s.truth["kind"]
+        kind = answer(s)
         kinds_seen.add(kind)
-        assert s.options[s.answer_idx] == kind
+        boxes = [sprite_bbox(frame) for frame in s.clip.pixels.data]
         if kind == "mr:translate":
-            assert s.truth["travel"] >= 6
+            # one sprite, carried at least 6 px along one axis
+            assert {extent(box) for box in boxes} == {extent(boxes[0])}
+            dy, dx = boxes[-1][0] - boxes[0][0], boxes[-1][1] - boxes[0][1]
+            assert 0 in (dy, dx) and abs(dy + dx) >= 6
         elif kind == "mr:rotate":
-            assert s.truth["period"] in (1, 2)
-        elif kind == "mr:grow":
-            assert s.truth["s_end"] - s.truth["s0"] >= 5
-    assert kinds_seen == {"mr:translate", "mr:rotate", "mr:blink", "mr:grow"}
+            # a 3 px bar turning a quarter every 1 or 2 frames
+            h, w = extent(boxes[0])
+            assert h == 3 < w
+            period = next(t for t, box in enumerate(boxes) if extent(box) != (h, w))
+            assert period in (1, 2)
+            assert [extent(box) for box in boxes] == [
+                (h, w) if (t // period) % 2 == 0 else (w, h) for t in range(len(boxes))]
+        elif kind == "mr:blink":
+            shown = [box is not None for box in boxes]
+            period = shown.index(False)
+            assert period in (1, 2)
+            assert shown == [(t // period) % 2 == 0 for t in range(len(boxes))]
+            assert len({box for box in boxes if box}) == 1
+        else:  # a square growing by at least 5 px
+            (h0, w0), (h1, w1) = extent(boxes[0]), extent(boxes[-1])
+            assert h0 == w0 and h1 == w1 and h1 - h0 >= 5
+    assert kinds_seen == set(MR_KINDS)
 
 
 def test_mr_first_frame_does_not_leak_grow():
@@ -94,14 +118,11 @@ def test_mr_first_frame_does_not_leak_grow():
     square_sizes = set()
     for seed in range(120):
         s = gen_sample(TaskCategory.MR, seed, GCFG)
-        if s.truth["kind"] == "mr:grow":
-            start_sizes.add(s.truth["s0"])
-        elif s.truth["kind"] in ("mr:translate", "mr:blink"):
-            frame0 = s.clip.pixels.data[0]
-            cols = np.where(frame0.any(axis=(0, 1)))[0]
-            rows = np.where(frame0.any(axis=(0, 2)))[0]
-            if len(rows) == len(cols):
-                square_sizes.add(len(rows))
+        h, w = extent(sprite_bbox(s.clip.pixels.data[0]))
+        if answer(s) == "mr:grow":
+            start_sizes.add(h)
+        elif answer(s) in ("mr:translate", "mr:blink") and h == w:
+            square_sizes.add(h)
     assert start_sizes <= {3, 4, 5}
     assert square_sizes & {5, 6, 7}
 
@@ -109,13 +130,14 @@ def test_mr_first_frame_does_not_leak_grow():
 def test_lm_scripts_move_and_end_matches_truth():
     for seed in range(30):
         s = gen_sample(TaskCategory.LM, seed, GCFG)
-        direction = s.truth["direction"]
-        assert s.options[s.answer_idx] == f"lm:{direction}"
-        assert s.truth["travel"] >= 3
-        first = s.clip.pixels.data[0]
-        last = s.clip.pixels.data[-1]
-        assert first.any() and last.any()
-        assert not np.array_equal(first, last)
+        first, last = (sprite_bbox(frame) for frame in s.clip.pixels.data[[0, -1]])
+        dy, dx = DIR_STEPS[answer(s).removeprefix("lm:")]
+        moved = (last[0] - first[0], last[1] - first[1])
+        # at least 3 px toward the answered side, and nowhere else
+        travel = dy * moved[0] + dx * moved[1]
+        assert travel >= 3
+        assert moved == (dy * travel, dx * travel)
+        assert extent(first) == extent(last)
 
 
 def test_cm_shifts_whole_scene():
@@ -126,11 +148,35 @@ def test_cm_shifts_whole_scene():
     assert not np.array_equal(px[0], px[-1])
 
 
+def quadrants(frame) -> list:
+    """The four [C, H/2, W/2] quadrants of a frame, row-major."""
+    half = CANVAS // 2
+    return [frame[:, r:r + half, c:c + half] for r in (0, half) for c in (0, half)]
+
+
+def footprint(frame, box):
+    """The lit pixels of `frame` [C, H, W] inside sprite_bbox `box`."""
+    top, left, bottom, right = box
+    return (frame[:, top:bottom, left:right] > 0.05).any(axis=0)
+
+
 def test_mo_mover_is_one_of_four_onscreen_shapes():
     for seed in range(20):
         s = gen_sample(TaskCategory.MO, seed, GCFG)
-        assert s.options[s.answer_idx] == s.truth["mover_shape"]
-        assert s.truth["travel"] >= 2
+        start = quadrants(s.clip.pixels.data[0])
+        first = [sprite_bbox(q) for q in start]
+        last = [sprite_bbox(q) for q in quadrants(s.clip.pixels.data[-1])]
+        assert None not in first
+        moved = [q for q in range(4) if first[q] != last[q]]
+        assert len(moved) == 1  # one sprite moves, inside its own quadrant
+        (q,) = moved
+        a, b = first[q], last[q]
+        assert extent(a) == extent(b)
+        assert max(abs(b[0] - a[0]), abs(b[1] - a[1])) >= 2
+        # and it has the answer's shape, at the mover's size of 4 or 5 px
+        masks = [_shape_mask(answer(s), n, n)[None] for n in (4, 5)]
+        assert any(np.array_equal(footprint(start[q], a), footprint(m, sprite_bbox(m)))
+                   for m in masks)
 
 
 def test_ao_needs_eight_frames():
@@ -138,21 +184,32 @@ def test_ao_needs_eight_frames():
         gen_sample(TaskCategory.AO, 0, GenConfig(frames=6))
 
 
+def first_change(px, cols: slice) -> tuple[int, str]:
+    """The first frame at which canvas columns `cols` differ from frame 0, and
+    what their sprite did there: vanish, move, grow or shrink."""
+    boxes = [sprite_bbox(frame[:, :, cols]) for frame in px]
+    t = next(t for t, box in enumerate(boxes) if box != boxes[0])
+    if boxes[t] is None:
+        return t, "blink"
+    area = [h * w for h, w in (extent(boxes[0]), extent(boxes[t]))]
+    return t, "move" if area[1] == area[0] else "grow" if area[1] > area[0] else "shrink"
+
+
 def test_ao_events_are_ordered():
+    half = CANVAS // 2
     for seed in range(20):
         s = gen_sample(TaskCategory.AO, seed, GCFG)
-        first, second = s.truth["first"], s.truth["second"]
+        # one actor per canvas half; the answer names the one that acts first
+        (t0, first), (t1, second) = sorted(
+            first_change(s.clip.pixels.data, cols) for cols in (np.s_[:half], np.s_[half:]))
+        assert t0 < t1
         assert first != second
-        assert s.options[s.answer_idx] == f"ao:{first}-first"
-        w1, w2 = s.truth["first_window"], s.truth["second_window"]
-        assert w1[1] < w2[0]
+        assert answer(s) == f"ao:{first}-first"
 
 
 def test_ao_truth_covers_all_actions():
-    seen = set()
-    for seed in range(120):
-        seen.add(gen_sample(TaskCategory.AO, seed, GCFG).truth["first"])
-    assert seen == {"blink", "move", "grow", "shrink"}
+    seen = {answer(gen_sample(TaskCategory.AO, seed, GCFG)) for seed in range(120)}
+    assert seen == set(AO_OPTIONS)
 
 
 def test_max_repetitions():
@@ -165,9 +222,7 @@ def test_rc_first_frame_dark_and_count_in_options():
     for seed in range(20):
         s = gen_sample(TaskCategory.RC, seed, GCFG)
         assert not s.clip.pixels.data[0].any()
-        r = s.truth["repetitions"]
-        assert 1 <= r <= max_repetitions(16)
-        assert s.options[s.answer_idx] == f"count:{r}"
+        assert answer(s) in COUNTS[:max_repetitions(16)]
         assert set(s.options) <= set(COUNTS)
 
 
@@ -175,26 +230,30 @@ def test_rc_first_frame_dark_and_count_in_options():
 def test_rc_pixel_oracle_recovers_count(gcfg):
     for seed in range(30):
         s = gen_sample(TaskCategory.RC, seed * 31 + 5, gcfg)
-        assert rc_transition_count(s.clip) == s.truth["repetitions"]
+        assert f"count:{rc_transition_count(s.clip)}" == answer(s)
 
 
-def test_degenerate_scripts_rejected_on_tiny_canvas():
-    # at 14x14 the centered sprites regularly have no room to move; those
-    # scripts must be refused, never silently emitted as static clips
-    tiny = GenConfig(frames=8, height=14, width=14)
-    lm_rejects = 0
-    mr_rejects = 0
-    for seed in range(120):
-        try:
-            gen_sample(TaskCategory.LM, seed, tiny)
-        except BadConfig:
-            lm_rejects += 1
-        try:
-            gen_sample(TaskCategory.MR, seed, tiny)
-        except BadConfig:
-            mr_rejects += 1
-    assert lm_rejects > 0
-    assert mr_rejects > 0
+@pytest.mark.parametrize("category,frames", [
+    (c, f) for c in CATEGORY_ORDER for f in (3, 8, 16, 32)
+    if c is not TaskCategory.AO or f >= 8])
+def test_scripts_move_from_a_first_frame_that_does_not_answer(category, frames):
+    gcfg = GenConfig(frames=frames)
+    for i in range(100):
+        s = gen_sample(category, derive_seed(41, category.value, frames, i), gcfg)
+        px = s.clip.pixels.data
+        assert any(not np.array_equal(frame, px[0]) for frame in px[1:])
+        # no sprite reaches an edge; CM's scene shifts off the canvas on purpose
+        lit = (px[:1] if category is TaskCategory.CM else px) > 0.05
+        assert not lit[..., [0, -1], :].any() and not lit[..., [0, -1]].any()
+        if category is TaskCategory.LM:
+            # the sprite does not start in the outer third the answer names
+            top, left, bottom, right = sprite_bbox(px[0])
+            dy, dx = DIR_STEPS[answer(s).removeprefix("lm:")]
+            centre = (left + right) / 2 if dx else (top + bottom) / 2
+            if dx + dy > 0:
+                assert centre <= 2 * CANVAS / 3
+            else:
+                assert centre >= CANVAS / 3
 
 
 def test_annotation_density_frozen_values():
@@ -286,10 +345,11 @@ def test_save_load_round_trip(tmp_path):
             back.clip.pixels.data,
             orig.clip.pixels.data.astype(np.float32).astype(np.float64))
         assert np.array_equal(back.question_ids, orig.question_ids)
-    # a meta.json written while GenConfig still had a channels field loads too
+    # a meta.json written while GenConfig still had canvas fields loads too
     meta = json.loads((out / "meta.json").read_text())
-    assert sorted(meta) == ["fps", "frames", "height", "width"]
-    (out / "meta.json").write_text(json.dumps({**meta, "channels": 3}))
+    assert sorted(meta) == ["fps", "frames"]
+    (out / "meta.json").write_text(json.dumps({**meta, "height": 28, "width": 28,
+                                               "channels": 3}))
     assert load_dataset(out)[1] == SMALL
 
 
@@ -316,7 +376,7 @@ def test_cached_shape_mask_is_read_only_and_survives_painting(shape):
     before = mask.copy()
     assert not mask.flags.writeable
     frame = np.zeros((3, 28, 28))
-    for top, left in ((10, 10), (-3, 24), (25, -4)):  # whole, and clipped at two corners
+    for top, left in ((10, 10), (0, 19), (21, 0)):  # mid-canvas and in two corners
         _paint(frame, shape, top, left, 7, 9, (1.0, 0.5, 0.25))
     assert _shape_mask(shape, 7, 9) is mask
     assert np.array_equal(mask, before)

@@ -69,11 +69,6 @@ def test_lr_schedule_non_increasing_after_warmup():
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-def test_lr_zero_total_steps():
-    cfg = TrainConfig(total_steps=0, warmup_steps=0)
-    assert lr_at(0, cfg) == cfg.min_lr
-
-
 def test_adam_single_step_matches_reference():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     params = {"p": p}
