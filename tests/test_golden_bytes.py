@@ -1,17 +1,26 @@
-"""Golden digests of built parameters and generated clips.
+"""Golden digests of built parameters, generated clips and short training runs.
 
-The digests were taken before model building drew each parameter group in one
-stream call and before sprite masks were cached, so any change to how
-construction draws from the stream that moves a parameter or pixel byte fails
-here.
+The parameter and clip digests were taken before model building drew each
+parameter group in one stream call and before sprite masks were cached, so any
+change to how construction draws from the stream that moves a parameter or
+pixel byte fails here. The training digests were taken before `backward` freed
+the tape as it swept, so any change to the forward, the backward or Adam that
+moves a loss, a trained parameter or an eval score by one bit fails here.
 """
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from framefuse.frontend import FusionMethod
 from framefuse.pipeline import ModelConfig, build_model
 from framefuse.synthclips import GenConfig, gen_dataset
+from framefuse.training import TrainConfig, evaluate, train
 
 # desk: B=32 training shape; fine: the eval-fine shape (16 frames, patch 7,
 # k=2); odd: odd-size encoder and Q-Former tensors (33x33 projections), so
@@ -49,6 +58,25 @@ PARAM_DIGESTS = {
     },
 }
 
+TRAIN_DIGESTS = {
+    "desk": {
+        "baseline": "feba98d29764765c12029a9dc9dcdc090da6f5823588359f9f7e23b274b8ad81",
+        "channel-merge": "08a012d3069aaaa74b9804ba924f2a15f9cd8b2d7cfdcc57d2812a24c68708cd",
+        "pllava-pool": "95a4b27bed9b82994c397bcdf92c3174dd32e5eab2a921c8f43daa90c1822e7c",
+        "kangaroo-mlp": "882f93c55faa855bda7058d5911fd430075624de8269fb3cc796153e600799a8",
+        "qformer": "0bcd9c555669c17f15f17b5f6e03b1d92ebc239a9a24ffc7b2be2433ecb03688",
+        "through-encoder": "8a88752c49db0d8f6f181643f6ce58c881fd619cdbc9e53fa0b0d2a80b6280c5",
+    },
+    "fine": {
+        "baseline": "fc6d91197001d60bd2a76ba724aea3586c5a215b4c9eb6ad23ad33d8f37e4a7d",
+        "channel-merge": "b5ca303079c47fc444f5f61039ce22f9e2c8592853feb60dad54dd6a17a1650c",
+        "pllava-pool": "7f3c2bb24357ba1f4fb4be031925d86c83181a0adbe514875fb327e6d46d1288",
+        "kangaroo-mlp": "2c491c2e6352cd0023279504efd599f6797e867fc46b00a4ee4b3b1f3dbb4f89",
+        "qformer": "844e715cd6399539930fd64e23a4249e9eb76d9a7f2cd739c1e34b48b883569b",
+        "through-encoder": "a445075a5f57605164c2fae988b5b68ffebd270d345d125a92893c0c44a473ca",
+    },
+}
+
 CLIP_DIGESTS = {
     8: "0af3bb9338cb317627cc0d2b31363fe62eff14ffc67d19269075b2fadf64f773",
     16: "63d2aaa9cdaf40f2ec65b87a6a634cc7437e697b12496f3ef4fdb5ae9a0a5000",
@@ -79,3 +107,42 @@ def test_gen_dataset_pixel_bytes(frames):
     for s in samples:
         h.update(s.clip.pixels.data.tobytes())
     assert h.hexdigest() == CLIP_DIGESTS[frames]
+
+
+def train_digest(config: str, method: FusionMethod) -> str:
+    """6 Adam steps at B=16, then one evaluate: sha256 over every loss, every
+    trained parameter and the eval mean loss and accuracy."""
+    k, fields = CONFIGS[config]
+    cfg = ModelConfig(method=method, k=1 if method is FusionMethod.BASELINE else k, **fields)
+    bundle = build_model(cfg, 11)
+    gcfg = GenConfig(frames=cfg.n_input)
+    train_set, _ = gen_dataset(3, 29, gcfg)
+    eval_set, _ = gen_dataset(2, 31, gcfg)
+    result = train(bundle, train_set, TrainConfig(total_steps=6, warmup_steps=1, batch=16,
+                                                  lr=1e-3, seed=5))
+    scores = evaluate(bundle, eval_set)
+    h = hashlib.sha256(np.array(result.losses).tobytes())
+    h.update(params_digest(bundle.params).encode())
+    h.update(np.array([scores.mean_loss, scores.accuracy]).tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def train_digests():
+    """Every `train_digest`, taken in a child process with BLAS on one thread:
+    a multithreaded GEMM splits its sums by thread count, so trained bytes
+    differ between 1 and 2 threads (they also depend on the CPU's BLAS kernel)."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(here), str(here.parent / "src")]))
+    code = ("import json, test_golden_bytes as t; print(json.dumps({c: {m.value: "
+            "t.train_digest(c, m) for m in t.FusionMethod} for c in t.TRAIN_DIGESTS}))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("config", sorted(TRAIN_DIGESTS))
+@pytest.mark.parametrize("method", list(FusionMethod), ids=lambda m: m.value)
+def test_train_and_evaluate_bytes(config, method, train_digests):
+    assert train_digests[config][method.value] == TRAIN_DIGESTS[config][method.value]
