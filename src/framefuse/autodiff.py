@@ -5,6 +5,14 @@ input is connected to a watched leaf, the op appends a node (op name, input
 ids, output id, gradient closure) to the tape. backward() walks the node list
 once in reverse. With no active tape the ops are plain forward arithmetic,
 which is what evaluation and finite differences use.
+
+Lifetime rule: an array lives only as long as some gradient still needs it.
+A closure holds only what its gradient reads (shapes rather than input
+Tensors, and no operand whose partner input is untracked), and an input that
+is not tracked on the tape gets a None gradient. backward() consumes the tape:
+it drops each node's closure once the node has run and each adjoint once its
+node has read it, so saved activations free as the sweep goes. The node list
+itself (op names and ids) stays.
 """
 from __future__ import annotations
 
@@ -121,6 +129,19 @@ def _finish(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, grad_fn) ->
     return out
 
 
+def _needs_grad(*inputs: Tensor) -> tuple[bool, ...]:
+    """Per input: whether the active tape tracks it, so its gradient is used."""
+    tape = _active_tape()
+    return tuple(tape is not None and _tracked(tape, t) for t in inputs)
+
+
+def _cross_operands(a: Tensor, b: Tensor) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(a's data if b's gradient is used, b's data if a's is): each input's
+    gradient of a product reads the other operand, so keep only what is read."""
+    need_a, need_b = _needs_grad(a, b)
+    return (a.data if need_b else None), (b.data if need_a else None)
+
+
 def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Fold a broadcast gradient back onto `shape`."""
     extra = g.ndim - len(shape)
@@ -146,25 +167,30 @@ class Gradients:
 
 
 def backward(tape: Tape, loss: Tensor) -> Gradients:
-    """Reverse sweep; every node visited exactly once.
+    """Reverse sweep; every node visited exactly once, and the tape consumed.
 
     `loss` must be a rank-0 scalar. Returns gradients for every watched leaf;
-    leaves on no path to the loss get zeros.
+    leaves on no path to the loss get zeros. Each node's `grad_fn` is None
+    afterwards, and a node's adjoint is dropped once the node has read it
+    (a watched leaf's is kept for the result), so the sweep frees what the
+    forward saved as it goes. Adjoints are kept only for tids on the tape.
     """
     if loss.shape != ():
         raise ShapeMismatch(f"loss has shape {loss.shape}, expected a scalar")
+    leaves, live = tape._leaves, tape._live
     adjoint: dict[int, np.ndarray] = {loss.tid: np.array(1.0)}
     for node in reversed(tape.nodes):
-        g = adjoint.get(node.output_id)
+        out = node.output_id
+        g = adjoint.get(out) if out in leaves else adjoint.pop(out, None)
+        grad_fn, node.grad_fn = node.grad_fn, None
         if g is None:
             continue
-        gs = node.grad_fn(g)
-        for tid, gi in zip(node.input_ids, gs):
-            if gi is None:
+        for tid, gi in zip(node.input_ids, grad_fn(g)):
+            if gi is None or tid not in live:
                 continue
             acc = adjoint.get(tid)
             adjoint[tid] = gi if acc is None else acc + gi
-    return Gradients({tid: adjoint[tid] for tid in tape._leaves if tid in adjoint})
+    return Gradients({tid: adjoint[tid] for tid in leaves if tid in adjoint})
 
 
 # ---- elementwise and structural ops ----
@@ -174,9 +200,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out = a.data + b.data
     except ValueError:
         raise ShapeMismatch(f"add {a.shape} vs {b.shape}") from None
+    need_a, need_b = _needs_grad(a, b)
+    sa, sb = a.shape, b.shape
 
     def grad_fn(g):
-        return _sum_to(g, a.shape), _sum_to(g, b.shape)
+        return (_sum_to(g, sa) if need_a else None), (_sum_to(g, sb) if need_b else None)
 
     return _finish("add", (a, b), out, grad_fn)
 
@@ -186,10 +214,12 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
         out = a.data * b.data
     except ValueError:
         raise ShapeMismatch(f"multiply {a.shape} vs {b.shape}") from None
-    ad, bd = a.data, b.data
+    ad, bd = _cross_operands(a, b)
+    sa, sb = a.shape, b.shape
 
     def grad_fn(g):
-        return _sum_to(g * bd, a.shape), _sum_to(g * ad, b.shape)
+        return (None if bd is None else _sum_to(g * bd, sa),
+                None if ad is None else _sum_to(g * ad, sb))
 
     return _finish("multiply", (a, b), out, grad_fn)
 
@@ -268,14 +298,22 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def gather(x: Tensor, index: np.ndarray) -> Tensor:
     """Rows of x picked along axis 0 by an integer array of any shape:
-    x [N, ...], index [...] -> [*index.shape, ...]. The backward sums the
-    gradient rows that share a source row, as one one-hot GEMM."""
-    n, flat = x.shape[0], index.reshape(-1)
+    x [N, ...], index [...] -> [*index.shape, ...]. When no row repeats, the
+    backward puts each gradient row at its source row; otherwise it sums the
+    gradient rows that share a source row as one one-hot GEMM, which is faster
+    here than a scatter-add."""
+    shape, flat = x.shape, index.reshape(-1)
 
     def grad_fn(g):
-        onehot = np.zeros((n, flat.size))
-        onehot[flat, np.arange(flat.size)] = 1.0
-        return ((onehot @ g.reshape(flat.size, -1)).reshape(x.shape),)
+        g2 = g.reshape(flat.size, -1)
+        if np.unique(flat).size == flat.size:
+            full = np.zeros((shape[0], g2.shape[1]))
+            full[flat] = g2
+        else:
+            full = np.zeros((shape[0], flat.size))
+            full[flat, np.arange(flat.size)] = 1.0
+            full = full @ g2
+        return (full.reshape(shape),)
 
     return _finish("gather", (x,), x.data[index], grad_fn)
 
@@ -308,26 +346,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(f"matmul needs rank >= 2, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
+    sa = a.shape
+    ad, bd = _cross_operands(a, b)
     if b.ndim == 2:
         # a weight shared across a's batch axes: fold them into the rows of one
         # GEMM, forward and backward, instead of one small GEMM per batch slice
-        a2 = ad.reshape(-1, ad.shape[-1])
-        out = (a2 @ bd).reshape(a.shape[:-1] + (bd.shape[-1],))
-        tape = _active_tape()
-        need_ga = tape is not None and _tracked(tape, a)
+        out = (a.data.reshape(-1, sa[-1]) @ b.data).reshape(sa[:-1] + (b.shape[-1],))
 
         def grad_fn(g):
             g2 = g.reshape(-1, g.shape[-1])
-            ga = (g2 @ bd.T).reshape(a.shape) if need_ga else None
-            return ga, a2.T @ g2
-    elif a.shape[:-2] != b.shape[:-2]:
+            return (None if bd is None else (g2 @ bd.T).reshape(sa),
+                    None if ad is None else ad.reshape(-1, sa[-1]).T @ g2)
+    elif sa[:-2] != b.shape[:-2]:
         raise ShapeMismatch(f"matmul batch prefixes differ: {a.shape} x {b.shape}")
     else:
-        out = ad @ bd
+        out = a.data @ b.data
 
         def grad_fn(g):
-            return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g
+            return (None if bd is None else g @ np.swapaxes(bd, -1, -2),
+                    None if ad is None else np.swapaxes(ad, -1, -2) @ g)
 
     return _finish("matmul", (a, b), out, grad_fn)
 
@@ -414,13 +451,13 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     h = x.shape[-1]
     ms = (xd * xd).mean(axis=-1, keepdims=True)
     r = 1.0 / np.sqrt(ms + eps)
-    gd = gain.data
+    gd, sg = gain.data, gain.shape
     out = xd * r * gd
 
     def grad_fn(g):
         u = g * gd
         gx = u * r - xd * (r ** 3 / h) * (u * xd).sum(axis=-1, keepdims=True)
-        ggain = _sum_to(g * xd * r, gain.shape)
+        ggain = _sum_to(g * xd * r, sg)
         return gx, ggain
 
     return _finish("rms_norm", (x, gain), out, grad_fn)
