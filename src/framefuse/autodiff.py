@@ -167,13 +167,11 @@ class Gradients:
 
 
 def backward(tape: Tape, loss: Tensor) -> Gradients:
-    """Reverse sweep; every node visited exactly once, and the tape consumed.
+    """Reverse sweep; every node visited exactly once.
 
     `loss` must be a rank-0 scalar. Returns gradients for every watched leaf;
-    leaves on no path to the loss get zeros. Each node's `grad_fn` is None
-    afterwards, and a node's adjoint is dropped once the node has read it
-    (a watched leaf's is kept for the result), so the sweep frees what the
-    forward saved as it goes. Adjoints are kept only for tids on the tape.
+    leaves on no path to the loss get zeros. Consumes the tape: every node's
+    `grad_fn` is None afterwards (see the module docstring).
     """
     if loss.shape != ():
         raise ShapeMismatch(f"loss has shape {loss.shape}, expected a scalar")

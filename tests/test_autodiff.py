@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from framefuse import autodiff
 from framefuse.autodiff import (MASK_BLOCKED, Gradients, Tape, Tensor, add,
                                 attention, backward, concat_axis, constant,
                                 cross_entropy, embedding_lookup, gather, gelu,
@@ -14,13 +15,12 @@ from framefuse.autodiff import (MASK_BLOCKED, Gradients, Tape, Tensor, add,
                                 matmul, mean_over_axis, multiply, narrow,
                                 param, permute, reshape, rms_norm, scale,
                                 softmax_lastdim, sum_all, swap_last_two)
-from framefuse import autodiff
 from framefuse.errors import ShapeMismatch
 from framefuse.frontend import FusionMethod
+from framefuse.gradcheck import finite_diff_check
 from framefuse.pipeline import ModelConfig, batch_loss, build_model
 from framefuse.synthclips import GenConfig, gen_dataset
 from framefuse.training import Adam, _batch_arrays
-from framefuse.gradcheck import finite_diff_check
 
 from oracles import gelu_closed_form, gelu_grad_closed_form
 
@@ -366,16 +366,16 @@ def test_folded_matmul_skips_constant_input_gradient():
     assert np.array_equal(gb, a.data.reshape(-1, 5).T @ g.reshape(-1, 3))
 
 
-
 def test_gather_with_unique_rows_places_gradients():
     rng = np.random.default_rng(8)
     x = param(rng.normal(size=(5, 2, 3)))
     index = np.array([3, 0, 4])
     weights = constant(rng.normal(size=(3, 2, 3)))
     (g,) = grad_of(lambda t: sum_all(multiply(gather(t, index), weights)), x)
-    expect = np.zeros((5, 2, 3))
-    expect[index] = weights.data
-    assert np.array_equal(g, expect)
+    # bitwise the one-hot GEMM that sums rows sharing a source row
+    onehot = np.zeros((5, 3))
+    onehot[index, np.arange(3)] = 1.0
+    assert np.array_equal(g, (onehot @ weights.data.reshape(3, 6)).reshape(5, 2, 3))
 
 
 # ---- lifetimes: a closure keeps what its gradient reads, backward frees it ----
