@@ -175,11 +175,10 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
     """
     if loss.shape != ():
         raise ShapeMismatch(f"loss has shape {loss.shape}, expected a scalar")
-    leaves, live = tape._leaves, tape._live
+    live = tape._live
     adjoint: dict[int, np.ndarray] = {loss.tid: np.array(1.0)}
     for node in reversed(tape.nodes):
-        out = node.output_id
-        g = adjoint.get(out) if out in leaves else adjoint.pop(out, None)
+        g = adjoint.pop(node.output_id, None)
         grad_fn, node.grad_fn = node.grad_fn, None
         if g is None:
             continue
@@ -188,7 +187,7 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
                 continue
             acc = adjoint.get(tid)
             adjoint[tid] = gi if acc is None else acc + gi
-    return Gradients({tid: adjoint[tid] for tid in leaves if tid in adjoint})
+    return Gradients({tid: adjoint[tid] for tid in tape._leaves if tid in adjoint})
 
 
 # ---- elementwise and structural ops ----
@@ -473,11 +472,12 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         raise ShapeMismatch(f"target class out of range for {ld.shape[1]} classes")
     bsz = ld.shape[0]
     m = ld.max(axis=-1, keepdims=True)
-    z = ld - m
-    lse = m[:, 0] + np.log(np.exp(z).sum(axis=-1))
+    ez = np.exp(ld - m)
+    total = ez.sum(axis=-1, keepdims=True)
+    lse = m[:, 0] + np.log(total[:, 0])
     nll = lse - ld[np.arange(bsz), targets]
     out = np.asarray(nll.mean())
-    p = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
+    p = ez / total
 
     def grad_fn(g):
         gl = p.copy()

@@ -25,7 +25,7 @@ from .training import TrainConfig, evaluate, train
 
 
 def cmd_gen_data(args) -> int:
-    gcfg = GenConfig(frames=args.frames, fps=args.fps)
+    gcfg = GenConfig(frames=args.frames)
     samples, stats = gen_dataset(args.per_category, args.seed, gcfg)
     save_dataset(samples, args.out, gcfg, stats)
     print(f"wrote {stats.samples} samples to {args.out} "
@@ -144,8 +144,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    samples, gcfg = load_dataset(args.data)
-    print(dataset_stats(samples, gcfg, unit=args.unit).to_csv(), end="")
+    samples, _ = load_dataset(args.data)
+    print(dataset_stats(samples, unit=args.unit).to_csv(), end="")
     return 0
 
 
@@ -166,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--frames", type=int, default=16)
-    p.add_argument("--fps", type=float, default=8.0)
     p.set_defaults(handler=cmd_gen_data)
 
     p = sub.add_parser("train", help="train one model")
@@ -190,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON with ExperimentSpec fields, such as experiments/*.json")
     p.add_argument("--out", default="results.csv")
     p.add_argument("--flops", action="store_true", help="append a flops-per-clip column")
-    p.add_argument("--report", choices=("md", "markdown", "csv"),
+    p.add_argument("--report", choices=("md", "csv"),
                    help="also render the results table to stdout")
     p.set_defaults(handler=cmd_grid)
 
@@ -206,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="render a results CSV")
     p.add_argument("--in", required=True)
-    p.add_argument("--format", choices=("md", "markdown", "csv"), default="md")
+    p.add_argument("--format", choices=("md", "csv"), default="md")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_report)
 

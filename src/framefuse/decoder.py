@@ -21,10 +21,10 @@ if TYPE_CHECKING:
 ROTARY_BASE = 10000.0
 
 
-def rotary_tables(seq_len: int, head_dim: int, base: float) -> tuple[np.ndarray, np.ndarray]:
+def rotary_tables(seq_len: int, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """cos/sin tables [S, head_dim]; pairs are (i, i + head_dim/2)."""
     half = head_dim // 2
-    inv_freq = base ** (-np.arange(half) * 2.0 / head_dim)
+    inv_freq = ROTARY_BASE ** (-np.arange(half) * 2.0 / head_dim)
     angles = np.arange(seq_len)[:, None] * inv_freq[None, :]
     cos = np.concatenate([np.cos(angles), np.cos(angles)], axis=-1)
     sin = np.concatenate([np.sin(angles), np.sin(angles)], axis=-1)
@@ -60,7 +60,7 @@ def decode_hidden(video_tokens: Tensor, question_ids: np.ndarray, cfg: ModelConf
     x = concat_axis([video, question], 1)
     seq = x.shape[1]
     mask = build_causal_mask(seq)
-    cos, sin = rotary_tables(seq, cfg.dec_hidden // cfg.dec_heads, ROTARY_BASE)
+    cos, sin = rotary_tables(seq, cfg.dec_hidden // cfg.dec_heads)
     rotary = (Tensor(cos), Tensor(sin))
     for i in range(cfg.dec_layers):
         x = block(x, params, f"dec.{i}", cfg.dec_heads, mask, rotary)

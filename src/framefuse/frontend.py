@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, add, reshape
-from .errors import BadConfig, ShapeMismatch
+from .errors import BadConfig
 
 CLIP_MAGIC = b"CLP1"
 
@@ -50,14 +50,6 @@ class VideoClip:
     """pixels [F, C, H, W], float64 in [0, 1]."""
 
     pixels: Tensor
-
-    def __post_init__(self):
-        if self.pixels.ndim != 4:
-            raise ShapeMismatch(f"clip pixels must be [F, C, H, W], got {self.pixels.shape}")
-
-    @property
-    def frames(self) -> int:
-        return self.pixels.shape[0]
 
 
 def extract_patches(pixels: np.ndarray, patch: int) -> np.ndarray:

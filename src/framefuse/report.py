@@ -28,9 +28,6 @@ class ReportTable:
     def __post_init__(self):
         if len(set(self.columns)) != len(self.columns):
             raise BadConfig(f"duplicate columns in {self.columns}")
-        for i, row in enumerate(self.rows):
-            if set(row) != set(self.columns):
-                raise BadConfig(f"row {i} keys {sorted(row)} != schema {sorted(self.columns)}")
 
 
 def read_table_csv(text: str) -> ReportTable:
@@ -90,7 +87,7 @@ def render_table(table: ReportTable, fmt: str) -> str:
         for row in table.rows:
             writer.writerow([row[c] for c in table.columns])
         return out.getvalue()
-    if fmt in ("md", "markdown"):
+    if fmt == "md":
         marks = _bold_positions(table)
         lines = []
         if table.caption:
@@ -102,4 +99,4 @@ def render_table(table: ReportTable, fmt: str) -> str:
             cells = [f"**{row[c]}**" if (i, c) in marks else row[c] for c in table.columns]
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
-    raise BadConfig(f"unknown table format {fmt!r}; use csv or markdown")
+    raise BadConfig(f"unknown table format {fmt!r}; use csv or md")

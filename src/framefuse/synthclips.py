@@ -42,19 +42,19 @@ CHANNELS = 3
 # every clip is CANVAS x CANVAS pixels; the generators' sprite sizes, jitters
 # and travels are chosen so that no sprite reaches an edge of this canvas
 CANVAS = 28
+# every clip plays at FPS frames a second: an F-frame clip lasts F / FPS
+# seconds in the dataset statistics
+FPS = 8.0
 
 
 @dataclass(frozen=True)
 class GenConfig:
     frames: int = 16
-    fps: float = 8.0
 
     def __post_init__(self):
         check_fields(self)
         if self.frames < 3:
             raise BadConfig(f"{self.frames} frames cannot show motion plus a lead-in")
-        if self.fps <= 0:
-            raise BadConfig("fps must be positive")
 
 
 # ---- question vocabulary ----
@@ -254,6 +254,9 @@ def _gen_cm(rng: RngState, fcount: int):
     dy, dx = DIR_STEPS[direction]
     half = CANVAS // 2
     speed = 2 if (fcount - 1) * 2 <= half else 1
+    # at most half + 1 px in all: that keeps a whole column (or row) of
+    # quadrants on the canvas, so every frame shows at least one sprite
+    travel = min(speed * (fcount - 1), half + 1)
     base = np.zeros((CHANNELS, CANVAS, CANVAS))
     slots = [(2, 2), (2, half + 1), (half + 1, 2), (half + 1, half + 1)]
     for i, sh in enumerate(rng.sample(SHAPES, 3)):
@@ -264,13 +267,13 @@ def _gen_cm(rng: RngState, fcount: int):
         _paint(base, sh, top, left, size, size, rng.choice(PALETTE))
     px = _blank(fcount)
     for t in range(fcount):
-        oy, ox = dy * speed * t, dx * speed * t
+        shift = round(t * travel / (fcount - 1))
+        oy, ox = dy * shift, dx * shift
         src_y = slice(max(0, -oy), min(CANVAS, CANVAS - oy))
         src_x = slice(max(0, -ox), min(CANVAS, CANVAS - ox))
         dst_y = slice(max(0, oy), min(CANVAS, CANVAS + oy))
         dst_x = slice(max(0, ox), min(CANVAS, CANVAS + ox))
-        if src_y.stop > src_y.start and src_x.stop > src_x.start:
-            px[t][:, dst_y, dst_x] = base[:, src_y, src_x]
+        px[t][:, dst_y, dst_x] = base[:, src_y, src_x]
     truth = f"cm:{direction}"
     return px, truth, [d for d in CM_DIRS if d != truth]
 
@@ -429,13 +432,6 @@ def gen_sample(category: TaskCategory, seed: int, gcfg: GenConfig) -> SyntheticS
 
 # ---- dataset assembly and statistics ----
 
-def annotation_density(total_question_length: float, duration_seconds: float) -> float:
-    """Total question length over total clip duration (words per second)."""
-    if duration_seconds <= 0:
-        raise BadConfig(f"duration {duration_seconds}s")
-    return float(total_question_length) / float(duration_seconds)
-
-
 def question_length(sample: SyntheticSample, unit: str = "words") -> int:
     if unit == "words":
         return QUESTION_LEN
@@ -450,9 +446,13 @@ class DatasetStats:
     per_category: dict[str, int]
     total_question_length: int
     total_duration_seconds: float
-    annotation_density: float
     option_position_histogram: tuple[int, int, int, int]
     unit: str = "words"
+
+    @property
+    def annotation_density(self) -> float:
+        """Total question length over total clip duration (words per second)."""
+        return self.total_question_length / self.total_duration_seconds
 
     def to_csv(self) -> str:
         lines = ["field,value", f"samples,{self.samples}"]
@@ -467,7 +467,7 @@ class DatasetStats:
         return "\n".join(lines) + "\n"
 
 
-def dataset_stats(samples, gcfg: GenConfig, unit: str = "words") -> DatasetStats:
+def dataset_stats(samples, unit: str = "words") -> DatasetStats:
     per_cat: dict[str, int] = {}
     hist = [0, 0, 0, 0]
     total_len = 0
@@ -476,11 +476,10 @@ def dataset_stats(samples, gcfg: GenConfig, unit: str = "words") -> DatasetStats
         per_cat[s.category.value] = per_cat.get(s.category.value, 0) + 1
         hist[s.answer_idx] += 1
         total_len += question_length(s, unit)
-        duration += s.clip.frames / gcfg.fps
+        duration += s.clip.pixels.shape[0] / FPS
     return DatasetStats(samples=len(samples), per_category=per_cat,
                         total_question_length=total_len,
                         total_duration_seconds=duration,
-                        annotation_density=annotation_density(total_len, duration),
                         option_position_histogram=(hist[0], hist[1], hist[2], hist[3]),
                         unit=unit)
 
@@ -493,7 +492,7 @@ def gen_dataset(n_per_category: int, seed: int, gcfg: GenConfig):
     for cat in CATEGORY_ORDER:
         for i in range(n_per_category):
             samples.append(gen_sample(cat, derive_seed(seed, cat.value, i), gcfg))
-    return samples, dataset_stats(samples, gcfg)
+    return samples, dataset_stats(samples)
 
 
 # ---- on-disk layout: records.csv + clips/*.clp + stats.csv + meta.json ----
@@ -520,8 +519,7 @@ def save_dataset(samples, out_dir, gcfg: GenConfig, stats: DatasetStats) -> None
         writer.writeheader()
         writer.writerows(rows)
     (out / "stats.csv").write_text(stats.to_csv())
-    (out / "meta.json").write_text(json.dumps({
-        "frames": gcfg.frames, "fps": gcfg.fps}, indent=2) + "\n")
+    (out / "meta.json").write_text(json.dumps({"frames": gcfg.frames}, indent=2) + "\n")
 
 
 def _load_record(src: Path, row: dict, gcfg: GenConfig) -> SyntheticSample:
@@ -560,6 +558,8 @@ def load_dataset(in_dir):
         raise BadConfig(f"{src / 'records.csv'} line {reader.reader.line_num}: {err}") from err
     if tuple(reader.fieldnames or ()) != RECORD_FIELDS:
         raise BadConfig(f"records.csv columns {reader.fieldnames}")
+    if not rows:
+        raise BadConfig(f"{src / 'records.csv'} holds no records")
     samples = []
     for n, row in enumerate(rows, 1):
         try:

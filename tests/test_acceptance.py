@@ -21,8 +21,8 @@ from framefuse.pipeline import (ModelConfig, build_model, forward_logits,
                                 video_token_forward)
 from framefuse.report import read_table_csv, render_table
 from framefuse.rng import RngState, derive_seed
-from framefuse.synthclips import (CATEGORY_ORDER, GenConfig, TaskCategory,
-                                  annotation_density, gen_sample)
+from framefuse.synthclips import (CATEGORY_ORDER, DatasetStats, GenConfig,
+                                  TaskCategory, gen_sample)
 from framefuse.training import TrainConfig, evaluate, train
 from oracles import (build_scope_mask, kangaroo_identity_mlp, masked_encode,
                      rc_transition_count)
@@ -178,8 +178,10 @@ def _balanced_stream(gcfg, positions):
 
 
 def test_criterion_5_protocol_arithmetic():
-    assert annotation_density(684, 10) == 68.4
-    assert annotation_density(1263, 100) == 12.63
+    for words, seconds, density in ((684, 10, 68.4), (1263, 100, 12.63)):
+        stats = DatasetStats(samples=1, per_category={}, total_question_length=words,
+                             total_duration_seconds=seconds, option_position_histogram=(1, 0, 0, 0))
+        assert stats.annotation_density == density
 
     bundle = build_model(ModelConfig(method=FusionMethod.BASELINE, n_input=8), 5)
     positions: list[int] = []

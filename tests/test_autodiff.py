@@ -406,17 +406,6 @@ def test_backward_frees_saved_arrays_and_closures(monkeypatch):
     assert grads[b].shape == (5,) and np.any(grads[w] != 0.0)
 
 
-def test_watched_node_output_keeps_its_gradient():
-    x = param(np.array([1.0, -2.0, 3.0]))
-    with Tape() as tape:
-        y = scale(x, 2.0)
-        tape.watch(y)
-        loss = sum_all(multiply(y, y))
-        grads = backward(tape, loss)
-    assert np.array_equal(grads[y], 2.0 * y.data)
-    assert np.array_equal(grads[x], 4.0 * y.data)
-
-
 @pytest.mark.parametrize("op", [add, multiply], ids=["add", "multiply"])
 def test_untracked_input_gets_no_gradient(op):
     x = param(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))

@@ -45,14 +45,14 @@ def test_mcq_batch_validation():
 
 
 def test_rotary_tables_identity_at_position_zero():
-    cos, sin = rotary_tables(4, 6, 10000.0)
+    cos, sin = rotary_tables(4, 6)
     assert cos.shape == (4, 6)
     assert np.allclose(cos[0], 1.0)
     assert np.allclose(sin[0], 0.0)
 
 
 def test_rotary_tables_unit_norm():
-    cos, sin = rotary_tables(8, 4, 10000.0)
+    cos, sin = rotary_tables(8, 4)
     assert np.allclose(cos ** 2 + sin ** 2, 1.0)
 
 

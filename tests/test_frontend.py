@@ -14,11 +14,6 @@ def rand_clip(rng, f=4, c=3, h=8, w=8):
     return VideoClip(pixels=Tensor(rng.random((f, c, h, w))))
 
 
-def test_clip_requires_four_axes():
-    with pytest.raises(ShapeMismatch):
-        VideoClip(pixels=Tensor(np.zeros((3, 8, 8))))
-
-
 def test_extract_patches_row_major_channel_first():
     # two 2x2 patches side by side; values encode (channel, row, col)
     pixels = np.arange(2 * 2 * 4, dtype=np.float64).reshape(2, 2, 4)

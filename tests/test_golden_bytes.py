@@ -6,6 +6,7 @@ change to how construction draws from the stream that moves a parameter or
 pixel byte fails here. The training digests were taken before `backward` freed
 the tape as it swept, so any change to the forward, the backward or Adam that
 moves a loss, a trained parameter or an eval score by one bit fails here.
+The grid digests pin the CSV bytes of both `_quick` experiment configs.
 """
 import hashlib
 import json
@@ -21,6 +22,8 @@ from framefuse.frontend import FusionMethod
 from framefuse.pipeline import ModelConfig, build_model
 from framefuse.synthclips import GenConfig, gen_dataset
 from framefuse.training import TrainConfig, evaluate, train
+
+HERE = Path(__file__).resolve().parent
 
 # desk: B=32 training shape; fine: the eval-fine shape (16 frames, patch 7,
 # k=2); odd: odd-size encoder and Q-Former tensors (33x33 projections), so
@@ -77,6 +80,12 @@ TRAIN_DIGESTS = {
     },
 }
 
+# sha256 of the CSV `framefuse grid --config experiments/<name>.json` writes
+GRID_DIGESTS = {
+    "fixed_frames_quick": "9f0ae47aad3023fd9a5bda310bb4fef763ad4652e75bc76c015354eeb89d565c",
+    "fixed_budget_quick": "758507818f8b3cd72e237259489f4b46f793916924981e12d159b80db6983f10",
+}
+
 CLIP_DIGESTS = {
     8: "0af3bb9338cb317627cc0d2b31363fe62eff14ffc67d19269075b2fadf64f773",
     16: "63d2aaa9cdaf40f2ec65b87a6a634cc7437e697b12496f3ef4fdb5ae9a0a5000",
@@ -127,22 +136,33 @@ def train_digest(config: str, method: FusionMethod) -> str:
     return h.hexdigest()
 
 
-@pytest.fixture(scope="module")
-def train_digests():
-    """Every `train_digest`, taken in a child process with BLAS on one thread:
+def one_blas_thread(*argv: str) -> str:
+    """stdout of `python argv...` in a child process with BLAS on one thread:
     a multithreaded GEMM splits its sums by thread count, so trained bytes
     differ between 1 and 2 threads (they also depend on the CPU's BLAS kernel)."""
-    here = Path(__file__).resolve().parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(here), str(here.parent / "src")]))
+               PYTHONPATH=os.pathsep.join([str(HERE), str(HERE.parent / "src")]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+@pytest.fixture(scope="module")
+def train_digests():
+    """Every `train_digest`, taken at one BLAS thread."""
     code = ("import json, test_golden_bytes as t; print(json.dumps({c: {m.value: "
             "t.train_digest(c, m) for m in t.FusionMethod} for c in t.TRAIN_DIGESTS}))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    return json.loads(done.stdout)
+    return json.loads(one_blas_thread("-c", code))
 
 
 @pytest.mark.parametrize("config", sorted(TRAIN_DIGESTS))
 @pytest.mark.parametrize("method", list(FusionMethod), ids=lambda m: m.value)
 def test_train_and_evaluate_bytes(config, method, train_digests):
     assert train_digests[config][method.value] == TRAIN_DIGESTS[config][method.value]
+
+
+@pytest.mark.parametrize("config", sorted(GRID_DIGESTS))
+def test_quick_grid_csv_bytes(config, tmp_path):
+    out = tmp_path / "grid.csv"
+    one_blas_thread("-m", "framefuse", "grid", "--config",
+                    str(HERE.parent / "experiments" / f"{config}.json"), "--out", str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_DIGESTS[config]

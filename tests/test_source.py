@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parent.parent / "src" / "framefuse"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")  # __init__ re-exports
+MODULES = sorted(SRC.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -74,11 +74,11 @@ def _referenced_names(tree, skip=None) -> set[str]:
 def test_no_test_only_definitions():
     # tests/ holds the reference code only tests call; src/ holds the program.
     # Checked for top-level definitions and for the methods of top-level
-    # classes. A re-export from __init__.py is not a use.
+    # classes.
     root = SRC.parent.parent
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for folder in (SRC, root / "scripts", root / "perfbench")
-             for path in sorted(folder.glob("*.py")) if path != SRC / "__init__.py"}
+             for path in sorted(folder.glob("*.py"))}
     elsewhere = {path: _referenced_names(tree) for path, tree in trees.items()}
     unused = []
     for path in MODULES:

@@ -8,9 +8,8 @@ from framefuse.rng import derive_seed
 from framefuse.synthclips import (AO_OPTIONS, CANVAS, CATEGORY_ORDER, COUNTS,
                                   DIR_STEPS, MR_KINDS, PALETTE, QUESTION_LEN,
                                   RECORD_FIELDS, VOCAB, DatasetStats, GenConfig,
-                                  TaskCategory, annotation_density,
-                                  encode_question, gen_dataset, gen_sample,
-                                  load_dataset, max_repetitions,
+                                  TaskCategory, encode_question, gen_dataset,
+                                  gen_sample, load_dataset, max_repetitions,
                                   question_length, save_dataset, _paint,
                                   _shape_mask)
 from oracles import rc_transition_count, sprite_bbox
@@ -31,8 +30,6 @@ def extent(box) -> tuple[int, int]:
 def test_gen_config_validation():
     with pytest.raises(BadConfig):
         GenConfig(frames=2)
-    with pytest.raises(BadConfig):
-        GenConfig(fps=0.0)
 
 
 def test_vocab_is_compact_and_unique():
@@ -160,6 +157,19 @@ def footprint(frame, box):
     return (frame[:, top:bottom, left:right] > 0.05).any(axis=0)
 
 
+def test_cm_keeps_a_sprite_in_every_frame():
+    # each quadrant of frame 0 holds one whole sprite or none, so a frame with
+    # fewer lit pixels than the smallest of them shows no whole sprite
+    for frames in range(17, 33):
+        gcfg = GenConfig(frames=frames)
+        for i in range(10):
+            px = gen_sample(TaskCategory.CM, derive_seed(43, frames, i), gcfg).clip.pixels.data
+            lit = (px > 0.05).any(axis=1)
+            sprites = [q.sum() for q in quadrants(lit[0][None]) if q.any()]
+            assert len(sprites) == 3
+            assert lit.sum(axis=(1, 2)).min() >= min(sprites)
+
+
 def test_mo_mover_is_one_of_four_onscreen_shapes():
     for seed in range(20):
         s = gen_sample(TaskCategory.MO, seed, GCFG)
@@ -256,17 +266,16 @@ def test_scripts_move_from_a_first_frame_that_does_not_answer(category, frames):
                 assert centre >= CANVAS / 3
 
 
+def density(total_question_length, total_duration_seconds) -> float:
+    return DatasetStats(samples=1, per_category={}, total_question_length=total_question_length,
+                        total_duration_seconds=total_duration_seconds,
+                        option_position_histogram=(1, 0, 0, 0)).annotation_density
+
+
 def test_annotation_density_frozen_values():
-    assert annotation_density(684, 10.0) == pytest.approx(68.4)
-    assert annotation_density(1263, 100.0) == pytest.approx(12.63)
-    assert annotation_density(0, 5.0) == 0.0
-
-
-def test_annotation_density_zero_duration():
-    with pytest.raises(BadConfig, match="duration 0.0s"):
-        annotation_density(100, 0.0)
-    with pytest.raises(BadConfig, match="duration -1.0s"):
-        annotation_density(100, -1.0)
+    assert density(684, 10.0) == pytest.approx(68.4)
+    assert density(1263, 100.0) == pytest.approx(12.63)
+    assert density(0, 5.0) == 0.0
 
 
 def test_question_length_units():
@@ -311,7 +320,6 @@ def test_dataset_stats_csv_layout():
     stats = DatasetStats(samples=2, per_category={"MR": 2},
                          total_question_length=10,
                          total_duration_seconds=4.0,
-                         annotation_density=2.5,
                          option_position_histogram=(1, 0, 1, 0))
     text = stats.to_csv()
     lines = text.splitlines()
@@ -345,11 +353,11 @@ def test_save_load_round_trip(tmp_path):
             back.clip.pixels.data,
             orig.clip.pixels.data.astype(np.float32).astype(np.float64))
         assert np.array_equal(back.question_ids, orig.question_ids)
-    # a meta.json written while GenConfig still had canvas fields loads too
+    # a meta.json written while GenConfig still had fps or canvas fields loads too
     meta = json.loads((out / "meta.json").read_text())
-    assert sorted(meta) == ["fps", "frames"]
-    (out / "meta.json").write_text(json.dumps({**meta, "height": 28, "width": 28,
-                                               "channels": 3}))
+    assert sorted(meta) == ["frames"]
+    (out / "meta.json").write_text(json.dumps({**meta, "fps": 8.0, "height": 28,
+                                               "width": 28, "channels": 3}))
     assert load_dataset(out)[1] == SMALL
 
 
