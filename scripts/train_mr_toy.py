@@ -24,6 +24,20 @@ from framefuse.synthclips import GenConfig, TaskCategory, gen_sample
 from framefuse.training import TrainConfig, evaluate, train
 
 
+def mr_toy_setup(n_train: int = 400, n_test: int = 200, frames: int = 8,
+                 model_seed: int = 7):
+    """The MR train and test clips (seeds 101 and 202) and the baseline model;
+    the defaults are acceptance criterion 6's setup."""
+    gcfg = GenConfig(frames=frames)
+    train_set = [gen_sample(TaskCategory.MR, derive_seed(101, "mr-train", i), gcfg)
+                 for i in range(n_train)]
+    test_set = [gen_sample(TaskCategory.MR, derive_seed(202, "mr-test", i), gcfg)
+                for i in range(n_test)]
+    bundle = build_model(ModelConfig(method=FusionMethod.BASELINE, n_input=frames),
+                         model_seed)
+    return train_set, test_set, bundle
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--train", type=int, default=400)
@@ -35,13 +49,8 @@ def main() -> int:
     ap.add_argument("--model-seed", type=int, default=7)
     args = ap.parse_args()
 
-    gcfg = GenConfig(frames=args.frames)
-    train_set = [gen_sample(TaskCategory.MR, derive_seed(101, "mr-train", i), gcfg)
-                 for i in range(args.train)]
-    test_set = [gen_sample(TaskCategory.MR, derive_seed(202, "mr-test", i), gcfg)
-                for i in range(args.test)]
-    cfg = ModelConfig(method=FusionMethod.BASELINE, n_input=args.frames)
-    bundle = build_model(cfg, args.model_seed)
+    train_set, test_set, bundle = mr_toy_setup(args.train, args.test, args.frames,
+                                               args.model_seed)
     print(f"{bundle.parameter_count()} parameters, "
           f"{len(train_set)} train / {len(test_set)} test clips")
 

@@ -45,11 +45,27 @@ def parse_method(name) -> FusionMethod:
         raise BadConfig(f"unknown method {name!r}; expected one of {known}") from None
 
 
+class ClipPixels:
+    """A clip's pixels [F, C, H, W] in [0, 1]: a row-major float32 array.
+
+    float32 is the CLP1 file precision and holds every value the generators
+    paint exactly, so a clip is neither rounded on save nor widened on load.
+    `training._batch_arrays` widens each batch to float64, the precision of
+    the model's math."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=np.float32, order="C")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+
 @dataclass
 class VideoClip:
-    """pixels [F, C, H, W], float64 in [0, 1]."""
-
-    pixels: Tensor
+    pixels: ClipPixels
 
 
 def extract_patches(pixels: np.ndarray, patch: int) -> np.ndarray:
@@ -98,7 +114,7 @@ def save_clip(clip: VideoClip, path) -> None:
     with open(path, "wb") as fh:
         fh.write(CLIP_MAGIC)
         fh.write(struct.pack("<4I", f, c, h, w))
-        fh.write(clip.pixels.data.astype("<f4").tobytes())
+        fh.write(np.ascontiguousarray(clip.pixels.data, dtype="<f4"))
 
 
 def load_clip(path) -> VideoClip:
@@ -115,4 +131,4 @@ def load_clip(path) -> VideoClip:
     pixels = np.frombuffer(blob, dtype="<f4", count=f * c * h * w, offset=20)
     if not np.isfinite(pixels).all():
         raise BadConfig(f"{path}: non-finite pixel values")
-    return VideoClip(pixels=Tensor(pixels.astype(np.float64).reshape(f, c, h, w)))
+    return VideoClip(pixels=ClipPixels(pixels.reshape(f, c, h, w)))

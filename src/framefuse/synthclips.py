@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import (BadConfig, ValidationError, check_fields, read_json,
                      read_text)
-from .frontend import VideoClip, load_clip, save_clip
+from .frontend import ClipPixels, VideoClip, load_clip, save_clip
 from .rng import RngState, derive_seed
 
 
@@ -145,7 +144,7 @@ def _paint(frame: np.ndarray, shape: str, top: int, left: int, h: int, w: int,
 
 
 def _blank(fcount: int) -> np.ndarray:
-    return np.zeros((fcount, CHANNELS, CANVAS, CANVAS))
+    return np.zeros((fcount, CHANNELS, CANVAS, CANVAS), dtype=np.float32)
 
 
 DIR_STEPS = {"left": (0, -1), "right": (0, 1), "up": (-1, 0), "down": (1, 0)}
@@ -257,7 +256,7 @@ def _gen_cm(rng: RngState, fcount: int):
     # at most half + 1 px in all: that keeps a whole column (or row) of
     # quadrants on the canvas, so every frame shows at least one sprite
     travel = min(speed * (fcount - 1), half + 1)
-    base = np.zeros((CHANNELS, CANVAS, CANVAS))
+    base = np.zeros((CHANNELS, CANVAS, CANVAS), dtype=np.float32)
     slots = [(2, 2), (2, half + 1), (half + 1, 2), (half + 1, half + 1)]
     for i, sh in enumerate(rng.sample(SHAPES, 3)):
         size = 4 + rng.randint(3)
@@ -425,7 +424,7 @@ def gen_sample(category: TaskCategory, seed: int, gcfg: GenConfig) -> SyntheticS
             options.append(arranged[di])
             di += 1
     opts = (options[0], options[1], options[2], options[3])
-    return SyntheticSample(clip=VideoClip(pixels=Tensor(pixels)), category=category,
+    return SyntheticSample(clip=VideoClip(pixels=ClipPixels(pixels)), category=category,
                            seed=seed, question_ids=encode_question(category, opts),
                            options=opts, answer_idx=answer_idx)
 

@@ -76,7 +76,8 @@ class Adam:
 
 
 def _batch_arrays(samples):
-    pixels = np.stack([s.clip.pixels.data for s in samples])
+    # the one widening of float32 clip pixels to the model's float64
+    pixels = np.stack([s.clip.pixels.data for s in samples], dtype=np.float64)
     questions = np.stack([s.question_ids for s in samples])
     answers = np.array([s.answer_idx for s in samples], dtype=np.int64)
     return pixels, questions, answers

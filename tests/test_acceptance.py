@@ -4,6 +4,7 @@ Each test prints one PASS line with the measured values (visible under
 pytest -rP or -s); a failed assert is the FAIL line. These are the gate the
 rest of the suite builds toward, so none of them are marked slow.
 """
+import importlib.util
 import math
 import time
 from pathlib import Path
@@ -29,6 +30,10 @@ from oracles import (build_scope_mask, kangaroo_identity_mlp, masked_encode,
 
 DATA = Path(__file__).parent / "data"
 EXPERIMENTS = Path(__file__).parents[1] / "experiments"
+MR_TOY = Path(__file__).parents[1] / "scripts" / "train_mr_toy.py"
+_spec = importlib.util.spec_from_file_location("train_mr_toy", MR_TOY)
+mr_toy = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(mr_toy)
 
 # 99% two-sided normal quantile, frozen so the bound is arithmetic, not a
 # library lookup
@@ -199,12 +204,7 @@ def test_criterion_5_protocol_arithmetic():
 
 
 def test_criterion_6_toy_trainability():
-    gcfg = GenConfig(frames=8)
-    train_set = [gen_sample(TaskCategory.MR, derive_seed(101, "mr-train", i), gcfg)
-                 for i in range(400)]
-    test_set = [gen_sample(TaskCategory.MR, derive_seed(202, "mr-test", i), gcfg)
-                for i in range(200)]
-    bundle = build_model(ModelConfig(method=FusionMethod.BASELINE, n_input=8), 7)
+    train_set, test_set, bundle = mr_toy.mr_toy_setup()
     start = time.monotonic()
     result = train(bundle, train_set, TrainConfig(), eval_samples=test_set,
                    eval_every=100, stop_accuracy=0.90)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from framefuse import cli
 from framefuse.autodiff import Tensor
 from framefuse.checkpoint import load_checkpoint, load_checkpoint_meta, save_checkpoint
-from framefuse.frontend import FusionMethod, VideoClip, save_clip
+from framefuse.frontend import ClipPixels, FusionMethod, VideoClip, save_clip
 from framefuse.gradcheck import FiniteDiffReport
 from framefuse.grid import ExperimentSpec
 from framefuse.pipeline import ModelConfig, build_model, config_to_dict
@@ -471,8 +471,8 @@ def test_broken_dataset_meta_is_validation_error(capsys, tmp_path):
         rows = list(csv.DictReader(fh))
     nan_pixels = np.zeros((8, 3, 28, 28))
     nan_pixels[3, 1, 5, 5] = np.nan
-    save_clip(VideoClip(pixels=Tensor(nan_pixels)), data / "clips" / "nan.clp")
-    save_clip(VideoClip(pixels=Tensor(np.zeros((6, 3, 28, 28)))), data / "clips" / "short.clp")
+    save_clip(VideoClip(pixels=ClipPixels(nan_pixels)), data / "clips" / "nan.clp")
+    save_clip(VideoClip(pixels=ClipPixels(np.zeros((6, 3, 28, 28)))), data / "clips" / "short.clp")
     # a valid clip outside the dataset directory
     shutil.copy(data / rows[0]["clip"], tmp_path / "x.clp")
     for key, value, fragment in (("clip", "clips/missing.clp", "missing.clp"),

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from framefuse.autodiff import Tensor
 from framefuse.errors import BadConfig, ShapeMismatch
-from framefuse.frontend import (VideoClip, extract_patches, load_clip,
+from framefuse.frontend import (ClipPixels, VideoClip, extract_patches, load_clip,
                                 merge_neighbor_frames, merge_temporal_channels,
                                 save_clip)
 
 
 def rand_clip(rng, f=4, c=3, h=8, w=8):
-    return VideoClip(pixels=Tensor(rng.random((f, c, h, w))))
+    return VideoClip(pixels=ClipPixels(rng.random((f, c, h, w))))
 
 
 def test_extract_patches_row_major_channel_first():
@@ -132,8 +132,8 @@ def test_clip_round_trip(tmp_path):
     save_clip(clip, path)
     loaded = load_clip(path)
     assert loaded.pixels.shape == (3, 3, 14, 16)
-    assert np.array_equal(loaded.pixels.data,
-                          clip.pixels.data.astype(np.float32).astype(np.float64))
+    assert loaded.pixels.data.dtype == clip.pixels.data.dtype == np.float32
+    assert np.array_equal(loaded.pixels.data, clip.pixels.data)
 
 
 def test_clip_bad_magic(tmp_path):
@@ -163,7 +163,7 @@ def test_clip_truncated_payload(tmp_path):
 
 def test_clip_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "long.clp"
-    save_clip(VideoClip(pixels=Tensor(np.zeros((2, 3, 4, 4)))), path)
+    save_clip(VideoClip(pixels=ClipPixels(np.zeros((2, 3, 4, 4)))), path)
     size = 20 + 4 * 2 * 3 * 4 * 4
     path.write_bytes(path.read_bytes() + bytes(4))
     with pytest.raises(BadConfig, match=f"expected {size} bytes, found {size + 4}"):
@@ -175,7 +175,7 @@ def test_clip_non_finite_pixels_rejected(tmp_path, bad):
     pixels = np.zeros((2, 3, 4, 4))
     pixels[1, 2, 3, 0] = bad
     path = tmp_path / "bad.clp"
-    save_clip(VideoClip(pixels=Tensor(pixels)), path)
+    save_clip(VideoClip(pixels=ClipPixels(pixels)), path)
     with pytest.raises(BadConfig, match="non-finite"):
         load_clip(path)
 
@@ -185,8 +185,8 @@ def test_clip_round_trip_property(seed):
     import tempfile
     from pathlib import Path
     rng = np.random.default_rng(seed)
-    pixels = rng.random((2, 3, 14, 14)).astype(np.float32).astype(np.float64)
-    clip = VideoClip(pixels=Tensor(pixels))
+    pixels = rng.random((2, 3, 14, 14), dtype=np.float32)
+    clip = VideoClip(pixels=ClipPixels(pixels))
     with tempfile.TemporaryDirectory() as td:
         p = Path(td) / "c.clp"
         save_clip(clip, p)

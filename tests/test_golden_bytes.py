@@ -114,7 +114,7 @@ def test_gen_dataset_pixel_bytes(frames):
     samples, _ = gen_dataset(2, 23, GenConfig(frames=frames))
     h = hashlib.sha256()
     for s in samples:
-        h.update(s.clip.pixels.data.tobytes())
+        h.update(s.clip.pixels.data.astype(np.float64).tobytes())
     assert h.hexdigest() == CLIP_DIGESTS[frames]
 
 

@@ -349,9 +349,8 @@ def test_save_load_round_trip(tmp_path):
         assert back.category is orig.category
         assert back.options == orig.options
         assert back.answer_idx == orig.answer_idx
-        assert np.array_equal(
-            back.clip.pixels.data,
-            orig.clip.pixels.data.astype(np.float32).astype(np.float64))
+        assert back.clip.pixels.data.dtype == orig.clip.pixels.data.dtype == np.float32
+        assert np.array_equal(back.clip.pixels.data, orig.clip.pixels.data)
         assert np.array_equal(back.question_ids, orig.question_ids)
     # a meta.json written while GenConfig still had fps or canvas fields loads too
     meta = json.loads((out / "meta.json").read_text())
