@@ -46,12 +46,8 @@ def parse_method(name) -> FusionMethod:
 
 
 class ClipPixels:
-    """A clip's pixels [F, C, H, W] in [0, 1]: a row-major float32 array.
-
-    float32 is the CLP1 file precision and holds every value the generators
-    paint exactly, so a clip is neither rounded on save nor widened on load.
-    `training._batch_arrays` widens each batch to float64, the precision of
-    the model's math."""
+    """A clip's pixels [F, C, H, W] in [0, 1] as a row-major float32 array
+    in `data`, converted on construction as `Tensor` converts to float64."""
 
     __slots__ = ("data",)
 
@@ -65,6 +61,11 @@ class ClipPixels:
 
 @dataclass
 class VideoClip:
+    """One clip. Its pixels are float32 in memory and on disk: that is the CLP1
+    precision, and it holds every value the generators paint (0, .25, .5, .75,
+    1) exactly, so no save rounds and no load widens. `training._batch_arrays`
+    widens each batch to float64 once; the model's math stays float64."""
+
     pixels: ClipPixels
 
 

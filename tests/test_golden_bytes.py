@@ -3,9 +3,12 @@
 The parameter and clip digests were taken before model building drew each
 parameter group in one stream call and before sprite masks were cached, so any
 change to how construction draws from the stream that moves a parameter or
-pixel byte fails here. The training digests were taken before `backward` freed
-the tape as it swept, so any change to the forward, the backward or Adam that
-moves a loss, a trained parameter or an eval score by one bit fails here.
+pixel byte fails here. The clip digests were taken while clips were float64,
+so they hash the pixels widened to float64: painting into float32 canvases
+must leave every value where it was. The training digests were taken before
+`backward` freed the tape as it swept, so any change to the forward, the
+backward or Adam that moves a loss, a trained parameter or an eval score by
+one bit fails here.
 The grid digests pin the CSV bytes of both `_quick` experiment configs.
 """
 import hashlib
