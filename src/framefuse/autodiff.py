@@ -30,6 +30,7 @@ from .errors import ShapeMismatch
 MASK_BLOCKED = -1e30
 
 GELU_COEFF = 0.7978845608028654  # sqrt(2/pi)
+RMS_EPS = 1e-6  # rms_norm's guard against a zero mean square
 _GELU_CUBIC = 0.044715
 
 
@@ -440,14 +441,14 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return _finish("softmax_lastdim", (x,), y, grad_fn)
 
 
-def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
-    """x / sqrt(mean(x^2, last) + eps) * gain, gain shaped [last extent]."""
+def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
+    """x / sqrt(mean(x^2, last) + RMS_EPS) * gain, gain shaped [last extent]."""
     if gain.shape != (x.shape[-1],):
         raise ShapeMismatch(f"rms_norm gain {gain.shape} for input {x.shape}")
     xd = x.data
     h = x.shape[-1]
     ms = (xd * xd).mean(axis=-1, keepdims=True)
-    r = 1.0 / np.sqrt(ms + eps)
+    r = 1.0 / np.sqrt(ms + RMS_EPS)
     gd, sg = gain.data, gain.shape
     out = xd * r * gd
 

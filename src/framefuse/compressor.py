@@ -2,9 +2,12 @@
 
 All paths funnel the encoder output down to N_input/k groups of l tokens,
 where l = T / 4 after the 2x2 spatial merge, so the decoder sees exactly
-N_input * l / k video tokens. Ops accept any number of leading batch axes in
-front of their documented core shape. ModelConfig checks the shapes a model
-will see; the tensor ops reject any other with ShapeMismatch.
+N_input * l / k video tokens. Every path takes the encoder output as one row
+of T tokens per encoder frame, [..., F', T, h], whether or not the encoder
+attended across frames; through-encoder and Kangaroo share concat_frames.
+Ops accept any number of leading batch axes in front of their documented
+core shape. ModelConfig checks the shapes a model will see; the tensor ops
+reject any other with ShapeMismatch.
 """
 from __future__ import annotations
 
@@ -61,35 +64,25 @@ def spatial_downsample_with_proj(tokens: Tensor, w: Tensor, b: Tensor | None) ->
     return linear(_window_concat(tokens), w, b)
 
 
-def _ungroup_time(grouped: Tensor, k: int) -> Tensor:
-    """[..., G, k*T, h] -> [..., G, T, k*h]: per spatial position, concatenate
-    the k in-group frames' hidden vectors in temporal order."""
-    *lead, g, kt, h = grouped.shape
-    t = kt // k
+def concat_frames(per_frame: Tensor, k: int) -> Tensor:
+    """[..., F, T, h] -> [..., F/k, T, k*h]: per spatial position, put each
+    window of k frames' hidden vectors side by side in temporal order."""
+    *lead, f, t, h = per_frame.shape
     nd = len(lead)
-    x = reshape(grouped, (*lead, g, k, t, h))
+    x = reshape(per_frame, (*lead, f // k, k, t, h))
     axes = tuple(range(nd)) + (nd, nd + 2, nd + 1, nd + 3)
     x = permute(x, axes)
-    return reshape(x, (*lead, g, t, k * h))
+    return reshape(x, (*lead, f // k, t, k * h))
 
 
-def te_concat_and_project(grouped: Tensor, k: int, w: Tensor, b: Tensor | None) -> Tensor:
-    """Through-encoder compression: temporal concat to k*h per spatial
-    position, then 2x2 window concat to 4*k*h, projected to out.
+def kangaroo_temporal_mlp(per_frame: Tensor, k: int, params: dict[str, Tensor]) -> Tensor:
+    """Temporal merge by a 2-layer gelu perceptron (k*h -> 2h -> h) applied to
+    each window of k frames per spatial position, then the shared spatial
+    downsample.
 
-    [..., G, k*T, h] -> [..., G, T/4, out]. At k=1 this is exactly
-    spatial_downsample_with_proj under the same projection.
+    [..., F, T, h] -> [..., F/k, T/4, out].
     """
-    return spatial_downsample_with_proj(_ungroup_time(grouped, k), w, b)
-
-
-def kangaroo_temporal_mlp(grouped: Tensor, k: int, params: dict[str, Tensor]) -> Tensor:
-    """Temporal merge by a 2-layer gelu perceptron (k*h -> 2h -> h) applied per
-    spatial position, then the shared spatial downsample.
-
-    [..., G, k*T, h] -> [..., G, T/4, out].
-    """
-    x = _ungroup_time(grouped, k)
+    x = concat_frames(per_frame, k)
     u = gelu(linear(x, params["comp.mlp_w1"], params["comp.mlp_b1"]))
     y = linear(u, params["comp.mlp_w2"], params["comp.mlp_b2"])
     return spatial_downsample_with_proj(y, params["comp.proj_w"], params["comp.proj_b"])
@@ -152,9 +145,11 @@ def init_compressor_params(cfg: ModelConfig, rng: RngState, std: float) -> dict[
 def compress(encoder_output: Tensor, cfg: ModelConfig, params: dict[str, Tensor]) -> Tensor:
     """Run cfg.method's compression path.
 
-    encoder_output is [..., G, k*T, h] for through-encoder fusion (frames
-    grouped before the encoder) and [..., F', T, h] otherwise. Returns
-    [..., N_input/k', l, out] with k'=1 for the baseline and k otherwise.
+    encoder_output is [..., F', T, h], one row of T tokens per encoder frame
+    for every method. Returns [..., N_input/k', l, out] with k'=1 for the
+    baseline and k otherwise. Through-encoder projects each window of k
+    frames' concatenated vectors at once; at k=1 that is exactly the
+    baseline's spatial downsample.
     """
     method, k = cfg.method, cfg.k
     w, b = params["comp.proj_w"], params["comp.proj_b"]
@@ -162,11 +157,9 @@ def compress(encoder_output: Tensor, cfg: ModelConfig, params: dict[str, Tensor]
         # temporal work (none / channel merge) already happened upstream
         return spatial_downsample_with_proj(encoder_output, w, b)
     if method is FusionMethod.THROUGH_ENCODER:
-        return te_concat_and_project(encoder_output, k, w, b)
-    *lead, f, t, h = encoder_output.shape
+        return spatial_downsample_with_proj(concat_frames(encoder_output, k), w, b)
     if method is FusionMethod.POST_MLP_KANGAROO:
-        grouped = reshape(encoder_output, (*lead, f // k, k * t, h))
-        return kangaroo_temporal_mlp(grouped, k, params)
+        return kangaroo_temporal_mlp(encoder_output, k, params)
     per_frame = spatial_downsample_with_proj(encoder_output, w, b)
     if method is FusionMethod.POST_POOL_PLLAVA:
         return pllava_temporal_pool(per_frame, k)

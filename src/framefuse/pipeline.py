@@ -11,12 +11,14 @@ scopes encode to bitwise-equal outputs. The clip generators hold frames
 still, and a batch repeats many scopes. `video_token_forward` therefore
 encodes each distinct scope once, then copies each result back to every
 scope that repeats it with one taped `gather`, whose backward sums the
-repeats' gradients. The patch projection still runs on every scope: on
-fewer rows OpenBLAS may switch to its small-matrix kernel, which sums an
-inner extent above 384 (patch_dim is 588 at patch 14) in another order, and
-the logits would no longer be bitwise those of encoding every scope. The
-encoder's own inner extents, enc_hidden and enc_ffn, are 32 and 64 by
-default, where row count does not change the sums.
+repeats' gradients (when no scope repeats, the gathers copy rows in order).
+The compressor gets one row of T tokens per frame for every method. The
+patch projection still runs on every scope: on fewer rows OpenBLAS may
+switch to its small-matrix kernel, which sums an inner extent above 384
+(patch_dim is 588 at patch 14) in another order, and the logits would no
+longer be bitwise those of encoding every scope. The encoder's own inner
+extents, enc_hidden and enc_ffn, are 32 and 64 by default, where row count
+does not change the sums.
 """
 from __future__ import annotations
 
@@ -63,7 +65,9 @@ class ModelConfig:
     channels = CHANNELS  # not a field: the generators paint RGB clips only
 
     def __post_init__(self):
-        check_fields(self, ("k", "n_input", "patch", "enc_heads", "dec_heads", "qformer_heads"))
+        check_fields(self, ("k", "n_input", "patch", "enc_hidden", "enc_heads", "enc_ffn",
+                            "out_hidden", "dec_hidden", "dec_heads", "dec_ffn",
+                            "qformer_heads"))
         if self.method is FusionMethod.BASELINE and self.k != 1:
             raise BadConfig("baseline path has no compression ratio; use k=1")
         if self.enc_hidden % self.enc_heads:
@@ -204,11 +208,8 @@ def video_token_forward(bundle: ModelBundle, pixels: np.ndarray) -> Tensor:
         # k divides each clip's frames, so no group spans two clips
         seqs = merge_neighbor_frames(seqs, k, bundle.params["pos.temporal"])
     first, index = _distinct_scopes(vecs.reshape(seqs.shape[0], -1))
-    if first.size < index.size:
-        enc = gather(encode(gather(seqs, first), cfg, bundle.params), index)
-    else:
-        enc = encode(seqs, cfg, bundle.params)
-    enc = reshape(enc, (b, enc.shape[0] // b) + enc.shape[1:])
+    enc = gather(encode(gather(seqs, first), cfg, bundle.params), index)
+    enc = reshape(enc, (b, cfg.encoder_frames, t, h))
     out = compress(enc, cfg, bundle.params)
     bb, g, l, oh = out.shape
     return reshape(out, (bb, g * l, oh))

@@ -415,15 +415,7 @@ def gen_sample(category: TaskCategory, seed: int, gcfg: GenConfig) -> SyntheticS
     pixels, truth_token, distractors = _GENERATORS[category](rng, gcfg.frames)
     answer_idx = rng.randint(4)
     arranged = rng.shuffle(list(distractors))
-    options: list[str] = []
-    di = 0
-    for slot in range(4):
-        if slot == answer_idx:
-            options.append(truth_token)
-        else:
-            options.append(arranged[di])
-            di += 1
-    opts = (options[0], options[1], options[2], options[3])
+    opts = tuple(arranged[:answer_idx] + [truth_token] + arranged[answer_idx:])
     return SyntheticSample(clip=VideoClip(pixels=ClipPixels(pixels)), category=category,
                            seed=seed, question_ids=encode_question(category, opts),
                            options=opts, answer_idx=answer_idx)

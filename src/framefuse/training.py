@@ -40,6 +40,8 @@ class TrainConfig:
             raise BadConfig("steps and batch must be non-negative / positive")
         if self.total_steps > 0 and self.warmup_steps >= self.total_steps:
             raise BadConfig(f"warmup {self.warmup_steps} must stay below total {self.total_steps}")
+        if self.min_lr < 0:
+            raise BadConfig(f"min_lr must be non-negative, got {self.min_lr}")
         if self.min_lr > self.lr:
             raise BadConfig(f"min_lr {self.min_lr} above lr {self.lr}")
 
@@ -97,8 +99,9 @@ class TrainResult:
 def train(bundle: ModelBundle, dataset, cfg: TrainConfig, eval_samples=None,
           eval_every: int | None = None, stop_accuracy: float | None = None) -> TrainResult:
     """Seeded-shuffle minibatch Adam. Raises NumericalError with the step index
-    if the loss goes non-finite. Optional periodic eval with accuracy-based
-    early stop."""
+    if the loss goes non-finite or a step's forward, backward or update
+    overflows (as `evaluate` does, instead of warning). Optional periodic
+    eval with accuracy-based early stop."""
     if not dataset:
         raise BadConfig("empty training dataset")
     optimizer = Adam(bundle.params)
@@ -110,13 +113,18 @@ def train(bundle: ModelBundle, dataset, cfg: TrainConfig, eval_samples=None,
             order += order_rng.shuffle(list(range(len(dataset))))
         take, order = order[:cfg.batch], order[cfg.batch:]
         pixels, questions, answers = _batch_arrays([dataset[i] for i in take])
-        with Tape() as tape:
-            loss = batch_loss(bundle, pixels, questions, answers)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise NumericalError(f"step {step}: loss {value}")
-            grads = backward(tape, loss)
-        optimizer.step(bundle.params, grads, lr_at(step, cfg))
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                with Tape() as tape:
+                    loss = batch_loss(bundle, pixels, questions, answers)
+                    value = loss.item()
+                    # a NaN parameter propagates without a floating-point error
+                    if not math.isfinite(value):
+                        raise NumericalError(f"step {step}: loss {value}")
+                    grads = backward(tape, loss)
+                optimizer.step(bundle.params, grads, lr_at(step, cfg))
+        except FloatingPointError as err:
+            raise NumericalError(f"step {step}: {err}") from err
         result.losses.append(value)
         result.steps_run = step + 1
         if eval_every and eval_samples is not None and (step + 1) % eval_every == 0:

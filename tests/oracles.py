@@ -67,7 +67,7 @@ def all_scopes_video_token_forward(bundle: ModelBundle, pixels: np.ndarray) -> T
     if cfg.method is FusionMethod.THROUGH_ENCODER:
         seqs = merge_neighbor_frames(seqs, k, bundle.params["pos.temporal"])
     enc = encoder.encode(seqs, cfg, bundle.params)
-    enc = reshape(enc, (b, enc.shape[0] // b) + enc.shape[1:])
+    enc = reshape(enc, (b, cfg.encoder_frames, t, h))
     out = compress(enc, cfg, bundle.params)
     bb, g, l, oh = out.shape
     return reshape(out, (bb, g * l, oh))

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from framefuse import autodiff
-from framefuse.autodiff import (MASK_BLOCKED, Gradients, Tape, Tensor, add,
-                                attention, backward, concat_axis, constant,
+from framefuse.autodiff import (MASK_BLOCKED, RMS_EPS, Gradients, Tape, Tensor,
+                                add, attention, backward, concat_axis, constant,
                                 cross_entropy, embedding_lookup, gather, gelu,
-                                linear,
-                                matmul, mean_over_axis, multiply, narrow,
+                                linear, matmul, mean_over_axis, multiply, narrow,
                                 param, permute, reshape, rms_norm, scale,
                                 softmax_lastdim, sum_all, swap_last_two)
 from framefuse.errors import ShapeMismatch
@@ -100,18 +99,20 @@ def test_softmax_frozen_values():
 
 
 def test_rms_norm_constant_vector():
-    out = rms_norm(constant([2.0, 2.0, 2.0]), constant(np.ones(3)), eps=0.0)
+    out = rms_norm(constant([2.0, 2.0, 2.0]), constant(np.ones(3)))
+    assert np.array_equal(out.data, np.full(3, 2.0 * (1.0 / np.sqrt(4.0 + RMS_EPS))))
     assert np.allclose(out.data, [1.0, 1.0, 1.0])
 
 
 def test_rms_norm_zero_fixed_point():
-    out = rms_norm(constant([0.0, 0.0]), constant(np.ones(2)), eps=1e-6)
-    assert np.allclose(out.data, [0.0, 0.0])
+    out = rms_norm(constant([0.0, 0.0]), constant(np.ones(2)))
+    assert np.array_equal(out.data, [0.0, 0.0])
 
 
 def test_rms_norm_frozen_values():
-    out = rms_norm(constant([3.0, 4.0]), constant(np.ones(2)), eps=0.0)
-    assert np.allclose(out.data, [3 / np.sqrt(12.5), 4 / np.sqrt(12.5)], atol=1e-9)
+    out = rms_norm(constant([3.0, 4.0]), constant(np.ones(2)))
+    r = 1.0 / np.sqrt(12.5 + RMS_EPS)
+    assert np.array_equal(out.data, [3.0 * r, 4.0 * r])
     assert np.allclose(out.data, [0.84853, 1.13137], atol=1e-5)
 
 
@@ -467,9 +468,10 @@ def test_gelu_between_zero_and_identity_for_positive(data):
 @given(hnp.arrays(np.float64, st.integers(1, 6).map(lambda n: (4, n)),
                   elements=st.floats(0.1, 8, allow_nan=False)))
 def test_rms_norm_unit_rms(data):
-    out = rms_norm(constant(data), constant(np.ones(data.shape[-1])), eps=0.0).data
+    out = rms_norm(constant(data), constant(np.ones(data.shape[-1]))).data
     rms = np.sqrt((out ** 2).mean(axis=-1))
-    assert np.allclose(rms, 1.0)
+    ms = (data ** 2).mean(axis=-1)
+    assert np.allclose(rms, np.sqrt(ms / (ms + RMS_EPS)))
 
 
 @given(st.integers(0, 10**6))

@@ -424,6 +424,13 @@ def test_mistyped_config_fields_are_validation_errors(capsys, tmp_path):
                                        ({"enc_hidden": 10, "enc_heads": 4}, "enc_hidden"),
                                        ({"method": "qformer", "k": 2, "out_hidden": 6},
                                         "out_hidden"),
+                                       # widths below 1
+                                       ({"enc_hidden": -4}, "enc_hidden must be at least 1"),
+                                       ({"enc_ffn": -3}, "enc_ffn must be at least 1"),
+                                       ({"enc_ffn": 0}, "enc_ffn must be at least 1"),
+                                       ({"out_hidden": -8}, "out_hidden must be at least 1"),
+                                       ({"dec_hidden": -8}, "dec_hidden must be at least 1"),
+                                       ({"dec_ffn": -2}, "dec_ffn must be at least 1"),
                                        # fields that no longer exist
                                        ({"max_seq": 512}, "max_seq"),
                                        ({"norm_eps": 1e-6}, "norm_eps"),
@@ -451,6 +458,31 @@ def test_mistyped_config_fields_are_validation_errors(capsys, tmp_path):
         assert out == ""
         assert_one_error_line(err, key)
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_train_negative_min_lr_is_validation_error(capsys, tmp_path):
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps({**TINY_TRAIN, "lr": -1.0, "min_lr": -2.0}))
+    code, out, err = run(capsys, "train", "--method", "baseline", "--k", "1", "--n-input", "8",
+                         "--per-category", "1", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "m.tfz"))
+    assert (code, out) == (1, "")
+    assert_one_error_line(err, "min_lr must be non-negative, got -2.0")
+    assert not (tmp_path / "m.tfz").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_overflow_is_one_numerical_failure_line(capsys, tmp_path):
+    # step 0 runs at lr 0 in warmup; step 1's update at lr 1e300 makes step 2
+    # overflow
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps({**TINY_TRAIN, "total_steps": 4, "lr": 1e300,
+                                    "min_lr": 1e300}))
+    code, out, err = run(capsys, "train", "--method", "baseline", "--k", "1", "--n-input", "8",
+                         "--per-category", "2", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "m.tfz"))
+    assert (code, out) == (2, "")
+    assert err == "numerical failure: step 2: overflow encountered in multiply\n"
 
 
 def test_broken_dataset_meta_is_validation_error(capsys, tmp_path):

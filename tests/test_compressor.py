@@ -4,11 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from framefuse.autodiff import Tensor
-from framefuse.compressor import (TokenBudget, init_compressor_params,
+from framefuse.compressor import (TokenBudget, compress, concat_frames,
+                                  init_compressor_params,
                                   kangaroo_temporal_mlp, pllava_temporal_pool,
                                   qformer_compress,
-                                  spatial_downsample_with_proj,
-                                  te_concat_and_project, token_budget)
+                                  spatial_downsample_with_proj, token_budget)
 from framefuse.errors import BadConfig, ShapeMismatch
 from framefuse.frontend import COMPRESSION_METHODS, FusionMethod
 from framefuse.pipeline import ModelConfig
@@ -97,11 +97,16 @@ def test_paper_scale_downsample_arithmetic():
     assert token_budget(1, 256 // 4, 1).l_decoder == 64
 
 
+def through_encoder(per_frame: Tensor, k: int, w: Tensor, b: Tensor | None) -> Tensor:
+    cfg = ModelConfig(method=FusionMethod.THROUGH_ENCODER, k=k)
+    return compress(per_frame, cfg, {"comp.proj_w": w, "comp.proj_b": b})
+
+
 def test_te_concat_shapes():
     rng = np.random.default_rng(1)
-    grouped = Tensor(rng.normal(size=(4, 32, 32)))
+    per_frame = Tensor(rng.normal(size=(8, 16, 32)))
     w = Tensor(rng.normal(size=(4 * 2 * 32, 10)))
-    out = te_concat_and_project(grouped, 2, w, None)
+    out = through_encoder(per_frame, 2, w, None)
     assert out.shape == (4, 4, 10)
 
 
@@ -111,27 +116,40 @@ def test_te_k1_matches_spatial_downsample():
     w = Tensor(rng.normal(size=(24, 7)))
     b = Tensor(rng.normal(size=7))
     direct = spatial_downsample_with_proj(tokens, w, b)
-    via_te = te_concat_and_project(tokens, 1, w, b)
+    via_te = through_encoder(tokens, 1, w, b)
     assert np.array_equal(via_te.data, direct.data)
 
 
 def test_te_temporal_concat_order():
     # two frames of constant tokens: concat puts frame 0 first per position
     t, h = 4, 2
-    frames = np.zeros((1, 2 * t, h))
-    frames[0, :t] = 1.0   # frame 0
-    frames[0, t:] = 2.0   # frame 1
+    frames = np.zeros((2, t, h))
+    frames[0] = 1.0
+    frames[1] = 2.0
     w = Tensor(np.eye(4 * 2 * h))
-    out = te_concat_and_project(Tensor(frames), 2, w, None)
+    out = through_encoder(Tensor(frames), 2, w, None)
     assert out.shape == (1, 1, 16)
     window = out.data[0, 0].reshape(4, 2 * h)
     assert np.all(window[:, :h] == 1.0)
     assert np.all(window[:, h:] == 2.0)
 
 
+def test_concat_frames_puts_each_window_side_by_side():
+    # value = 100 * frame + 10 * position + channel, one leading batch axis
+    f, t, h, k = 6, 4, 2, 3
+    x = (100 * np.arange(f)[:, None, None] + 10 * np.arange(t)[None, :, None]
+         + np.arange(h)[None, None, :]).astype(np.float64)[None]
+    out = concat_frames(Tensor(x), k).data
+    assert out.shape == (1, f // k, t, k * h)
+    for g in range(f // k):
+        for p in range(t):
+            want = np.concatenate([x[0, g * k + j, p] for j in range(k)])
+            assert np.array_equal(out[0, g, p], want)
+
+
 def test_kangaroo_shapes():
     rng = np.random.default_rng(3)
-    grouped = Tensor(rng.normal(size=(4, 32, 32)))
+    per_frame = Tensor(rng.normal(size=(8, 16, 32)))
     params = {
         "comp.mlp_w1": Tensor(rng.normal(size=(64, 64))),
         "comp.mlp_b1": Tensor(np.zeros(64)),
@@ -140,7 +158,7 @@ def test_kangaroo_shapes():
         "comp.proj_w": Tensor(rng.normal(size=(128, 10))),
         "comp.proj_b": Tensor(np.zeros(10)),
     }
-    out = kangaroo_temporal_mlp(grouped, 2, params)
+    out = kangaroo_temporal_mlp(per_frame, 2, params)
     assert out.shape == (4, 4, 10)
 
 

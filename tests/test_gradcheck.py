@@ -43,7 +43,7 @@ def test_norm_linear_softmax_ce_chain():
     targets = np.array([0, 1, 2, 3])
 
     def f():
-        h = rms_norm(x, gain, 1e-6)
+        h = rms_norm(x, gain)
         return cross_entropy(linear(h, w, b), targets)
 
     report = finite_diff_check(f, {"gain": gain, "w": w, "b": b}, tol=1e-4)

@@ -40,6 +40,9 @@ def test_train_config_validation():
         TrainConfig(total_steps=100, warmup_steps=100)
     with pytest.raises(BadConfig):
         TrainConfig(lr=1e-4, min_lr=1e-3)
+    with pytest.raises(BadConfig, match="min_lr must be non-negative"):
+        TrainConfig(lr=-1.0, min_lr=-2.0)
+    TrainConfig(lr=0.0, min_lr=0.0)
 
 
 def test_train_config_desk_defaults():
