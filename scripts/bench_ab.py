@@ -6,8 +6,10 @@ directory, so no worktree and no `.git` change is left behind. Each pair runs
 index), and the side that runs first alternates from pair to pair. For every
 metric the run prints, the result records each side's median and quartiles,
 every run's value, and how many pairs the change won (ties count for
-neither side), plus the attempted and failed operation counts and each
-run's grid CSV sha256 digests (from its `info` line; empty off grid-ff).
+neither side), plus the attempted and failed operation counts, each run's
+`correct` flag and each run's grid CSV sha256 digests (from its `info` line;
+empty off grid-ff). The print-out gives each side's attempted/failed counts
+per workload and names every pair whose run was not `correct`.
 
 Each metric also gets a verdict: `better` (or `worse`) when the change wins
 (or loses) at least 9 of every 10 pairs and the two medians differ by more
@@ -156,6 +158,7 @@ def main(argv=None) -> int:
                 "trace": args.trace,
                 "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
                 "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+                "correct": {side: [r["correct"] for r in rs] for side, rs in runs.items()},
                 "grid_csv_sha256": {side: [r["grid_csv_sha256"] for r in rs]
                                     for side, rs in runs.items()},
                 "metrics": compare(runs["parent"], runs["change"], better, bounds),
@@ -164,6 +167,11 @@ def main(argv=None) -> int:
             doc[workload + ("-trace" if args.trace else "")] = entry
             out.write_text(json.dumps(doc, indent=2) + "\n")
             print(workload)
+            for side in ("parent", "change"):
+                wrong = [i for i, ok in enumerate(entry["correct"][side]) if not ok]
+                print(f"  {side:6s} attempted/failed {entry['attempted'][side]}/"
+                      f"{entry['failed'][side]}"
+                      + (f"  NOT CORRECT in pairs {wrong}" if wrong else ""))
             for name, m in entry["metrics"].items():
                 note = ("  UNRESOLVED (parent spread > bound)" if m.get("spread_exceeds_bound")
                         else "" if m.get("within_bound", True) else "  OUTSIDE BOUND")

@@ -431,12 +431,15 @@ def gelu(x: Tensor) -> Tensor:
 
 def softmax_lastdim(x: Tensor) -> Tensor:
     xd = x.data
-    m = xd.max(axis=-1, keepdims=True)
-    e = np.exp(xd - m)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = xd - xd.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def grad_fn(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+        gx = g * y
+        np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+        gx *= y
+        return (gx,)
 
     return _finish("softmax_lastdim", (x,), y, grad_fn)
 

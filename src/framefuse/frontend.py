@@ -63,17 +63,18 @@ class ClipPixels:
 class VideoClip:
     """One clip. Its pixels are float32 in memory and on disk: that is the CLP1
     precision, and it holds every value the generators paint (0, .25, .5, .75,
-    1) exactly, so no save rounds and no load widens. `training._batch_arrays`
-    widens each batch to float64 once; the model's math stays float64."""
+    1) exactly, so no save rounds and no load widens. A batch is widened to the
+    model's float64 only by `extract_patches`, in the copy of its patch rows."""
 
     pixels: ClipPixels
 
 
 def extract_patches(pixels: np.ndarray, patch: int) -> np.ndarray:
-    """[..., C, H, W] -> [..., T, C*patch*patch].
+    """[..., C, H, W] -> [..., T, C*patch*patch] float64 rows.
 
     Patches scan row-major over the (H/p, W/p) grid; each patch vector is the
-    channel-first flattening of its [C, p, p] block.
+    channel-first flattening of its [C, p, p] block. Float32 pixels widen,
+    exactly, in the one copy that lays the rows out.
     """
     *lead, c, h, w = pixels.shape
     gh, gw = h // patch, w // patch
@@ -81,7 +82,7 @@ def extract_patches(pixels: np.ndarray, patch: int) -> np.ndarray:
     nd = x.ndim
     # [..., c, gh, p, gw, p] -> [..., gh, gw, c, p, p]
     x = np.moveaxis(x, (nd - 4, nd - 2), (nd - 5, nd - 4))
-    return np.ascontiguousarray(x).reshape(*lead, gh * gw, c * patch * patch)
+    return np.ascontiguousarray(x, dtype=np.float64).reshape(*lead, gh * gw, c * patch * patch)
 
 
 def merge_temporal_channels(pixels: np.ndarray, k: int) -> np.ndarray:

@@ -65,9 +65,9 @@ class ModelConfig:
     channels = CHANNELS  # not a field: the generators paint RGB clips only
 
     def __post_init__(self):
-        check_fields(self, ("k", "n_input", "patch", "enc_hidden", "enc_heads", "enc_ffn",
-                            "out_hidden", "dec_hidden", "dec_heads", "dec_ffn",
-                            "qformer_heads"))
+        check_fields(self, ("k", "n_input", "patch", "enc_layers", "enc_hidden", "enc_heads",
+                            "enc_ffn", "out_hidden", "dec_layers", "dec_hidden", "dec_heads",
+                            "dec_ffn", "qformer_layers", "qformer_heads"))
         if self.method is FusionMethod.BASELINE and self.k != 1:
             raise BadConfig("baseline path has no compression ratio; use k=1")
         if self.enc_hidden % self.enc_heads:

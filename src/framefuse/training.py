@@ -69,17 +69,28 @@ class Adam:
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
+        # in place, in the order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        # p -= lr * (m/c1) / (sqrt(v/c2) + eps), so every byte is the same
         for name, p in params.items():
-            g = grads[p]
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            update = (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + ADAM_EPS)
-            p.data -= lr * update
+            g, m, v = grads[p], self.m[name], self.v[name]
+            tmp = np.multiply(1.0 - b1, g, out=np.empty_like(m))
+            m *= b1
+            m += tmp
+            np.multiply(1.0 - b2, g, out=tmp)
+            tmp *= g
+            v *= b2
+            v += tmp
+            np.sqrt(np.divide(v, c2, out=tmp), out=tmp)
+            tmp += ADAM_EPS
+            update = m / c1
+            update /= tmp
+            update *= lr
+            p.data -= update
 
 
 def _batch_arrays(samples):
-    # the one widening of float32 clip pixels to the model's float64
-    pixels = np.stack([s.clip.pixels.data for s in samples], dtype=np.float64)
+    # float32, as the clips hold them: extract_patches widens in its own copy
+    pixels = np.stack([s.clip.pixels.data for s in samples])
     questions = np.stack([s.question_ids for s in samples])
     answers = np.array([s.answer_idx for s in samples], dtype=np.int64)
     return pixels, questions, answers

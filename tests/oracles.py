@@ -31,6 +31,7 @@ from framefuse.frontend import (FusionMethod, VideoClip, extract_patches,
                                 merge_neighbor_frames, merge_temporal_channels)
 from framefuse.pipeline import ModelBundle, ModelConfig
 from framefuse.rng import RngState
+from framefuse.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def build_scope_mask(total_tokens: int, block: int) -> Tensor:
@@ -160,3 +161,24 @@ def gelu_grad_closed_form(xd: np.ndarray, g: np.ndarray) -> np.ndarray:
     sech2 = 1.0 - t * t
     local = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * GELU_COEFF * (1.0 + 3.0 * 0.044715 * (xd * xd))
     return g * local
+
+
+def softmax_closed_form(xd: np.ndarray) -> np.ndarray:
+    """Last-axis softmax, whole-array expressions."""
+    e = np.exp(xd - xd.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_grad_closed_form(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g pulled back through the softmax whose output is y."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+def adam_closed_form(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray,
+                     t: int, lr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adam step t of one tensor as whole-array expressions: (p, m, v) after it."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    update = (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + ADAM_EPS)
+    return p - lr * update, m, v

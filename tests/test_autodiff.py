@@ -21,7 +21,8 @@ from framefuse.pipeline import ModelConfig, batch_loss, build_model
 from framefuse.synthclips import GenConfig, gen_dataset
 from framefuse.training import Adam, _batch_arrays
 
-from oracles import gelu_closed_form, gelu_grad_closed_form
+from oracles import (gelu_closed_form, gelu_grad_closed_form, softmax_closed_form,
+                     softmax_grad_closed_form)
 
 finite_arrays = hnp.arrays(
     np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
@@ -137,6 +138,22 @@ def test_gelu_matches_closed_forms_bitwise():
     assert out.data.tobytes() == gelu_closed_form(xd).tobytes()
     assert grads[x].tobytes() == gelu_grad_closed_form(xd, g).tobytes()
     assert gelu(constant(0.7)).data.tobytes() == gelu_closed_form(np.array(0.7)).tobytes()
+
+
+def test_softmax_matches_closed_forms_bitwise():
+    rng = np.random.default_rng(12)
+    xd = rng.normal(0.0, 4.0, (3, 5, 7))
+    xd[0, :, 2] = MASK_BLOCKED  # blocked keys get exactly zero weight
+    xd[1, 0] = [700.0, -700.0, 0.0, 1e-300, -0.0, 3.0, 700.0]
+    g = rng.normal(size=xd.shape)
+    x = param(xd)
+    with Tape() as tape:
+        out = softmax_lastdim(x)
+        grads = backward(tape, sum_all(multiply(out, constant(g))))
+    y = softmax_closed_form(xd)
+    assert out.data.tobytes() == y.tobytes()
+    assert grads[x].tobytes() == softmax_grad_closed_form(y, g).tobytes()
+    assert not out.data[0, :, 2].any()
 
 
 def test_attention_single_key_returns_value():

@@ -71,7 +71,7 @@ def test_parent_spread_wider_than_the_bound_is_unresolved(monkeypatch, tmp_path,
                                                           note):
     def run_once(tree, workload, seed, seconds, trace):
         value = (change if tree == bench_ab.ROOT else parent)[seed]
-        return {"attempted": 1, "failed": 0, "grid_csv_sha256": [],
+        return {"correct": True, "attempted": 1, "failed": 0, "grid_csv_sha256": [],
                 "metrics": {"setup_s": {"value": value, "unit": "s"}}}
 
     monkeypatch.setattr(bench_ab, "extract", lambda ref, dest: None)
@@ -87,14 +87,19 @@ def test_parent_spread_wider_than_the_bound_is_unresolved(monkeypatch, tmp_path,
     assert notes == ([note] if note else [])
 
 
-def _fake_runs(monkeypatch):
-    """Stub out git and perfbench; return the (workload, seed, tree) calls."""
+def _fake_runs(monkeypatch, wrong=()):
+    """Stub out git and perfbench; return the (workload, seed, tree) calls.
+    A run whose (seed, is-change) is in `wrong` reports `correct` false and
+    one failed operation of its three."""
     calls = []
 
     def run_once(tree, workload, seed, seconds, trace):
-        calls.append((workload, seed, tree == bench_ab.ROOT))
-        value = 90.0 + seed if tree == bench_ab.ROOT else 100.0 + seed
-        return {"attempted": 3, "failed": 0, "grid_csv_sha256": [],
+        change = tree == bench_ab.ROOT
+        calls.append((workload, seed, change))
+        value = 90.0 + seed if change else 100.0 + seed
+        ok = (seed, change) not in wrong
+        return {"correct": ok, "attempted": 3, "failed": 0 if ok else 1,
+                "grid_csv_sha256": [],
                 "metrics": {"setup_s": {"value": value, "unit": "s"}}}
 
     monkeypatch.setattr(bench_ab, "extract", lambda ref, dest: None)
@@ -133,3 +138,19 @@ def test_unknown_workload_is_a_usage_error(monkeypatch, tmp_path):
     with pytest.raises(SystemExit):
         bench_ab.main(["--parent", "HEAD~1", "--workload", "nope", "--pairs", "2",
                        "--seconds", "1", "--seed-base", "0", "--out", str(tmp_path / "b.json")])
+
+
+def test_correct_flags_and_operation_counts_are_kept_and_printed(monkeypatch, tmp_path,
+                                                                 capsys):
+    _fake_runs(monkeypatch, wrong={(51, True), (52, True)})
+    out = tmp_path / "bench.json"
+    assert bench_ab.main(["--parent", "HEAD~1", "--workload", "train-desk", "--pairs", "3",
+                          "--seconds", "1", "--seed-base", "50", "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["train-desk"]
+    assert entry["correct"] == {"parent": [True, True, True], "change": [True, False, False]}
+    assert (entry["attempted"], entry["failed"]) == ({"parent": 9, "change": 9},
+                                                     {"parent": 0, "change": 2})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["train-desk",
+                         "  parent attempted/failed 9/0",
+                         "  change attempted/failed 9/2  NOT CORRECT in pairs [1, 2]"]

@@ -431,6 +431,11 @@ def test_mistyped_config_fields_are_validation_errors(capsys, tmp_path):
                                        ({"out_hidden": -8}, "out_hidden must be at least 1"),
                                        ({"dec_hidden": -8}, "dec_hidden must be at least 1"),
                                        ({"dec_ffn": -2}, "dec_ffn must be at least 1"),
+                                       # layer counts below 1
+                                       ({"enc_layers": -2}, "enc_layers must be at least 1"),
+                                       ({"dec_layers": 0}, "dec_layers must be at least 1"),
+                                       ({"qformer_layers": -3},
+                                        "qformer_layers must be at least 1"),
                                        # fields that no longer exist
                                        ({"max_seq": 512}, "max_seq"),
                                        ({"norm_eps": 1e-6}, "norm_eps"),

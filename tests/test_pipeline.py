@@ -69,6 +69,19 @@ def test_config_validation():
         micro_cfg(FusionMethod.BASELINE, vocab=10)
 
 
+@pytest.mark.parametrize("method,field,value", [
+    (FusionMethod.BASELINE, "enc_layers", -2),
+    (FusionMethod.BASELINE, "enc_layers", 0),
+    (FusionMethod.BASELINE, "dec_layers", -1),
+    (FusionMethod.POST_QFORMER, "qformer_layers", -3),
+])
+def test_layer_counts_below_one_are_rejected(method, field, value):
+    # these once built a model with no such layers and forwarded to [1, 4] logits
+    k = 1 if method is FusionMethod.BASELINE else 2
+    with pytest.raises(BadConfig, match=f"{field} must be at least 1, got {value}"):
+        ModelConfig(method=method, k=k, **{field: value})
+
+
 def test_channel_merge_derived_dims():
     cfg = micro_cfg(FusionMethod.PRE_ENCODER_CHANNEL_MERGE, k=2)
     assert cfg.encoder_frames == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,15 @@ from framefuse import training
 from framefuse.autodiff import Tensor
 from framefuse.decoder import mcq_loss, predict
 from framefuse.errors import BadConfig, NumericalError
-from framefuse.frontend import FusionMethod
+from framefuse.frontend import FusionMethod, extract_patches
 from framefuse.pipeline import ModelConfig, build_model, forward_logits
 from framefuse.synthclips import (GenConfig, TaskCategory, gen_dataset, gen_sample,
                                   load_dataset, save_dataset)
 from framefuse.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam,
                                 EvalResult, TrainConfig, evaluate, lr_at, train)
 from framefuse.rng import derive_seed
+
+from oracles import adam_closed_form
 
 MICRO = dict(n_input=4, height=28, width=28, patch=14, enc_layers=1,
              enc_hidden=8, enc_heads=2, enc_ffn=12, out_hidden=8, dec_layers=1,
@@ -84,6 +87,22 @@ def test_adam_single_step_matches_reference():
     assert np.allclose(p.data, expect)
 
 
+def test_adam_steps_match_closed_form_bitwise():
+    rng = np.random.default_rng(5)
+    shapes = {"w": (6, 4), "b": (4,), "s": ()}
+    params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
+    want = {n: (p.data.copy(), np.zeros(p.shape), np.zeros(p.shape))
+            for n, p in params.items()}
+    opt = Adam(params)
+    for t, lr in ((1, 0.1), (2, 3e-4), (3, 0.02)):
+        grads = {p: rng.normal(0.0, 10.0 ** (t - 2), p.shape) for p in params.values()}
+        opt.step(params, grads, lr)
+        for name, p in params.items():
+            want[name] = adam_closed_form(*want[name], grads[p], t, lr)
+            for got, expect in zip((p.data, opt.m[name], opt.v[name]), want[name]):
+                assert got.tobytes() == expect.tobytes()
+
+
 def test_adam_is_scale_invariant_on_first_step():
     p = Tensor(np.zeros(3), requires_grad=True)
     opt = Adam({"p": p})
@@ -117,16 +136,26 @@ def test_train_runs_and_records_losses():
     assert result.evals == []
 
 
-def test_batch_arrays_widen_float32_clips_to_float64():
+@pytest.mark.parametrize("method,k", [(FusionMethod.BASELINE, 1),
+                                      (FusionMethod.PRE_ENCODER_CHANNEL_MERGE, 2)])
+def test_batch_arrays_keep_float32_and_extract_patches_widens_exactly(method, k):
     samples = tiny_dataset(3)
     assert samples[0].clip.pixels.data.dtype == np.float32
     pixels, questions, answers = training._batch_arrays(samples)
-    assert pixels.dtype == np.float64
+    assert pixels.dtype == np.float32
     assert pixels.shape == (3, 4, 3, 28, 28)
     for row, s in zip(pixels, samples):
         assert np.array_equal(row, s.clip.pixels.data)
     assert questions.shape == (3, len(samples[0].question_ids))
     assert answers.tolist() == [s.answer_idx for s in samples]
+    # the widening happens in extract_patches' copy and changes no byte
+    wide = pixels.astype(np.float64)
+    rows = extract_patches(pixels, 14)
+    assert rows.dtype == np.float64
+    assert rows.tobytes() == extract_patches(wide, 14).tobytes()
+    bundle = build_model(ModelConfig(method=method, **{**MICRO, "k": k}), 2)
+    assert (forward_logits(bundle, pixels, questions).data.tobytes()
+            == forward_logits(bundle, wide, questions).data.tobytes())
 
 
 def test_train_on_reloaded_dataset_matches_generated(tmp_path):
@@ -227,6 +256,22 @@ def one_forward(bundle, samples):
     """Logits of all `samples` in one forward, and their answers."""
     pixels, questions, answers = training._batch_arrays(samples)
     return forward_logits(bundle, pixels, questions), answers
+
+
+def test_evaluate_peak_memory():
+    """tracemalloc peak of `evaluate` on 64 desk clips, in units of the batch's
+    float64 pixel bytes: 2.43 while the whole batch was widened before patch
+    extraction, 1.93 once extract_patches widens in its own copy."""
+    bundle = build_model(ModelConfig(method=FusionMethod.BASELINE, n_input=8), 3)
+    data = gen_dataset(11, 6, GenConfig(frames=8))[0][:64]
+    evaluate(bundle, data)  # first-call allocations
+    tracemalloc.start()  # traces only what is allocated from here on
+    try:
+        evaluate(bundle, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * (64 * 8 * 3 * 28 * 28 * 8)
 
 
 def test_evaluate_desk_chunk_is_one_forward(monkeypatch):
