@@ -136,9 +136,7 @@ def test_train_runs_and_records_losses():
     assert result.evals == []
 
 
-@pytest.mark.parametrize("method,k", [(FusionMethod.BASELINE, 1),
-                                      (FusionMethod.PRE_ENCODER_CHANNEL_MERGE, 2)])
-def test_batch_arrays_keep_float32_and_extract_patches_widens_exactly(method, k):
+def test_batch_arrays_keep_float32_and_extract_patches_widens_exactly():
     samples = tiny_dataset(3)
     assert samples[0].clip.pixels.data.dtype == np.float32
     pixels, questions, answers = training._batch_arrays(samples)
@@ -153,9 +151,10 @@ def test_batch_arrays_keep_float32_and_extract_patches_widens_exactly(method, k)
     rows = extract_patches(pixels, 14)
     assert rows.dtype == np.float64
     assert rows.tobytes() == extract_patches(wide, 14).tobytes()
-    bundle = build_model(ModelConfig(method=method, **{**MICRO, "k": k}), 2)
-    assert (forward_logits(bundle, pixels, questions).data.tobytes()
-            == forward_logits(bundle, wide, questions).data.tobytes())
+    for method, k in ((FusionMethod.BASELINE, 1), (FusionMethod.PRE_ENCODER_CHANNEL_MERGE, 2)):
+        bundle = build_model(ModelConfig(method=method, **{**MICRO, "k": k}), 2)
+        assert (forward_logits(bundle, pixels, questions).data.tobytes()
+                == forward_logits(bundle, wide, questions).data.tobytes())
 
 
 def test_train_on_reloaded_dataset_matches_generated(tmp_path):
