@@ -7,9 +7,12 @@ index), and the side that runs first alternates from pair to pair. For every
 metric the run prints, the result records each side's median and quartiles,
 every run's value, and how many pairs the change won (ties count for
 neither side), plus the attempted and failed operation counts, each run's
-`correct` flag and each run's grid CSV sha256 digests (from its `info` line;
-empty off grid-ff). The print-out gives each side's attempted/failed counts
-per workload and names every pair whose run was not `correct`.
+`correct` flag, and from each run's `info` line its grid CSV sha256 digests
+(empty off grid-ff) and its `ops`, `clips` and `loop_s` (timed operations,
+clips and seconds of the main loop). The print-out gives each side's
+attempted/failed counts per workload, names every pair whose run was not
+`correct`, and gives each side's median `ops`: a metric such as
+`peak_rss_mib` that grows round by round also reads how many rounds fitted.
 
 Each metric also gets a verdict: `better` (or `worse`) when the change wins
 (or loses) at least 9 of every 10 pairs and the two medians differ by more
@@ -44,6 +47,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("train-desk", "eval-fine", "grid-ff")
+INFO_KEYS = ("grid_csv_sha256", "ops", "clips", "loop_s")  # kept from each run's info line
 
 
 def extract(ref: str, dest: Path) -> None:
@@ -64,7 +68,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
         raise SystemExit(f"perfbench failed in {tree} (exit {proc.returncode}):\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
     info = next(json.loads(line[5:]) for line in lines if line.startswith("info "))
-    return {**json.loads(lines[-1]), "grid_csv_sha256": info["grid_csv_sha256"]}
+    return {**json.loads(lines[-1]), **{key: info[key] for key in INFO_KEYS}}
 
 
 def summarize(values: list[float]) -> dict:
@@ -159,8 +163,8 @@ def main(argv=None) -> int:
                 "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
                 "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
                 "correct": {side: [r["correct"] for r in rs] for side, rs in runs.items()},
-                "grid_csv_sha256": {side: [r["grid_csv_sha256"] for r in rs]
-                                    for side, rs in runs.items()},
+                **{key: {side: [r[key] for r in rs] for side, rs in runs.items()}
+                   for key in INFO_KEYS},
                 "metrics": compare(runs["parent"], runs["change"], better, bounds),
             }
             doc = json.loads(out.read_text()) if out.exists() else {}
@@ -172,6 +176,9 @@ def main(argv=None) -> int:
                 print(f"  {side:6s} attempted/failed {entry['attempted'][side]}/"
                       f"{entry['failed'][side]}"
                       + (f"  NOT CORRECT in pairs {wrong}" if wrong else ""))
+            print("  median ops per run  "
+                  + "  ".join(f"{side} {statistics.median(entry['ops'][side]):g}"
+                              for side in ("parent", "change")))
             for name, m in entry["metrics"].items():
                 note = ("  UNRESOLVED (parent spread > bound)" if m.get("spread_exceeds_bound")
                         else "" if m.get("within_bound", True) else "  OUTSIDE BOUND")

@@ -367,6 +367,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _finish("matmul", (a, b), out, grad_fn)
 
 
+def matmul_rebuilt(make_a: Callable[[], np.ndarray], b: Tensor) -> Tensor:
+    """make_a() [..., K] @ b [K, N], one `matmul` on untracked Tensors, taped
+    without keeping the left operand: b's gradient calls make_a again (it must
+    return the same array) and forms the product `matmul`'s gradient forms."""
+    out = matmul(Tensor(make_a()), Tensor(b.data)).data
+
+    def grad_fn(g):
+        a = make_a()
+        return (a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]),)
+
+    return _finish("matmul_rebuilt", (b,), out, grad_fn)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x [..., nin] @ w [nin, nout] (+ b [nout])."""
     if w.ndim != 2:

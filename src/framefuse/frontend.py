@@ -74,7 +74,8 @@ def extract_patches(pixels: np.ndarray, patch: int) -> np.ndarray:
 
     Patches scan row-major over the (H/p, W/p) grid; each patch vector is the
     channel-first flattening of its [C, p, p] block. Float32 pixels widen,
-    exactly, in the one copy that lays the rows out.
+    exactly, in the one copy that lays the rows out. The patch projection
+    calls this again in its gradient instead of keeping the rows.
     """
     *lead, c, h, w = pixels.shape
     gh, gw = h // patch, w // patch

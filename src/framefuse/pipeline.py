@@ -9,16 +9,18 @@ because blocked attention weights underflow to exactly zero.
 A scope's encoder output depends on its own pixels alone, so byte-equal
 scopes encode to bitwise-equal outputs. The clip generators hold frames
 still, and a batch repeats many scopes. `video_token_forward` therefore
-encodes each distinct scope once, then copies each result back to every
-scope that repeats it with one taped `gather`, whose backward sums the
-repeats' gradients (when no scope repeats, the gathers copy rows in order).
-The compressor gets one row of T tokens per frame for every method. The
-patch projection still runs on every scope: on fewer rows OpenBLAS may
-switch to its small-matrix kernel, which sums an inner extent above 384
-(patch_dim is 588 at patch 14) in another order, and the logits would no
-longer be bitwise those of encoding every scope. The encoder's own inner
-extents, enc_hidden and enc_ffn, are 32 and 64 by default, where row count
-does not change the sums.
+finds the distinct scopes on their pixels, encodes each once, then copies
+each result back to every scope that repeats it with one taped `gather`,
+whose backward sums the repeats' gradients (when no scope repeats, the
+gathers copy rows in order). The compressor gets one row of T tokens per
+frame for every method. The patch projection runs on every scope; the tape
+keeps its pixels (float32 in training), not its float64 patch rows, which
+its weight gradient rebuilds. On fewer rows OpenBLAS may switch to its
+small-matrix kernel, which sums an inner extent above 384 (patch_dim is 588
+at patch 14) in another order, and the logits would no longer be bitwise
+those of encoding every scope. The encoder's own inner extents, enc_hidden
+and enc_ffn, are 32 and 64 by default, where row count does not change the
+sums.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, gather, linear, param, reshape
+from .autodiff import Tensor, add, gather, matmul_rebuilt, param, reshape
 from .compressor import (TokenBudget, compress, init_compressor_params,
                          token_budget)
 from .decoder import (answer_logits, causal_decode, init_decoder_params,
@@ -171,22 +173,23 @@ def _first_and_index(keys) -> tuple[np.ndarray, np.ndarray]:
 def _distinct_scopes(scopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, index) for rows `scopes` [N, D]: rows `first` are pairwise
     byte-distinct, in order of first appearance, and row i equals row
-    first[index[i]] byte for byte.
+    first[index[i]] byte for byte. A row is one encoder scope's pixels, whose
+    patch rows are those values widened and reordered alike for every scope:
+    byte-equal exactly when the pixels are.
 
     Rows are grouped by the bits of a fingerprint, each row's dot product
-    with a fixed vector. `np.einsum` runs the same loop over every row of one
-    call, so byte-equal rows get bit-equal fingerprints; a BLAS GEMV does not
-    promise that, and OpenBLAS does sum equal rows differently by position.
-    Every repeat is then confirmed byte for byte; rows that share a
-    fingerprint but not their bytes (0.0 and -0.0 both sum to 0.0) send the
-    grouping to the rows' own bytes."""
-    weights = np.cos(np.arange(scopes.shape[1]) * 0.7548776662466927)
-    fingerprints = np.einsum("ij,j->i", scopes, weights).view(np.uint64).tolist()
-    first, index = _first_and_index(fingerprints)
-    source = first[index]
+    with a fixed vector in the rows' own dtype. `np.einsum` runs the same loop
+    over every row of one call, so byte-equal rows get bit-equal fingerprints;
+    a BLAS GEMV does not promise that, and OpenBLAS does sum equal rows
+    differently by position. Every repeat is then confirmed byte for byte;
+    rows that share a fingerprint but not their bytes (0.0 and -0.0 both sum
+    to 0.0) send the grouping to the rows' own bytes."""
+    weights = np.cos(np.arange(scopes.shape[1]) * 0.7548776662466927).astype(scopes.dtype)
+    fingerprints = np.einsum("ij,j->i", scopes, weights).view(f"u{scopes.itemsize}")
+    first, index = _first_and_index(fingerprints.tolist())
     # row by row: gathering all repeats at once costs megabytes of fresh pages
     if any(i != j and scopes[i].tobytes() != scopes[j].tobytes()
-           for i, j in enumerate(source.tolist())):
+           for i, j in enumerate(first[index].tolist())):
         first, index = _first_and_index(row.tobytes() for row in scopes)
     return first, index
 
@@ -199,15 +202,14 @@ def video_token_forward(bundle: ModelBundle, pixels: np.ndarray) -> Tensor:
     k, t, h = cfg.k, cfg.tokens_per_frame, cfg.enc_hidden
     if cfg.method is FusionMethod.PRE_ENCODER_CHANNEL_MERGE:
         pixels = merge_temporal_channels(pixels, k)
-    vecs = extract_patches(pixels, cfg.patch)  # [B, F', T, pd]
-    tokens = linear(Tensor(vecs), bundle.params["patch_proj.w"],
-                    bundle.params["patch_proj.b"])
-    tokens = add(tokens, bundle.params["pos.spatial"])
+    tokens = matmul_rebuilt(lambda: extract_patches(pixels, cfg.patch),  # [B, F', T, pd]
+                            bundle.params["patch_proj.w"])
+    tokens = add(add(tokens, bundle.params["patch_proj.b"]), bundle.params["pos.spatial"])
     seqs = reshape(tokens, (b * cfg.encoder_frames, t, h))
     if cfg.method is FusionMethod.THROUGH_ENCODER:
         # k divides each clip's frames, so no group spans two clips
         seqs = merge_neighbor_frames(seqs, k, bundle.params["pos.temporal"])
-    first, index = _distinct_scopes(vecs.reshape(seqs.shape[0], -1))
+    first, index = _distinct_scopes(pixels.reshape(seqs.shape[0], -1))
     enc = gather(encode(gather(seqs, first), cfg, bundle.params), index)
     enc = reshape(enc, (b, cfg.encoder_frames, t, h))
     out = compress(enc, cfg, bundle.params)

@@ -111,10 +111,12 @@ def train(bundle: ModelBundle, dataset, cfg: TrainConfig, eval_samples=None,
           eval_every: int | None = None, stop_accuracy: float | None = None) -> TrainResult:
     """Seeded-shuffle minibatch Adam. Raises NumericalError with the step index
     if the loss goes non-finite or a step's forward, backward or update
-    overflows (as `evaluate` does, instead of warning). Optional periodic
-    eval with accuracy-based early stop."""
+    overflows (as `evaluate` does, instead of warning). Optional eval every
+    `eval_every` (>= 1) steps, with accuracy-based early stop."""
     if not dataset:
         raise BadConfig("empty training dataset")
+    if eval_every is not None and eval_every < 1:
+        raise BadConfig(f"eval_every must be at least 1 or None, got {eval_every}")
     optimizer = Adam(bundle.params)
     order_rng = RngState(derive_seed(cfg.seed, "order"))
     order: list[int] = []
@@ -157,12 +159,14 @@ class EvalResult:
 
 def evaluate(bundle: ModelBundle, samples, batch_size: int = 64) -> EvalResult:
     """Argmax accuracy with per-category breakdown; accepts any iterable and
-    consumes it in forwards of at most `batch_size` clips and `_EVAL_TOKENS`
-    pixel tokens (at least one clip each), so the sample stream never has to
-    fit in memory. Raises NumericalError if a forward or its loss overflows (a
+    consumes it in forwards of at most `batch_size` (>= 1) clips and
+    `_EVAL_TOKENS` pixel tokens (at least one clip each), so the sample stream
+    never has to fit in memory. Raises NumericalError if a forward or its loss overflows (a
     checkpoint with huge finite values can), instead of warning and scoring
     whatever the logits became; parameters and pixels are finite, so no other
     path makes them non-finite."""
+    if batch_size < 1:
+        raise BadConfig(f"batch_size must be at least 1, got {batch_size}")
     cfg = bundle.cfg
     per_forward = max(1, min(batch_size, _EVAL_TOKENS // (cfg.n_input * cfg.tokens_per_frame)))
     right: dict[str, int] = {}

@@ -72,6 +72,7 @@ def test_parent_spread_wider_than_the_bound_is_unresolved(monkeypatch, tmp_path,
     def run_once(tree, workload, seed, seconds, trace):
         value = (change if tree == bench_ab.ROOT else parent)[seed]
         return {"correct": True, "attempted": 1, "failed": 0, "grid_csv_sha256": [],
+                "ops": 1, "clips": 32, "loop_s": 1.0,
                 "metrics": {"setup_s": {"value": value, "unit": "s"}}}
 
     monkeypatch.setattr(bench_ab, "extract", lambda ref, dest: None)
@@ -90,7 +91,8 @@ def test_parent_spread_wider_than_the_bound_is_unresolved(monkeypatch, tmp_path,
 def _fake_runs(monkeypatch, wrong=()):
     """Stub out git and perfbench; return the (workload, seed, tree) calls.
     A run whose (seed, is-change) is in `wrong` reports `correct` false and
-    one failed operation of its three."""
+    one failed operation of its three. A parent run times seed + 20 loop
+    operations of 32 clips, a change run seed + 10, each loop taking 2 s."""
     calls = []
 
     def run_once(tree, workload, seed, seconds, trace):
@@ -98,8 +100,9 @@ def _fake_runs(monkeypatch, wrong=()):
         calls.append((workload, seed, change))
         value = 90.0 + seed if change else 100.0 + seed
         ok = (seed, change) not in wrong
+        ops = seed + (10 if change else 20)
         return {"correct": ok, "attempted": 3, "failed": 0 if ok else 1,
-                "grid_csv_sha256": [],
+                "grid_csv_sha256": [], "ops": ops, "clips": 32 * ops, "loop_s": 2.0,
                 "metrics": {"setup_s": {"value": value, "unit": "s"}}}
 
     monkeypatch.setattr(bench_ab, "extract", lambda ref, dest: None)
@@ -154,3 +157,34 @@ def test_correct_flags_and_operation_counts_are_kept_and_printed(monkeypatch, tm
     assert lines[:3] == ["train-desk",
                          "  parent attempted/failed 9/0",
                          "  change attempted/failed 9/2  NOT CORRECT in pairs [1, 2]"]
+
+
+def test_each_runs_loop_counts_are_kept_and_median_ops_printed(monkeypatch, tmp_path, capsys):
+    # ops, clips and loop_s come from each run's info line; the median op
+    # count shows how many rounds each side fitted in its runs
+    _fake_runs(monkeypatch)
+    out = tmp_path / "bench.json"
+    assert bench_ab.main(["--parent", "HEAD~1", "--workload", "grid-ff", "--pairs", "3",
+                          "--seconds", "1", "--seed-base", "50", "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["grid-ff"]
+    assert entry["ops"] == {"parent": [70, 71, 72], "change": [60, 61, 62]}
+    assert entry["clips"] == {"parent": [2240, 2272, 2304], "change": [1920, 1952, 1984]}
+    assert entry["loop_s"] == {"parent": [2.0] * 3, "change": [2.0] * 3}
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3] == "  median ops per run  parent 71  change 61"
+
+
+def test_run_once_keeps_the_info_lines_loop_counts(monkeypatch, tmp_path):
+    info = {"ops": 12, "clips": 384, "loop_s": 3.5, "setup_s": [0.2],
+            "grid_csv_sha256": ["ab"]}
+    result = {"correct": True, "attempted": 12, "failed": 0, "metrics": {}}
+    stdout = "env {}\ninfo " + json.dumps(info) + "\n" + json.dumps(result) + "\n"
+
+    class Done:
+        returncode, stderr = 0, ""
+
+    Done.stdout = stdout
+    monkeypatch.setattr(bench_ab.subprocess, "run", lambda *a, **k: Done)
+    run = bench_ab.run_once(tmp_path, "train-desk", 7, 1.0, 0)
+    assert run == {**result, "grid_csv_sha256": ["ab"], "ops": 12, "clips": 384,
+                   "loop_s": 3.5}
