@@ -8,6 +8,10 @@ encodes exactly like those folded scopes.
 
 video_token_forward encodes each distinct scope once and copies the result to
 its repeats; all_scopes_video_token_forward encodes every scope.
+patch_row_video_token_forward feeds the float64 patch rows to the patch
+projection as an explicit Tensor through `linear`, so the tape keeps them,
+and groups scopes by those rows' bytes; video_token_forward keeps only the
+pixels and rebuilds the rows for the projection's weight gradient.
 
 RngState draws its arrays in numpy lanes; scalar_normal_array and
 scalar_uniform_array draw the same values one `next_u64` call at a time.
@@ -23,10 +27,10 @@ import math
 import numpy as np
 
 from framefuse import encoder
-from framefuse.autodiff import (GELU_COEFF, MASK_BLOCKED, Tensor, add, linear,
-                                reshape)
+from framefuse.autodiff import (GELU_COEFF, MASK_BLOCKED, Tensor, add, gather,
+                                linear, reshape)
 from framefuse.compressor import compress
-from framefuse.decoder import answer_logits, causal_decode
+from framefuse.decoder import answer_logits, causal_decode, mcq_loss
 from framefuse.frontend import (FusionMethod, VideoClip, extract_patches,
                                 merge_neighbor_frames, merge_temporal_channels)
 from framefuse.pipeline import ModelBundle, ModelConfig
@@ -53,8 +57,23 @@ def masked_encode(tokens: Tensor, cfg: ModelConfig, mask: Tensor | None,
     return reshape(x, tokens.shape) if squeeze else x
 
 
-def all_scopes_video_token_forward(bundle: ModelBundle, pixels: np.ndarray) -> Tensor:
-    """[B, F, C, H, W] pixels -> [B, L_decoder, out], every scope encoded."""
+def byte_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, index) grouping rows [N, D] by their bytes: row first[j] is the
+    first with the j-th distinct bytes, and row i has the bytes of
+    first[index[i]]."""
+    firsts: dict[bytes, int] = {}
+    for i, row in enumerate(rows):
+        firsts.setdefault(row.tobytes(), i)
+    number = {key: j for j, key in enumerate(firsts)}
+    return np.array(list(firsts.values())), np.array([number[r.tobytes()] for r in rows])
+
+
+def patch_row_video_token_forward(bundle: ModelBundle, pixels: np.ndarray,
+                                  dedup: bool = True) -> Tensor:
+    """[B, F, C, H, W] pixels -> [B, L_decoder, out] through an explicit
+    float64 patch-row Tensor. With `dedup` each scope whose patch rows repeat
+    an earlier scope's bytes takes that scope's encoding; without it every
+    scope is encoded."""
     cfg = bundle.cfg
     b = pixels.shape[0]
     k, t, h = cfg.k, cfg.tokens_per_frame, cfg.enc_hidden
@@ -67,11 +86,20 @@ def all_scopes_video_token_forward(bundle: ModelBundle, pixels: np.ndarray) -> T
     seqs = reshape(tokens, (b * cfg.encoder_frames, t, h))
     if cfg.method is FusionMethod.THROUGH_ENCODER:
         seqs = merge_neighbor_frames(seqs, k, bundle.params["pos.temporal"])
-    enc = encoder.encode(seqs, cfg, bundle.params)
+    if dedup:
+        first, index = byte_groups(vecs.reshape(seqs.shape[0], -1))
+        enc = gather(encoder.encode(gather(seqs, first), cfg, bundle.params), index)
+    else:
+        enc = encoder.encode(seqs, cfg, bundle.params)
     enc = reshape(enc, (b, cfg.encoder_frames, t, h))
     out = compress(enc, cfg, bundle.params)
     bb, g, l, oh = out.shape
     return reshape(out, (bb, g * l, oh))
+
+
+def all_scopes_video_token_forward(bundle: ModelBundle, pixels: np.ndarray) -> Tensor:
+    """[B, F, C, H, W] pixels -> [B, L_decoder, out], every scope encoded."""
+    return patch_row_video_token_forward(bundle, pixels, dedup=False)
 
 
 def all_scopes_forward_logits(bundle: ModelBundle, pixels: np.ndarray,
@@ -80,6 +108,15 @@ def all_scopes_forward_logits(bundle: ModelBundle, pixels: np.ndarray,
     video = all_scopes_video_token_forward(bundle, pixels)
     return answer_logits(causal_decode(video, question_ids, bundle.cfg, bundle.params),
                          bundle.params)
+
+
+def patch_row_batch_loss(bundle: ModelBundle, pixels: np.ndarray, question_ids: np.ndarray,
+                         answer_idx) -> Tensor:
+    """batch_loss over patch_row_video_token_forward."""
+    video = patch_row_video_token_forward(bundle, pixels)
+    logits = answer_logits(causal_decode(video, question_ids, bundle.cfg, bundle.params),
+                           bundle.params)
+    return mcq_loss(logits, answer_idx)
 
 
 def kangaroo_identity_mlp(h: int) -> dict[str, np.ndarray]:

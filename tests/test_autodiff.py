@@ -11,7 +11,8 @@ from framefuse import autodiff
 from framefuse.autodiff import (MASK_BLOCKED, RMS_EPS, Gradients, Tape, Tensor,
                                 add, attention, backward, concat_axis, constant,
                                 cross_entropy, embedding_lookup, gather, gelu,
-                                linear, matmul, mean_over_axis, multiply, narrow,
+                                linear, matmul, matmul_rebuilt, mean_over_axis,
+                                multiply, narrow,
                                 param, permute, reshape, rms_norm, scale,
                                 softmax_lastdim, sum_all, swap_last_two)
 from framefuse.errors import ShapeMismatch
@@ -441,6 +442,47 @@ def test_untracked_input_gets_no_gradient(op):
     assert np.array_equal(gh, np.ones((2, 3)) if op is add else np.broadcast_to(c.data, (2, 3)))
 
 
+def test_matmul_rebuilt_matches_matmul_bitwise_and_keeps_no_operand():
+    rng = np.random.default_rng(4)
+    a = rng.random((3, 5, 7)).astype(np.float32)
+    w = param(rng.standard_normal((7, 4)))
+    built = []
+
+    def make_a():
+        built.append(np.asarray(a, dtype=np.float64))
+        return built[-1]
+
+    with Tape() as tape:
+        out = matmul_rebuilt(make_a, w)
+        loss = sum_all(multiply(out, out))
+    made = weakref.ref(built.pop())
+    assert made() is None  # the tape holds make_a, not what it made
+    grad = backward(tape, loss)[w]
+    assert len(built) == 1  # the backward made the operand once more
+    with Tape() as tape:
+        want_out = matmul(constant(a), w)
+        want = backward(tape, sum_all(multiply(want_out, want_out)))[w]
+    assert out.data.tobytes() == want_out.data.tobytes()
+    assert grad.tobytes() == want.tobytes()
+
+
+def test_matmul_rebuilt_forward_is_a_matmul_call(monkeypatch):
+    calls = []
+    real = autodiff.matmul
+
+    def counting(a, b):
+        calls.append((a.shape, b.shape, a.requires_grad or b.requires_grad))
+        return real(a, b)
+
+    monkeypatch.setattr(autodiff, "matmul", counting)
+    w = param(np.ones((6, 2)))
+    with Tape() as tape:
+        matmul_rebuilt(lambda: np.ones((2, 3, 6)), w)
+    # one untracked product; the tape gets one node of its own
+    assert calls == [((2, 3, 6), (6, 2), False)]
+    assert [node.op for node in tape.nodes] == ["matmul_rebuilt"]
+
+
 def test_train_step_peak_memory():
     """tracemalloc peak of one B=32 desk baseline step above its start: 44.7 MiB
     while closures held whole input Tensors and backward kept the tape, about
@@ -463,6 +505,31 @@ def test_train_step_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak / 2**20 < 35.0
+
+
+def test_pllava_train_step_peak_memory():
+    """tracemalloc peak of one B=32 pllava-pool step at 16 frames above its
+    start, in units of the batch's float64 patch-row bytes (9.2 MiB): 2.45
+    while the tape kept the patch rows for the projection's weight gradient,
+    1.45 once that gradient rebuilds them from the float32 pixels."""
+    bundle = build_model(ModelConfig(method=FusionMethod.POST_POOL_PLLAVA, k=4, n_input=16), 3)
+    samples, _ = gen_dataset(6, 4, GenConfig(frames=16))
+    pixels, questions, answers = _batch_arrays(samples[:32])
+    optimizer = Adam(bundle.params)
+
+    def step():
+        with Tape() as tape:
+            grads = backward(tape, batch_loss(bundle, pixels, questions, answers))
+        optimizer.step(bundle.params, grads, 1e-4)
+
+    step()  # first-call allocations (Adam moments are already made)
+    tracemalloc.start()  # traces only what is allocated from here on
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.9 * (32 * 16 * 3 * 28 * 28 * 8)
 
 
 # ---- properties ----

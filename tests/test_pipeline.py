@@ -7,7 +7,8 @@ from framefuse import autodiff, pipeline
 from framefuse.autodiff import Tape, backward
 from framefuse.decoder import mcq_loss
 from framefuse.errors import BadConfig, ShapeMismatch
-from framefuse.frontend import COMPRESSION_METHODS, FusionMethod
+from framefuse.frontend import (COMPRESSION_METHODS, FusionMethod, extract_patches,
+                                merge_temporal_channels)
 from framefuse.gradcheck import micro_gradcheck_cases
 from framefuse.pipeline import (ModelConfig, batch_loss, build_model,
                                 config_from_dict, config_to_dict,
@@ -15,7 +16,7 @@ from framefuse.pipeline import (ModelConfig, batch_loss, build_model,
                                 video_token_forward)
 from framefuse.rng import RngState
 from framefuse.synthclips import TOKEN_TO_ID, VOCAB
-from oracles import all_scopes_forward_logits
+from oracles import all_scopes_forward_logits, byte_groups, patch_row_batch_loss
 from test_acceptance import _audit_config
 
 MICRO = dict(n_input=4, height=8, width=8, patch=2, enc_layers=1, enc_hidden=8,
@@ -323,6 +324,63 @@ def test_distinct_scopes_compare_bytes():
     rows[2] = rows[4] = np.nan
     first, index = pipeline._distinct_scopes(rows)
     assert (first.tolist(), index.tolist()) == ([0, 1, 2], [0, 1, 2, 0, 2])
+
+
+def _float32_scope_batches(n_input: int) -> dict[str, np.ndarray]:
+    """`_scope_batches` as float32 clips, the repeated one with a scope that
+    differs from a repeated all-zero scope only by one -0.0."""
+    batches = {kind: pixels.astype(np.float32)
+               for kind, pixels in _scope_batches(n_input).items()}
+    batches["repeated"][2, -1, 0, 0, 0] = -0.0
+    return batches
+
+
+PATCH_ROW_METHODS = (FusionMethod.BASELINE, FusionMethod.PRE_ENCODER_CHANNEL_MERGE,
+                     FusionMethod.THROUGH_ENCODER)
+
+
+@pytest.mark.parametrize("method", PATCH_ROW_METHODS)
+def test_gradients_match_taping_the_float64_patch_rows_bitwise(method):
+    # the projection keeps the pixels and rebuilds the patch rows for its
+    # weight gradient; a tape that keeps the rows must give the same bytes
+    cfg = ModelConfig(method=method, k=1 if method is FusionMethod.BASELINE else 2,
+                      n_input=8)
+    bundle = build_model(cfg, 11)
+    questions, answers = question_batch(3), np.array([2, 0, 3])
+    for kind, pixels in _float32_scope_batches(8).items():
+        results = []
+        for loss_fn in (batch_loss, patch_row_batch_loss):
+            with Tape() as tape:
+                loss = loss_fn(bundle, pixels, questions, answers)
+                grads = backward(tape, loss)
+            results.append((loss.data.tobytes(),
+                            {n: grads[p].tobytes() for n, p in bundle.params.items()}))
+        (loss, got), (want_loss, want) = results
+        assert loss == want_loss, kind
+        for name in ("patch_proj.w", "patch_proj.b", "pos.spatial"):
+            assert got[name] == want[name], (kind, name)
+        assert got == want, kind
+
+
+@pytest.mark.parametrize("method", PATCH_ROW_METHODS)
+def test_distinct_scopes_group_pixels_as_their_patch_rows(method):
+    cfg = ModelConfig(method=method, k=1 if method is FusionMethod.BASELINE else 2,
+                      n_input=8)
+    for kind, pixels in _float32_scope_batches(8).items():
+        if method is FusionMethod.PRE_ENCODER_CHANNEL_MERGE:
+            pixels = merge_temporal_channels(pixels, cfg.k)
+        scopes = 3 * _scopes_per_clip(cfg)
+        rows = extract_patches(pixels, cfg.patch).reshape(scopes, -1)
+        got = pipeline._distinct_scopes(pixels.reshape(scopes, -1))
+        want = byte_groups(rows)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want], kind
+        assert [a.tolist() for a in pipeline._distinct_scopes(rows)] == [
+            a.tolist() for a in want], kind
+    # the last two scopes of the repeated batch are equal numbers, unequal bytes
+    zero, signed = pixels.reshape(scopes, -1)[-2:]
+    assert np.array_equal(zero, signed) and zero.tobytes() != signed.tobytes()
+    first, index = got
+    assert index[-1] == len(first) - 1 and index[-2] != index[-1]
 
 
 def test_flops_deterministic_in_config():

@@ -201,6 +201,33 @@ def test_train_early_stop_on_accuracy():
     assert [step for step, _ in result.evals] == [2]
 
 
+@pytest.mark.parametrize("eval_every", [0, -2])
+def test_train_rejects_eval_every_below_one(eval_every):
+    # Python's % takes a negative divisor, so -2 used to evaluate every 2 steps
+    bundle = micro_bundle(4)
+    before = {name: p.data.copy() for name, p in bundle.params.items()}
+    cfg = TrainConfig(total_steps=4, warmup_steps=1, batch=4)
+    with pytest.raises(BadConfig, match="eval_every"):
+        train(bundle, tiny_dataset(), cfg, eval_samples=tiny_dataset(), eval_every=eval_every)
+    assert all(np.array_equal(p.data, before[name]) for name, p in bundle.params.items())
+
+
+def test_train_eval_every_none_evaluates_never():
+    cfg = TrainConfig(total_steps=2, warmup_steps=1, batch=4)
+    result = train(micro_bundle(4), tiny_dataset(), cfg, eval_samples=tiny_dataset(),
+                   eval_every=None)
+    assert (result.steps_run, result.evals) == (2, [])
+
+
+@pytest.mark.parametrize("batch_size", [0, -5])
+def test_evaluate_rejects_batch_size_below_one(batch_size, monkeypatch):
+    # a size below 1 used to score every clip, one clip per forward
+    calls = recorded_forwards(monkeypatch)
+    with pytest.raises(BadConfig, match="batch_size"):
+        evaluate(micro_bundle(5), tiny_dataset(3), batch_size=batch_size)
+    assert calls == []
+
+
 def test_evaluate_counts_and_categories():
     bundle = micro_bundle(5)
     data = tiny_dataset(6)
