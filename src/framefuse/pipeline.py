@@ -13,14 +13,14 @@ finds the distinct scopes on their pixels, encodes each once, then copies
 each result back to every scope that repeats it with one taped `gather`,
 whose backward sums the repeats' gradients (when no scope repeats, the
 gathers copy rows in order). The compressor gets one row of T tokens per
-frame for every method. The patch projection runs on every scope; the tape
-keeps its pixels (float32 in training), not its float64 patch rows, which
-its weight gradient rebuilds. On fewer rows OpenBLAS may switch to its
-small-matrix kernel, which sums an inner extent above 384 (patch_dim is 588
-at patch 14) in another order, and the logits would no longer be bitwise
-those of encoding every scope. The encoder's own inner extents, enc_hidden
-and enc_ffn, are 32 and 64 by default, where row count does not change the
-sums.
+frame for every method. The patch projection still runs on every scope: on
+fewer rows OpenBLAS may switch to its small-matrix kernel, which sums an
+inner extent above 384 (patch_dim is 588 at patch 14) in another order, and
+the logits would no longer be bitwise those of encoding every scope. The
+encoder's own inner extents, enc_hidden and enc_ffn, are 32 and 64 by
+default, where row count does not change the sums. The projection's tape
+node keeps the pixels (float32 in training), not the float64 patch rows,
+which its weight gradient rebuilds.
 """
 from __future__ import annotations
 
@@ -171,11 +171,10 @@ def _first_and_index(keys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _distinct_scopes(scopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, index) for rows `scopes` [N, D]: rows `first` are pairwise
-    byte-distinct, in order of first appearance, and row i equals row
-    first[index[i]] byte for byte. A row is one encoder scope's pixels, whose
-    patch rows are those values widened and reordered alike for every scope:
-    byte-equal exactly when the pixels are.
+    """(first, index) for rows `scopes` [N, D], one encoder scope's pixels a
+    row: rows `first` are pairwise byte-distinct, in order of first
+    appearance, and row i equals row first[index[i]] byte for byte. Pixels
+    are byte-equal exactly when their widened patch rows are.
 
     Rows are grouped by the bits of a fingerprint, each row's dot product
     with a fixed vector in the rows' own dtype. `np.einsum` runs the same loop

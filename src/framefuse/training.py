@@ -136,6 +136,7 @@ def train(bundle: ModelBundle, dataset, cfg: TrainConfig, eval_samples=None,
                         raise NumericalError(f"step {step}: loss {value}")
                     grads = backward(tape, loss)
                 optimizer.step(bundle.params, grads, lr_at(step, cfg))
+                del grads, pixels  # before the next batch, so its arrays reuse their space
         except FloatingPointError as err:
             raise NumericalError(f"step {step}: {err}") from err
         result.losses.append(value)
@@ -161,10 +162,10 @@ def evaluate(bundle: ModelBundle, samples, batch_size: int = 64) -> EvalResult:
     """Argmax accuracy with per-category breakdown; accepts any iterable and
     consumes it in forwards of at most `batch_size` (>= 1) clips and
     `_EVAL_TOKENS` pixel tokens (at least one clip each), so the sample stream
-    never has to fit in memory. Raises NumericalError if a forward or its loss overflows (a
-    checkpoint with huge finite values can), instead of warning and scoring
-    whatever the logits became; parameters and pixels are finite, so no other
-    path makes them non-finite."""
+    never has to fit in memory. Raises NumericalError if a forward or its
+    loss overflows (a checkpoint with huge finite values can), instead of
+    warning and scoring whatever the logits became; parameters and pixels
+    are finite, so no other path makes them non-finite."""
     if batch_size < 1:
         raise BadConfig(f"batch_size must be at least 1, got {batch_size}")
     cfg = bundle.cfg

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -199,6 +200,29 @@ def test_train_early_stop_on_accuracy():
                    stop_accuracy=0.0)
     assert result.steps_run == 2
     assert [step for step, _ in result.evals] == [2]
+
+
+def test_train_frees_each_steps_gradients_and_batch_before_the_next(monkeypatch):
+    # alive while the next batch is stacked, they split the heap, and the next
+    # step's patch rows land past its top instead of in this step's space
+    refs, alive = [], []
+    real_backward, real_batch = training.backward, training._batch_arrays
+
+    def backward(tape, loss):
+        grads = real_backward(tape, loss)
+        refs.append(weakref.ref(grads))
+        return grads
+
+    def batch_arrays(samples):
+        alive.append(sum(ref() is not None for ref in refs))
+        arrays = real_batch(samples)
+        refs.append(weakref.ref(arrays[0]))
+        return arrays
+
+    monkeypatch.setattr(training, "backward", backward)
+    monkeypatch.setattr(training, "_batch_arrays", batch_arrays)
+    train(micro_bundle(4), tiny_dataset(), TrainConfig(total_steps=3, warmup_steps=1, batch=4))
+    assert (alive, len(refs)) == ([0, 0, 0], 6)
 
 
 @pytest.mark.parametrize("eval_every", [0, -2])
