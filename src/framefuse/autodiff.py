@@ -255,12 +255,6 @@ def permute(x: Tensor, axes) -> Tensor:
     return _finish("permute", (x,), np.ascontiguousarray(x.data.transpose(axes)), grad_fn)
 
 
-def swap_last_two(x: Tensor) -> Tensor:
-    axes = list(range(x.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return permute(x, axes)
-
-
 def concat_axis(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ShapeMismatch("concat of zero tensors")
@@ -520,7 +514,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor | None = None) -> Te
         if np.any(mask.data.max(axis=-1) <= MASK_BLOCKED * 0.5):
             raise ShapeMismatch("a query row blocks every key")
     d = q.shape[-1]
-    scores = scale(matmul(q, swap_last_two(k)), 1.0 / math.sqrt(d))
+    axes = (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)
+    scores = scale(matmul(q, permute(k, axes)), 1.0 / math.sqrt(d))
     if mask is not None:
         scores = add(scores, mask)
     return matmul(softmax_lastdim(scores), v)

@@ -53,7 +53,8 @@ def cmd_train(args) -> int:
             print(f"step {step} loss {value:.6f}")
     save_checkpoint(bundle.params, args.out,
                     meta={"model": config_to_dict(cfg),
-                          "final_loss": result.final_loss,
+                          # JSON has no NaN: a run of no steps has no final loss
+                          "final_loss": result.final_loss if result.losses else None,
                           "steps": result.steps_run})
     print(f"saved {args.out} (final loss {result.final_loss:.6f})")
     return 0

@@ -1,10 +1,12 @@
-"""Spatio-temporal token compression paths.
+"""Spatio-temporal token compression, one pass for every fusion method.
 
-All paths funnel the encoder output down to N_input/k groups of l tokens,
+All methods funnel the encoder output down to N_input/k groups of l tokens,
 where l = T / 4 after the 2x2 spatial merge, so the decoder sees exactly
-N_input * l / k video tokens. Every path takes the encoder output as one row
+N_input * l / k video tokens. `compress` takes the encoder output as one row
 of T tokens per encoder frame, [..., F', T, h], whether or not the encoder
-attended across frames; through-encoder and Kangaroo share concat_frames.
+attended across frames, and runs the same steps for every method: frames
+side by side (through-encoder, Kangaroo), the Kangaroo perceptron, the one
+shared 2x2 window projection, then pooling (pllava-pool) or the Q-Former.
 Ops accept any number of leading batch axes in front of their documented
 core shape. ModelConfig checks the shapes a model will see; the tensor ops
 reject any other with ShapeMismatch.
@@ -59,11 +61,6 @@ def _window_concat(x: Tensor) -> Tensor:
     return reshape(x, (*lead, t // 4, 4 * c))
 
 
-def spatial_downsample_with_proj(tokens: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
-    """[..., T, h] -> [..., T/4, out] through 2x2 window concat + projection."""
-    return linear(_window_concat(tokens), w, b)
-
-
 def concat_frames(per_frame: Tensor, k: int) -> Tensor:
     """[..., F, T, h] -> [..., F/k, T, k*h]: per spatial position, put each
     window of k frames' hidden vectors side by side in temporal order."""
@@ -73,29 +70,6 @@ def concat_frames(per_frame: Tensor, k: int) -> Tensor:
     axes = tuple(range(nd)) + (nd, nd + 2, nd + 1, nd + 3)
     x = permute(x, axes)
     return reshape(x, (*lead, f // k, t, k * h))
-
-
-def kangaroo_temporal_mlp(per_frame: Tensor, k: int, params: dict[str, Tensor]) -> Tensor:
-    """Temporal merge by a 2-layer gelu perceptron (k*h -> 2h -> h) applied to
-    each window of k frames per spatial position, then the shared spatial
-    downsample.
-
-    [..., F, T, h] -> [..., F/k, T/4, out].
-    """
-    x = concat_frames(per_frame, k)
-    u = gelu(linear(x, params["comp.mlp_w1"], params["comp.mlp_b1"]))
-    y = linear(u, params["comp.mlp_w2"], params["comp.mlp_b2"])
-    return spatial_downsample_with_proj(y, params["comp.proj_w"], params["comp.proj_b"])
-
-
-def pllava_temporal_pool(per_frame: Tensor, k: int) -> Tensor:
-    """Mean over windows of k consecutive frames, positionwise.
-
-    [..., F, l, out] -> [..., F/k, l, out]; k=1 is the identity.
-    """
-    *lead, f, l, out = per_frame.shape
-    x = reshape(per_frame, (*lead, f // k, k, l, out))
-    return mean_over_axis(x, len(lead) + 1)
 
 
 def qformer_compress(per_frame: Tensor, cfg: ModelConfig, params: dict[str, Tensor]) -> Tensor:
@@ -143,24 +117,23 @@ def init_compressor_params(cfg: ModelConfig, rng: RngState, std: float) -> dict[
 
 
 def compress(encoder_output: Tensor, cfg: ModelConfig, params: dict[str, Tensor]) -> Tensor:
-    """Run cfg.method's compression path.
-
-    encoder_output is [..., F', T, h], one row of T tokens per encoder frame
-    for every method. Returns [..., N_input/k', l, out] with k'=1 for the
-    baseline and k otherwise. Through-encoder projects each window of k
-    frames' concatenated vectors at once; at k=1 that is exactly the
-    baseline's spatial downsample.
+    """Compress encoder_output [..., F', T, h], one row of T tokens per encoder
+    frame, to [..., N_input/k', l, out] (k'=1 for the baseline, k otherwise)
+    in the steps every method shares. At k=1 through-encoder and pllava-pool
+    are exactly the baseline.
     """
     method, k = cfg.method, cfg.k
-    w, b = params["comp.proj_w"], params["comp.proj_b"]
-    if method is FusionMethod.BASELINE or method is FusionMethod.PRE_ENCODER_CHANNEL_MERGE:
-        # temporal work (none / channel merge) already happened upstream
-        return spatial_downsample_with_proj(encoder_output, w, b)
-    if method is FusionMethod.THROUGH_ENCODER:
-        return spatial_downsample_with_proj(concat_frames(encoder_output, k), w, b)
+    x = encoder_output
+    if method in (FusionMethod.THROUGH_ENCODER, FusionMethod.POST_MLP_KANGAROO):
+        x = concat_frames(x, k)  # [..., F/k, T, k*h]
     if method is FusionMethod.POST_MLP_KANGAROO:
-        return kangaroo_temporal_mlp(encoder_output, k, params)
-    per_frame = spatial_downsample_with_proj(encoder_output, w, b)
+        # a 2-layer gelu perceptron, k*h -> 2h -> h, per spatial position
+        x = gelu(linear(x, params["comp.mlp_w1"], params["comp.mlp_b1"]))
+        x = linear(x, params["comp.mlp_w2"], params["comp.mlp_b2"])
+    x = linear(_window_concat(x), params["comp.proj_w"], params["comp.proj_b"])
     if method is FusionMethod.POST_POOL_PLLAVA:
-        return pllava_temporal_pool(per_frame, k)
-    return qformer_compress(per_frame, cfg, params)
+        *lead, f, l, out = x.shape
+        x = mean_over_axis(reshape(x, (*lead, f // k, k, l, out)), len(lead) + 1)
+    if method is FusionMethod.POST_QFORMER:
+        x = qformer_compress(x, cfg, params)
+    return x

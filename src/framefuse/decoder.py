@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autodiff import (MASK_BLOCKED, Tensor, concat_axis, cross_entropy,
+from .autodiff import (MASK_BLOCKED, Tensor, concat_axis,
                        embedding_lookup, linear, narrow, reshape, rms_norm)
 from .encoder import ParamInit, block
 from .rng import RngState
@@ -84,7 +84,3 @@ def predict(logits: Tensor) -> np.ndarray:
     """Argmax with lowest-index tie-break (numpy argmax picks the first max)."""
     return np.argmax(logits.data, axis=-1)
 
-
-def mcq_loss(logits: Tensor, answer_idx) -> Tensor:
-    """Mean cross-entropy of the 4-way logits against the answer positions."""
-    return cross_entropy(logits, answer_idx)

@@ -21,7 +21,7 @@ from .errors import BadConfig, check_fields
 from .frontend import COMPRESSION_METHODS, FusionMethod
 from .pipeline import ModelConfig, build_model, model_flops_per_clip
 from .rng import derive_seed
-from .synthclips import CANVAS, CATEGORY_ORDER, GenConfig, gen_dataset
+from .synthclips import AO_MIN_FRAMES, CANVAS, CATEGORY_ORDER, GenConfig, gen_dataset
 from .training import TrainConfig, evaluate, train
 
 
@@ -65,6 +65,11 @@ class ExperimentSpec:
                 raise BadConfig(f"k={k} does not divide n_input={self.n_input}")
         if not _cells(self):
             raise BadConfig("grid has no cells: methods and k_values leave nothing to run")
+        # every cell's data holds action-order clips: fail here, not cells later
+        for _, k, n_input in _cells(self):
+            if n_input < AO_MIN_FRAMES:
+                raise BadConfig(f"cell k={k} has n_input={n_input}; action order needs "
+                                f"at least {AO_MIN_FRAMES} frames")
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, gather, matmul_rebuilt, param, reshape
+from .autodiff import Tensor, add, cross_entropy, gather, matmul_rebuilt, param, reshape
 from .compressor import (TokenBudget, compress, init_compressor_params,
                          token_budget)
-from .decoder import (answer_logits, causal_decode, init_decoder_params,
-                      mcq_loss)
+from .decoder import answer_logits, causal_decode, init_decoder_params
 from .encoder import encode, init_encoder_params
 from .errors import BadConfig, ShapeMismatch, check_fields, check_keys
 from .frontend import (FusionMethod, extract_patches, merge_neighbor_frames,
@@ -227,7 +226,7 @@ def forward_logits(bundle: ModelBundle, pixels: np.ndarray,
 def batch_loss(bundle: ModelBundle, pixels: np.ndarray, question_ids: np.ndarray,
                answer_idx) -> Tensor:
     logits = forward_logits(bundle, pixels, question_ids)
-    return mcq_loss(logits, answer_idx)
+    return cross_entropy(logits, answer_idx)
 
 
 def config_to_dict(cfg: ModelConfig) -> dict:
@@ -264,20 +263,20 @@ def model_flops_per_clip(cfg: ModelConfig) -> int:
     else:
         groups, seq = cfg.encoder_frames, t
     total += groups * cfg.enc_layers * _attention_block_flops(seq, h, cfg.enc_ffn)
-    g_out = cfg.budget.l_decoder // l
-    if cfg.method is FusionMethod.THROUGH_ENCODER:
-        total += g_out * l * (4 * k * h) * out * 2
-    elif cfg.method is FusionMethod.POST_MLP_KANGAROO:
-        total += g_out * t * (k * h * 2 * h + 2 * h * h) * 2
-        total += g_out * l * (4 * h) * out * 2
-    else:
-        total += cfg.encoder_frames * l * (4 * h) * out * 2
+    # the compressor's steps, as `compress` runs them
+    frames, width = cfg.encoder_frames, h
+    if cfg.method in (FusionMethod.THROUGH_ENCODER, FusionMethod.POST_MLP_KANGAROO):
+        frames, width = cfg.n_input // k, k * h
+    if cfg.method is FusionMethod.POST_MLP_KANGAROO:
+        total += frames * t * (width * 2 * h + 2 * h * h) * 2
+        width = h
+    total += frames * l * (4 * width) * out * 2
     if cfg.method is FusionMethod.POST_QFORMER:
         per_window = cfg.qformer_layers * (
             4 * l * out * out * 2 + 2 * l * l * out * 2          # query self-attention
             + 2 * (l + k * l) * out * out * 2 + 2 * l * k * l * out * 2  # cross
             + 2 * l * out * 2 * out * 2)                          # feed-forward
-        total += g_out * per_window
+        total += cfg.n_input // k * per_window
     seq_d = cfg.budget.l_decoder + QUESTION_LEN
     total += cfg.budget.l_decoder * out * cfg.dec_hidden * 2
     total += cfg.dec_layers * _attention_block_flops(seq_d, cfg.dec_hidden, cfg.dec_ffn)

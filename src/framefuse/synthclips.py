@@ -67,6 +67,8 @@ SHAPES = ("shape:rect", "shape:cross", "shape:disc", "shape:ring",
 # fixed token preference skews MCQ accuracy away from the 0.25 chance line
 AO_ACTIONS = ("blink", "move", "grow", "shrink")
 AO_OPTIONS = tuple(f"ao:{a}-first" for a in AO_ACTIONS)
+# fewest frames that hold action order's two disjoint event windows
+AO_MIN_FRAMES = 8
 COUNTS = tuple(f"count:{i}" for i in range(1, 10))
 
 VOCAB: tuple[str, ...] = (("<pad>",)
@@ -322,8 +324,9 @@ def _gen_mo(rng: RngState, fcount: int):
 
 
 def _gen_ao(rng: RngState, fcount: int):
-    if fcount < 8:
-        raise BadConfig("action order needs at least 8 frames for disjoint events")
+    if fcount < AO_MIN_FRAMES:
+        raise BadConfig(f"action order needs at least {AO_MIN_FRAMES} frames "
+                        "for disjoint events")
     pair = rng.sample(AO_ACTIONS, 2)  # pair[0] acts in the earlier window
     shapes = rng.sample(SHAPES, 2)
     colors = (rng.choice(PALETTE), rng.choice(PALETTE))

@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, backward
+from .autodiff import Tape, backward, cross_entropy
 from .errors import BadConfig, NumericalError, check_fields
 from .pipeline import ModelBundle, batch_loss, forward_logits
-from .decoder import mcq_loss, predict
+from .decoder import predict
 from .rng import RngState, derive_seed
 from .synthclips import CATEGORY_ORDER
 
@@ -122,7 +122,7 @@ def train(bundle: ModelBundle, dataset, cfg: TrainConfig, eval_samples=None,
     order: list[int] = []
     result = TrainResult()
     for step in range(cfg.total_steps):
-        if len(order) < cfg.batch:
+        while len(order) < cfg.batch:  # a set smaller than the batch refills more than once
             order += order_rng.shuffle(list(range(len(dataset))))
         take, order = order[:cfg.batch], order[cfg.batch:]
         pixels, questions, answers = _batch_arrays([dataset[i] for i in take])
@@ -180,7 +180,7 @@ def evaluate(bundle: ModelBundle, samples, batch_size: int = 64) -> EvalResult:
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 logits = forward_logits(bundle, pixels, questions)
-                loss_sum += mcq_loss(logits, answers).item() * len(chunk)
+                loss_sum += cross_entropy(logits, answers).item() * len(chunk)
         except FloatingPointError as err:
             raise NumericalError(f"clips {total}-{total + len(chunk) - 1}: {err}") from err
         for s, p in zip(chunk, predict(logits)):

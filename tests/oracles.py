@@ -27,10 +27,10 @@ import math
 import numpy as np
 
 from framefuse import encoder
-from framefuse.autodiff import (GELU_COEFF, MASK_BLOCKED, Tensor, add, gather,
-                                linear, reshape)
+from framefuse.autodiff import (GELU_COEFF, MASK_BLOCKED, Tensor, add, cross_entropy,
+                                gather, linear, reshape)
 from framefuse.compressor import compress
-from framefuse.decoder import answer_logits, causal_decode, mcq_loss
+from framefuse.decoder import answer_logits, causal_decode
 from framefuse.frontend import (FusionMethod, VideoClip, extract_patches,
                                 merge_neighbor_frames, merge_temporal_channels)
 from framefuse.pipeline import ModelBundle, ModelConfig
@@ -116,7 +116,7 @@ def patch_row_batch_loss(bundle: ModelBundle, pixels: np.ndarray, question_ids: 
     video = patch_row_video_token_forward(bundle, pixels)
     logits = answer_logits(causal_decode(video, question_ids, bundle.cfg, bundle.params),
                            bundle.params)
-    return mcq_loss(logits, answer_idx)
+    return cross_entropy(logits, answer_idx)
 
 
 def kangaroo_identity_mlp(h: int) -> dict[str, np.ndarray]:

@@ -14,7 +14,7 @@ from framefuse.autodiff import (MASK_BLOCKED, RMS_EPS, Gradients, Tape, Tensor,
                                 linear, matmul, matmul_rebuilt, mean_over_axis,
                                 multiply, narrow,
                                 param, permute, reshape, rms_norm, scale,
-                                softmax_lastdim, sum_all, swap_last_two)
+                                softmax_lastdim, sum_all)
 from framefuse.errors import ShapeMismatch
 from framefuse.frontend import FusionMethod
 from framefuse.gradcheck import finite_diff_check
@@ -285,9 +285,15 @@ def test_shape_ops_route_gradients():
     assert g.sum() == 12.0
 
 
-def test_swap_last_two_matches_permute():
-    x = constant(np.arange(12, dtype=np.float64).reshape(2, 3, 2))
-    assert np.array_equal(swap_last_two(x).data, np.swapaxes(x.data, -1, -2))
+def test_attention_matches_closed_form():
+    # batched and non-square, so scores need the keys' last two axes swapped
+    rng = np.random.default_rng(3)
+    q, k, v = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 5, 4)), rng.normal(size=(2, 5, 6))
+    scores = q @ np.swapaxes(k, -1, -2) / 2.0
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    want = weights / weights.sum(axis=-1, keepdims=True) @ v
+    out = attention(constant(q), constant(k), constant(v))
+    assert np.allclose(out.data, want, rtol=1e-12, atol=1e-12)
 
 
 def test_concat_then_narrow_recovers_parts():

@@ -140,6 +140,27 @@ def test_train_then_eval_round_trip(capsys, tmp_path):
     assert lines[-1].endswith(",12")
 
 
+def test_zero_step_train_writes_a_strict_json_sidecar(capsys, tmp_path):
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps({"total_steps": 0}))
+    ckpt = tmp_path / "model.tfz"
+    code, _, _ = run(capsys, "train", "--method", "baseline", "--k", "1", "--n-input", "8",
+                     "--per-category", "1", "--config", str(cfg_path), "--out", str(ckpt))
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    meta = json.loads(Path(f"{ckpt}.json").read_text(), parse_constant=reject)
+    assert (meta["steps"], meta["final_loss"]) == (0, None)
+    data = tmp_path / "ds"
+    run(capsys, "gen-data", "--per-category", "1", "--seed", "9",
+        "--out", str(data), "--frames", "8")
+    code, out, _ = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(data))
+    assert code == 0
+    assert out.strip().split("\n")[-1].startswith("avg,")
+
+
 def test_eval_frame_mismatch_is_validation_error(capsys, tmp_path):
     cfg_path = tmp_path / "train.json"
     cfg_path.write_text(json.dumps(TINY_TRAIN))
@@ -701,6 +722,7 @@ BYTE_MUTATIONS = st.tuples(st.sampled_from(("flip", "truncate")),
 
 # pytest records warnings instead of printing them, so `err == ""` cannot see a
 # numpy warning the CLI would print; the filter makes one fail the test instead
+@pytest.mark.slow
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from framefuse.autodiff import Tensor
 from framefuse.compressor import (TokenBudget, compress, concat_frames,
-                                  init_compressor_params,
-                                  kangaroo_temporal_mlp, pllava_temporal_pool,
-                                  qformer_compress,
-                                  spatial_downsample_with_proj, token_budget)
+                                  init_compressor_params, qformer_compress,
+                                  token_budget)
 from framefuse.errors import BadConfig, ShapeMismatch
 from framefuse.frontend import COMPRESSION_METHODS, FusionMethod
 from framefuse.pipeline import ModelConfig
@@ -53,11 +51,24 @@ def test_compressor_config_validation():
     ModelConfig(method=FusionMethod.BASELINE, k=1)
 
 
+def compress_with(method: FusionMethod, per_frame: Tensor, k: int, w: Tensor,
+                  b: Tensor | None, **params: Tensor) -> Tensor:
+    """`compress` on per-frame tokens with projection w, b and the extra
+    `comp.<name>` parameters; only the method and k of the config matter."""
+    cfg = ModelConfig(method=method, k=k, n_input=k)
+    comp = {f"comp.{name}": t for name, t in params.items()}
+    return compress(per_frame, cfg, {"comp.proj_w": w, "comp.proj_b": b, **comp})
+
+
+def spatial_downsample(tokens: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
+    return compress_with(FusionMethod.BASELINE, tokens, 1, w, b)
+
+
 def test_spatial_downsample_quarters_tokens():
     rng = np.random.default_rng(0)
     tokens = Tensor(rng.normal(size=(3, 16, 8)))
     w = Tensor(rng.normal(size=(32, 5)))
-    out = spatial_downsample_with_proj(tokens, w, None)
+    out = spatial_downsample(tokens, w, None)
     assert out.shape == (3, 4, 5)
 
 
@@ -67,7 +78,7 @@ def test_spatial_downsample_constant_inputs_stay_constant():
     h = 4
     tokens = Tensor(np.full((1, 16, h), 0.5))
     w = Tensor(np.concatenate([np.eye(h)] * 4, axis=0) / 4.0)
-    out = spatial_downsample_with_proj(tokens, w, None)
+    out = spatial_downsample(tokens, w, None)
     assert np.allclose(out.data, 0.5)
 
 
@@ -75,7 +86,7 @@ def test_spatial_downsample_window_order():
     # 4x4 grid, value = row-major token index; window (0,0) holds 0,1,4,5
     tokens = np.arange(16, dtype=np.float64).reshape(1, 16, 1)
     w = Tensor(np.eye(4))
-    out = spatial_downsample_with_proj(Tensor(tokens), w, None)
+    out = spatial_downsample(Tensor(tokens), w, None)
     assert np.array_equal(out.data[0, 0], [0.0, 1.0, 4.0, 5.0])
     assert np.array_equal(out.data[0, 1], [2.0, 3.0, 6.0, 7.0])
     assert np.array_equal(out.data[0, 2], [8.0, 9.0, 12.0, 13.0])
@@ -86,11 +97,11 @@ def test_spatial_downsample_rejects_bad_grids():
     # the window reshape rejects both
     w = Tensor(np.zeros((32, 4)))
     with pytest.raises(ShapeMismatch):
-        spatial_downsample_with_proj(Tensor(np.zeros((1, 8, 8))), w, None)
+        spatial_downsample(Tensor(np.zeros((1, 8, 8))), w, None)
     with pytest.raises(ShapeMismatch):
-        spatial_downsample_with_proj(Tensor(np.zeros((1, 9, 8))), w, None)
+        spatial_downsample(Tensor(np.zeros((1, 9, 8))), w, None)
     with pytest.raises(ShapeMismatch):
-        spatial_downsample_with_proj(Tensor(np.zeros((1, 16, 8))), Tensor(np.zeros((16, 4))), None)
+        spatial_downsample(Tensor(np.zeros((1, 16, 8))), Tensor(np.zeros((16, 4))), None)
 
 
 def test_paper_scale_downsample_arithmetic():
@@ -98,8 +109,7 @@ def test_paper_scale_downsample_arithmetic():
 
 
 def through_encoder(per_frame: Tensor, k: int, w: Tensor, b: Tensor | None) -> Tensor:
-    cfg = ModelConfig(method=FusionMethod.THROUGH_ENCODER, k=k)
-    return compress(per_frame, cfg, {"comp.proj_w": w, "comp.proj_b": b})
+    return compress_with(FusionMethod.THROUGH_ENCODER, per_frame, k, w, b)
 
 
 def test_te_concat_shapes():
@@ -115,7 +125,7 @@ def test_te_k1_matches_spatial_downsample():
     tokens = Tensor(rng.normal(size=(5, 16, 6)))
     w = Tensor(rng.normal(size=(24, 7)))
     b = Tensor(rng.normal(size=7))
-    direct = spatial_downsample_with_proj(tokens, w, b)
+    direct = spatial_downsample(tokens, w, b)
     via_te = through_encoder(tokens, 1, w, b)
     assert np.array_equal(via_te.data, direct.data)
 
@@ -150,15 +160,10 @@ def test_concat_frames_puts_each_window_side_by_side():
 def test_kangaroo_shapes():
     rng = np.random.default_rng(3)
     per_frame = Tensor(rng.normal(size=(8, 16, 32)))
-    params = {
-        "comp.mlp_w1": Tensor(rng.normal(size=(64, 64))),
-        "comp.mlp_b1": Tensor(np.zeros(64)),
-        "comp.mlp_w2": Tensor(rng.normal(size=(64, 32))),
-        "comp.mlp_b2": Tensor(np.zeros(32)),
-        "comp.proj_w": Tensor(rng.normal(size=(128, 10))),
-        "comp.proj_b": Tensor(np.zeros(10)),
-    }
-    out = kangaroo_temporal_mlp(per_frame, 2, params)
+    mlp = dict(mlp_w1=Tensor(rng.normal(size=(64, 64))), mlp_b1=Tensor(np.zeros(64)),
+               mlp_w2=Tensor(rng.normal(size=(64, 32))), mlp_b2=Tensor(np.zeros(32)))
+    out = compress_with(FusionMethod.POST_MLP_KANGAROO, per_frame, 2,
+              Tensor(rng.normal(size=(128, 10))), Tensor(np.zeros(10)), **mlp)
     assert out.shape == (4, 4, 10)
 
 
@@ -166,40 +171,47 @@ def test_kangaroo_identity_mlp_is_exact_identity():
     h = 6
     rng = np.random.default_rng(4)
     x = rng.normal(size=(2, 16, h))
-    ident = kangaroo_identity_mlp(h)
-    params = {f"comp.{k}": Tensor(v) for k, v in ident.items()}
-    params["comp.proj_w"] = Tensor(np.eye(4 * h))
-    params["comp.proj_b"] = Tensor(np.zeros(4 * h))
-    out = kangaroo_temporal_mlp(Tensor(x), 1, params)
-    direct = spatial_downsample_with_proj(Tensor(x), params["comp.proj_w"],
-                                          params["comp.proj_b"])
+    mlp = {name: Tensor(v) for name, v in kangaroo_identity_mlp(h).items()}
+    w, b = Tensor(np.eye(4 * h)), Tensor(np.zeros(4 * h))
+    out = compress_with(FusionMethod.POST_MLP_KANGAROO, Tensor(x), 1, w, b, **mlp)
+    direct = spatial_downsample(Tensor(x), w, b)
     assert np.max(np.abs(out.data - direct.data)) <= 1e-12
 
 
+def pllava_pool(per_frame: Tensor, k: int) -> Tensor:
+    """pllava-pool's `compress` with an identity projection: the mean over each
+    window of k frames of their 2x2 window concatenations."""
+    width = 4 * per_frame.shape[-1]
+    return compress_with(FusionMethod.POST_POOL_PLLAVA, per_frame, k, Tensor(np.eye(width)), None)
+
+
 def test_pllava_pool_mean_of_identical_frames():
-    frame = np.random.default_rng(5).normal(size=(1, 4, 6))
+    frame = np.random.default_rng(5).normal(size=(1, 16, 6))
     stacked = Tensor(np.concatenate([frame, frame, frame], axis=0))
-    out = pllava_temporal_pool(stacked, 3)
-    assert out.shape == (1, 4, 6)
-    assert np.allclose(out.data[0], frame[0])
+    out = pllava_pool(stacked, 3)
+    assert out.shape == (1, 4, 24)
+    assert np.allclose(out.data, spatial_downsample(Tensor(frame), Tensor(np.eye(24)), None).data)
 
 
 def test_pllava_pool_pairwise_mean():
-    a = np.full((1, 4, 3), 1.0)
-    b = np.full((1, 4, 3), 3.0)
-    out = pllava_temporal_pool(Tensor(np.concatenate([a, b], axis=0)), 2)
-    assert np.array_equal(out.data, np.full((1, 4, 3), 2.0))
+    a = np.full((1, 16, 3), 1.0)
+    b = np.full((1, 16, 3), 3.0)
+    out = pllava_pool(Tensor(np.concatenate([a, b], axis=0)), 2)
+    assert np.array_equal(out.data, np.full((1, 4, 12), 2.0))
 
 
 def test_pllava_pool_k1_identity():
-    x = np.random.default_rng(6).normal(size=(4, 4, 3))
-    out = pllava_temporal_pool(Tensor(x), 1)
-    assert np.array_equal(out.data, x)
+    # at k=1 pooling is the identity: bitwise the baseline on the same projection
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(4, 16, 3)))
+    w, b = Tensor(rng.normal(size=(12, 5))), Tensor(rng.normal(size=5))
+    out = compress_with(FusionMethod.POST_POOL_PLLAVA, x, 1, w, b)
+    assert np.array_equal(out.data, spatial_downsample(x, w, b).data)
 
 
 def test_pllava_pool_indivisible():
     with pytest.raises(ShapeMismatch):
-        pllava_temporal_pool(Tensor(np.zeros((5, 4, 3))), 2)
+        pllava_pool(Tensor(np.zeros((5, 16, 3))), 2)
 
 
 def test_qformer_residual_identity_with_zero_outputs():

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from framefuse.autodiff import Tensor
 from framefuse.decoder import (answer_logits, build_causal_mask, causal_decode,
-                               decode_hidden, init_decoder_params, mcq_loss,
-                               predict, rotary_tables)
+                               decode_hidden, init_decoder_params, predict,
+                               rotary_tables)
 from framefuse.errors import BadConfig, ShapeMismatch
 from framefuse.frontend import FusionMethod
 from framefuse.pipeline import ModelConfig
@@ -110,17 +110,6 @@ def test_predict_picks_argmax():
 def test_predict_first_max_wins():
     logits = Tensor(np.array([[1.0, 3.0, 3.0, 0.0]]))
     assert np.array_equal(predict(logits), [1])
-
-
-def test_mcq_loss_uniform_logits():
-    loss = mcq_loss(Tensor(np.zeros((3, 4))), np.array([0, 1, 3]))
-    assert abs(loss.item() - np.log(4.0)) < 1e-12
-
-
-def test_mcq_loss_saturated():
-    logits = np.zeros((1, 4))
-    logits[0, 1] = 20.0
-    assert mcq_loss(Tensor(logits), np.array([1])).item() < 1e-8
 
 
 def test_decoder_has_no_key_bias():

@@ -157,6 +157,7 @@ def train_digests():
     return json.loads(one_blas_thread("-c", code))
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("config", sorted(TRAIN_DIGESTS))
 @pytest.mark.parametrize("method", list(FusionMethod), ids=lambda m: m.value)
 def test_train_and_evaluate_bytes(config, method, train_digests):

@@ -5,6 +5,7 @@ from framefuse.frontend import COMPRESSION_METHODS, FusionMethod
 from framefuse.grid import (ExperimentSpec, GridAxis, RunResult, _cells,
                             results_to_csv, run_cell, run_grid)
 from framefuse.rng import derive_seed
+from framefuse.synthclips import AO_MIN_FRAMES
 from framefuse.training import TrainConfig
 
 TINY_TRAIN = TrainConfig(total_steps=2, warmup_steps=1, batch=4)
@@ -53,16 +54,29 @@ def test_fixed_frames_k_must_divide():
 
 
 def test_fixed_budget_cell_order():
-    spec = tiny_spec(GridAxis.FIXED_BUDGET, n_over_k=4, k_values=(1, 2),
+    spec = tiny_spec(GridAxis.FIXED_BUDGET, n_over_k=8, k_values=(1, 2),
                      methods=(FusionMethod.POST_POOL_PLLAVA,
                               FusionMethod.THROUGH_ENCODER))
     cells = _cells(spec)
     # k=1 collapses to a single baseline row; each k keeps N_input = k * n_over_k
     assert cells == [
-        (FusionMethod.BASELINE, 1, 4),
-        (FusionMethod.POST_POOL_PLLAVA, 2, 8),
-        (FusionMethod.THROUGH_ENCODER, 2, 8),
+        (FusionMethod.BASELINE, 1, 8),
+        (FusionMethod.POST_POOL_PLLAVA, 2, 16),
+        (FusionMethod.THROUGH_ENCODER, 2, 16),
     ]
+
+
+@pytest.mark.parametrize("axis, kw, n_input", [
+    # the k=8 cells come first in the grid, so a run trained all five of them
+    # before the baseline's 4 frames failed to generate
+    (GridAxis.FIXED_BUDGET, dict(n_over_k=4, k_values=(8, 1)), 4),
+    (GridAxis.FIXED_FRAMES, dict(n_input=4, k_values=(1, 2)), 4),
+    (GridAxis.FIXED_FRAMES, dict(n_input=6, k_values=(2, 3)), 6),
+])
+def test_cells_below_the_action_order_floor_are_rejected(axis, kw, n_input):
+    with pytest.raises(BadConfig, match=f"n_input={n_input}; action order needs "
+                                        f"at least {AO_MIN_FRAMES} frames"):
+        tiny_spec(axis, **kw)
 
 
 def test_fixed_frames_cell_order():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from framefuse import autodiff, pipeline
-from framefuse.autodiff import Tape, backward
-from framefuse.decoder import mcq_loss
+from framefuse.autodiff import Tape, backward, cross_entropy
 from framefuse.errors import BadConfig, ShapeMismatch
 from framefuse.frontend import (COMPRESSION_METHODS, FusionMethod, extract_patches,
                                 merge_temporal_channels)
@@ -293,7 +292,7 @@ def test_repeated_scopes_encode_once_and_match_the_oracle(method, patch, n_input
             with monkeypatch.context() as patch_ctx, Tape() as tape:
                 patch_ctx.setattr(pipeline, "encode", counting)
                 logits = forward(bundle, pixels, questions)
-                grads = backward(tape, mcq_loss(logits, answers))
+                grads = backward(tape, cross_entropy(logits, answers))
             results.append((logits.data, {n: grads[p] for n, p in bundle.params.items()},
                             list(encoded)))
         (logits, grads, calls), (want_logits, want_grads, _) = results

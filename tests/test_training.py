@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from framefuse import training
-from framefuse.autodiff import Tensor
-from framefuse.decoder import mcq_loss, predict
+from framefuse.autodiff import Tensor, cross_entropy
+from framefuse.decoder import predict
 from framefuse.errors import BadConfig, NumericalError
 from framefuse.frontend import FusionMethod, extract_patches
 from framefuse.pipeline import ModelConfig, build_model, forward_logits
@@ -225,6 +225,29 @@ def test_train_frees_each_steps_gradients_and_batch_before_the_next(monkeypatch)
     assert (alive, len(refs)) == ([0, 0, 0], 6)
 
 
+def test_train_steps_on_a_full_batch_from_a_smaller_set(monkeypatch):
+    # the order refills until a whole batch is queued, so 3 clips at batch 8
+    # give 8 lookups a step, each clip at least twice
+    class Lookups(list):
+        def __getitem__(self, i):
+            taken.append(i)
+            return super().__getitem__(i)
+
+    taken, per_step = [], []
+    real_batch = training._batch_arrays
+
+    def batch_arrays(samples):
+        per_step.append(sorted(taken))
+        taken.clear()
+        return real_batch(samples)
+
+    monkeypatch.setattr(training, "_batch_arrays", batch_arrays)
+    train(micro_bundle(4), Lookups(tiny_dataset(3)),
+          TrainConfig(total_steps=3, warmup_steps=1, batch=8))
+    assert [len(step) for step in per_step] == [8, 8, 8]
+    assert all(min(step.count(i) for i in range(3)) >= 2 for step in per_step)
+
+
 @pytest.mark.parametrize("eval_every", [0, -2])
 def test_train_rejects_eval_every_below_one(eval_every):
     # Python's % takes a negative divisor, so -2 used to evaluate every 2 steps
@@ -332,7 +355,7 @@ def test_evaluate_desk_chunk_is_one_forward(monkeypatch):
     res = evaluate(bundle, data)
     assert [shape for shape, _ in calls] == [(64, 8, 3, 28, 28)]
     hits = predict(logits) == answers
-    assert res.mean_loss == mcq_loss(logits, answers).item() * 64 / 64
+    assert res.mean_loss == cross_entropy(logits, answers).item() * 64 / 64
     assert res.accuracy == int(hits.sum()) / 64
     for cat, acc in res.per_category.items():
         mine = [i for i, s in enumerate(data) if s.category.value == cat]
@@ -350,6 +373,6 @@ def test_evaluate_fine_chunk_splits_at_token_budget(monkeypatch):
     assert all(shape[0] * cfg.n_input * cfg.tokens_per_frame <= 2048 for shape, _ in calls)
     split = np.concatenate([part for _, part in calls])
     assert np.array_equal(predict(Tensor(split)), predict(logits))
-    expect = mcq_loss(logits, answers).item()
+    expect = cross_entropy(logits, answers).item()
     assert abs(res.mean_loss - expect) <= 1e-12 * abs(expect)
     assert evaluate(bundle, data) == res
