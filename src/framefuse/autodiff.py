@@ -90,13 +90,10 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self._live: set[int] = set()
-        self._leaves: dict[int, Tensor] = {}
+        self._live: set[int] = set()  # watched leaves and taped results
 
     def watch(self, *tensors: Tensor) -> None:
-        for t in tensors:
-            self._leaves[t.tid] = t
-            self._live.add(t.tid)
+        self._live.update(t.tid for t in tensors)
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -162,22 +159,20 @@ class Gradients:
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
         g = self._by_tid.get(t.tid)
-        if g is None:
-            return np.zeros_like(t.data)
-        return np.broadcast_to(g, t.data.shape).astype(np.float64, copy=False)
+        return np.zeros_like(t.data) if g is None else g
 
 
 def backward(tape: Tape, loss: Tensor) -> Gradients:
     """Reverse sweep; every node visited exactly once.
 
-    `loss` must be a rank-0 scalar. Returns gradients for every watched leaf;
-    leaves on no path to the loss get zeros. Consumes the tape: every node's
-    `grad_fn` is None afterwards (see the module docstring).
+    `loss` must be a rank-0 scalar. Each node pops its output's adjoint, so
+    the adjoints left are the gradients of the leaves the loss reached; other
+    leaves get zeros. Consumes the tape: every node's `grad_fn` is None after.
     """
     if loss.shape != ():
         raise ShapeMismatch(f"loss has shape {loss.shape}, expected a scalar")
     live = tape._live
-    adjoint: dict[int, np.ndarray] = {loss.tid: np.array(1.0)}
+    adjoint: dict[int, np.ndarray] = {loss.tid: np.array(1.0)} if loss.tid in live else {}
     for node in reversed(tape.nodes):
         g = adjoint.pop(node.output_id, None)
         grad_fn, node.grad_fn = node.grad_fn, None
@@ -188,7 +183,7 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
                 continue
             acc = adjoint.get(tid)
             adjoint[tid] = gi if acc is None else acc + gi
-    return Gradients({tid: adjoint[tid] for tid in tape._leaves if tid in adjoint})
+    return Gradients(adjoint)
 
 
 # ---- elementwise and structural ops ----

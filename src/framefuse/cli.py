@@ -19,8 +19,7 @@ from .gradcheck import SUITES, run_gradient_suite
 from .grid import ExperimentSpec, GridAxis, results_to_csv, run_grid
 from .pipeline import ModelConfig, build_model, config_from_dict, config_to_dict
 from .report import read_table_csv, render_table
-from .synthclips import (CATEGORY_ORDER, GenConfig, dataset_stats, gen_dataset,
-                         load_dataset, save_dataset)
+from .synthclips import GenConfig, dataset_stats, gen_dataset, load_dataset, save_dataset
 from .training import TrainConfig, evaluate, train
 
 
@@ -72,10 +71,8 @@ def cmd_eval(args) -> int:
         raise BadConfig(f"dataset clips have {gcfg.frames} frames, model wants {cfg.n_input}")
     score = evaluate(bundle, dataset)
     print("category,accuracy,n")
-    for cat in CATEGORY_ORDER:
-        if cat.value in score.per_category:
-            print(f"{cat.value},{score.per_category[cat.value]:.6f},"
-                  f"{score.category_counts[cat.value]}")
+    for cat, acc in score.per_category.items():
+        print(f"{cat},{acc:.6f},{score.category_counts[cat]}")
     print(f"avg,{score.accuracy:.6f},{score.n}")
     return 0
 

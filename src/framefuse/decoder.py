@@ -51,28 +51,20 @@ def init_decoder_params(cfg: ModelConfig, rng: RngState, std: float) -> dict[str
     return init.done()
 
 
-def decode_hidden(video_tokens: Tensor, question_ids: np.ndarray, cfg: ModelConfig,
+def causal_decode(video_tokens: Tensor, question_ids: np.ndarray, cfg: ModelConfig,
                   params: dict[str, Tensor]) -> Tensor:
-    """All-position hidden states [B, L+Q, hidden] after the final norm, from
-    video tokens [B, L, out] and question ids [B, Q] into the decoder vocab."""
+    """Last-position hidden state [B, hidden], from video tokens [B, L, out] and
+    question ids [B, Q]; only the position the head reads gets the final norm."""
     video = linear(video_tokens, params["dec.video_proj_w"], params["dec.video_proj_b"])
     question = embedding_lookup(params["dec.embed"], question_ids)
     x = concat_axis([video, question], 1)
-    seq = x.shape[1]
+    b, seq, h = x.shape
     mask = build_causal_mask(seq)
     cos, sin = rotary_tables(seq, cfg.dec_hidden // cfg.dec_heads)
     rotary = (Tensor(cos), Tensor(sin))
     for i in range(cfg.dec_layers):
         x = block(x, params, f"dec.{i}", cfg.dec_heads, mask, rotary)
-    return rms_norm(x, params["dec.final_norm"])
-
-
-def causal_decode(video_tokens: Tensor, question_ids: np.ndarray, cfg: ModelConfig,
-                  params: dict[str, Tensor]) -> Tensor:
-    """Last-position hidden state [B, hidden]."""
-    states = decode_hidden(video_tokens, question_ids, cfg, params)
-    b, s, h = states.shape
-    return reshape(narrow(states, 1, s - 1, 1), (b, h))
+    return rms_norm(reshape(narrow(x, 1, seq - 1, 1), (b, h)), params["dec.final_norm"])
 
 
 def answer_logits(final_hidden: Tensor, params: dict[str, Tensor]) -> Tensor:

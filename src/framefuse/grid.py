@@ -56,6 +56,9 @@ class ExperimentSpec:
             raise BadConfig("fixed-frames axis needs n_input")
         if self.axis is GridAxis.FIXED_FRAMES and self.n_over_k is not None:
             raise BadConfig("fixed-frames axis takes n_input, not n_over_k")
+        # `train` takes 0 steps, but a grid row of an untrained model reads as a result
+        if self.train.total_steps < 1:
+            raise BadConfig(f"train.total_steps must be at least 1, got {self.train.total_steps}")
         if FusionMethod.BASELINE in self.methods:
             raise BadConfig("baseline is implied by k=1; list only compression methods")
         for k in self.k_values:
@@ -63,6 +66,11 @@ class ExperimentSpec:
                 raise BadConfig(f"k_values: compression ratio {k!r}")
             if self.axis is GridAxis.FIXED_FRAMES and self.n_input % k:
                 raise BadConfig(f"k={k} does not divide n_input={self.n_input}")
+        # a repeated entry would train the same cells again and write twin rows
+        for name, values in (("methods", self.methods), ("k_values", self.k_values)):
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise BadConfig(f"{name}: {getattr(v, 'value', v)!r} is listed twice")
         if not _cells(self):
             raise BadConfig("grid has no cells: methods and k_values leave nothing to run")
         # every cell's data holds action-order clips: fail here, not cells later

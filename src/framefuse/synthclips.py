@@ -114,19 +114,15 @@ def _draw_mask(shape: str, h: int, w: int) -> np.ndarray:
     if shape == "shape:rect":
         return np.ones((h, w), dtype=bool)
     if shape == "shape:cross":
-        band_h, band_w = max(1, h // 3), max(1, w // 3)
-        rows = (ys >= (h - band_h) // 2) & (ys < (h - band_h) // 2 + band_h)
-        cols = (xs >= (w - band_w) // 2) & (xs < (w - band_w) // 2 + band_w)
-        return rows | cols
+        return _draw_mask("shape:hbar", h, w) | _draw_mask("shape:vbar", h, w)
     if shape == "shape:disc":
         cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
         return ((ys - cy) / (h / 2.0)) ** 2 + ((xs - cx) / (w / 2.0)) ** 2 <= 1.0
     if shape == "shape:ring":
         cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-        outer = ((ys - cy) / (h / 2.0)) ** 2 + ((xs - cx) / (w / 2.0)) ** 2
         rin_y, rin_x = max(h / 2.0 - 2.0, 1.0), max(w / 2.0 - 2.0, 1.0)
         inner = ((ys - cy) / rin_y) ** 2 + ((xs - cx) / rin_x) ** 2
-        return (outer <= 1.0) & (inner > 1.0)
+        return _draw_mask("shape:disc", h, w) & (inner > 1.0)
     if shape == "shape:hbar":
         band = max(1, h // 3)
         return (ys >= (h - band) // 2) & (ys < (h - band) // 2 + band)
@@ -159,15 +155,28 @@ def _center_start(rng: RngState, size_h: int, size_w: int):
     return top, left
 
 
-def _travel_room(top: int, left: int, size_h: int, size_w: int, direction: str) -> int:
-    """How far the sprite can slide toward `direction` with a 1px margin."""
+def _travel_room(top: int, left: int, size_h: int, size_w: int, direction: str,
+                 box=(1, 1, CANVAS - 2, CANVAS - 2)) -> int:
+    """How far the sprite can slide toward `direction` and stay inside `box`
+    (top, left, height, width); the default box is the canvas less a 1px margin."""
+    box_top, box_left, box_h, box_w = box
     if direction == "left":
-        return left - 1
+        return left - box_left
     if direction == "right":
-        return CANVAS - size_w - 1 - left
+        return box_left + box_w - size_w - left
     if direction == "up":
-        return top - 1
-    return CANVAS - size_h - 1 - top
+        return top - box_top
+    return box_top + box_h - size_h - top
+
+
+def _slide(px: np.ndarray, shape: str, top: int, left: int, size_h: int, size_w: int,
+           color, direction: str, travel: int) -> None:
+    """Paint the sprite on every frame, `travel` px further toward `direction` by the last."""
+    dy, dx = DIR_STEPS[direction]
+    fcount = px.shape[0]
+    for t in range(fcount):
+        off = round(t * travel / (fcount - 1))
+        _paint(px[t], shape, top + dy * off, left + dx * off, size_h, size_w, color)
 
 
 # ---- per-category scripts ----
@@ -203,12 +212,8 @@ def _gen_mr(rng: RngState, fcount: int):
         sh, sw = _mr_sprite(rng)
         top, left = _center_start(rng, sh, sw)
         direction = rng.choice(tuple(DIR_STEPS))
-        dy, dx = DIR_STEPS[direction]
         travel = _travel_room(top, left, sh, sw, direction)  # 6 to 14 px
-        for t in range(fcount):
-            off = round(t * travel / (fcount - 1))
-            _paint(px[t], "shape:rect", top + dy * off, left + dx * off,
-                   sh, sw, color)
+        _slide(px, "shape:rect", top, left, sh, sw, color, direction, travel)
     elif kind == "mr:rotate":
         length = 9 + 2 * rng.randint(3)
         cy = CANVAS // 2 + rng.randint(3) - 1
@@ -240,12 +245,9 @@ def _gen_lm(rng: RngState, fcount: int):
     size = 4 + rng.randint(3)
     top, left = _center_start(rng, size, size)
     direction = rng.choice(tuple(DIR_STEPS))
-    dy, dx = DIR_STEPS[direction]
     travel = _travel_room(top, left, size, size, direction) - 1  # 7 to 12 px
     px = _blank(fcount)
-    for t in range(fcount):
-        off = round(t * travel / (fcount - 1))
-        _paint(px[t], shape, top + dy * off, left + dx * off, size, size, color)
+    _slide(px, shape, top, left, size, size, color, direction, travel)
     truth = f"lm:{direction}"
     return px, truth, [e for e in LM_ENDS if e != truth]
 
@@ -297,28 +299,15 @@ def _gen_mo(rng: RngState, fcount: int):
         else:
             top = qt + rng.randint(quad - size)
             left = ql + rng.randint(quad - size)
-        placements.append((shapes[i], top, left, size, rng.choice(PALETTE), order[i]))
+        placements.append((shapes[i], top, left, size, rng.choice(PALETTE)))
     direction = rng.choice(tuple(DIR_STEPS))
-    dy, dx = DIR_STEPS[direction]
-    msh, mtop, mleft, msize, mcolor, mquad = placements[mover]
-    qt, ql = slots[mquad]
-    # the mover slides to its quadrant's edge: 3 or 4 px
-    if direction == "left":
-        travel = mleft - ql
-    elif direction == "right":
-        travel = ql + quad - msize - mleft
-    elif direction == "up":
-        travel = mtop - qt
-    else:
-        travel = qt + quad - msize - mtop
+    _, mtop, mleft, msize, _ = placements[mover]
+    # the mover slides to its quadrant's edge (3 or 4 px); the others stay still
+    travel = _travel_room(mtop, mleft, msize, msize, direction,
+                          slots[order[mover]] + (quad, quad))
     px = _blank(fcount)
-    for t in range(fcount):
-        off = round(t * travel / (fcount - 1))
-        for i, (sh, top, left, size, color, _) in enumerate(placements):
-            if i == mover:
-                _paint(px[t], sh, top + dy * off, left + dx * off, size, size, color)
-            else:
-                _paint(px[t], sh, top, left, size, size, color)
+    for i, (sh, top, left, size, color) in enumerate(placements):
+        _slide(px, sh, top, left, size, size, color, direction, travel if i == mover else 0)
     pool = [p[0] for i, p in enumerate(placements) if i != mover]
     return px, shapes[mover], pool
 

@@ -190,9 +190,7 @@ def evaluate(bundle: ModelBundle, samples, batch_size: int = 64) -> EvalResult:
         total += len(chunk)
     if total == 0:
         raise BadConfig("evaluate needs at least one sample")
-    per_cat = {c: right[c] / seen[c] for c in seen}
-    accuracy = sum(right.values()) / total
-    ordered = {c.value: per_cat[c.value] for c in CATEGORY_ORDER if c.value in per_cat}
     counts = {c.value: seen[c.value] for c in CATEGORY_ORDER if c.value in seen}
-    return EvalResult(accuracy=accuracy, mean_loss=loss_sum / total, n=total,
-                      per_category=ordered, category_counts=counts)
+    return EvalResult(accuracy=sum(right.values()) / total, mean_loss=loss_sum / total,
+                      n=total, per_category={c: right[c] / n for c, n in counts.items()},
+                      category_counts=counts)

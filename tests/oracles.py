@@ -16,6 +16,9 @@ pixels and rebuilds the rows for the projection's weight gradient.
 RngState draws its arrays in numpy lanes; scalar_normal_array and
 scalar_uniform_array draw the same values one `next_u64` call at a time.
 
+decoder.causal_decode runs the final norm on the last position only;
+decode_all_positions norms every position, as the decoder did before.
+
 autodiff.gelu computes in place; gelu_closed_form and gelu_grad_closed_form
 are the same expressions written out whole.
 
@@ -27,10 +30,12 @@ import math
 import numpy as np
 
 from framefuse import encoder
-from framefuse.autodiff import (GELU_COEFF, MASK_BLOCKED, Tensor, add, cross_entropy,
-                                gather, linear, reshape)
+from framefuse.autodiff import (GELU_COEFF, MASK_BLOCKED, Tensor, add, concat_axis,
+                                cross_entropy, embedding_lookup, gather, linear, reshape,
+                                rms_norm)
 from framefuse.compressor import compress
-from framefuse.decoder import answer_logits, causal_decode
+from framefuse.decoder import (answer_logits, build_causal_mask, causal_decode,
+                               rotary_tables)
 from framefuse.frontend import (FusionMethod, VideoClip, extract_patches,
                                 merge_neighbor_frames, merge_temporal_channels)
 from framefuse.pipeline import ModelBundle, ModelConfig
@@ -117,6 +122,22 @@ def patch_row_batch_loss(bundle: ModelBundle, pixels: np.ndarray, question_ids: 
     logits = answer_logits(causal_decode(video, question_ids, bundle.cfg, bundle.params),
                            bundle.params)
     return cross_entropy(logits, answer_idx)
+
+
+def decode_all_positions(video_tokens: Tensor, question_ids: np.ndarray, cfg: ModelConfig,
+                         params: dict[str, Tensor]) -> Tensor:
+    """Hidden states [B, L+Q, hidden] of every position after the final norm,
+    from video tokens [B, L, out] and question ids [B, Q]."""
+    video = linear(video_tokens, params["dec.video_proj_w"], params["dec.video_proj_b"])
+    question = embedding_lookup(params["dec.embed"], question_ids)
+    x = concat_axis([video, question], 1)
+    seq = x.shape[1]
+    mask = build_causal_mask(seq)
+    cos, sin = rotary_tables(seq, cfg.dec_hidden // cfg.dec_heads)
+    rotary = (Tensor(cos), Tensor(sin))
+    for i in range(cfg.dec_layers):
+        x = encoder.block(x, params, f"dec.{i}", cfg.dec_heads, mask, rotary)
+    return rms_norm(x, params["dec.final_norm"])
 
 
 def kangaroo_identity_mlp(h: int) -> dict[str, np.ndarray]:

@@ -17,13 +17,14 @@ from framefuse.autodiff import (MASK_BLOCKED, RMS_EPS, Gradients, Tape, Tensor,
                                 softmax_lastdim, sum_all)
 from framefuse.errors import ShapeMismatch
 from framefuse.frontend import FusionMethod
-from framefuse.gradcheck import finite_diff_check
+from framefuse.gradcheck import SUITES, finite_diff_check
 from framefuse.pipeline import ModelConfig, batch_loss, build_model
 from framefuse.synthclips import GenConfig, gen_dataset
 from framefuse.training import Adam, _batch_arrays
 
 from oracles import (gelu_closed_form, gelu_grad_closed_form, softmax_closed_form,
                      softmax_grad_closed_form)
+from test_golden_bytes import CONFIGS as GOLDEN_CONFIGS
 
 finite_arrays = hnp.arrays(
     np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
@@ -570,3 +571,34 @@ def test_backward_of_sum_is_ones_everywhere(seed):
     x = param(rng.normal(size=(3, 2)))
     (g,) = grad_of(lambda t: sum_all(t), x)
     assert np.array_equal(g, np.ones((3, 2)))
+
+
+def assert_leaf_gradients(tape, loss, leaves):
+    """backward's result holds only the leaves' ids, each with a float64
+    gradient of its leaf's shape, so Gradients hands them out unconverted."""
+    by_tid = backward(tape, loss)._by_tid
+    shapes = {t.tid: t.shape for t in leaves}
+    assert by_tid and set(by_tid) <= set(shapes)
+    for tid, g in by_tid.items():
+        assert type(g) is np.ndarray and g.dtype == np.float64 and g.shape == shapes[tid]
+
+
+@pytest.mark.parametrize("method", list(FusionMethod), ids=lambda m: m.value)
+@pytest.mark.parametrize("config", sorted(GOLDEN_CONFIGS))
+def test_backward_returns_float64_leaf_shaped_gradients_of_leaves_only(config, method):
+    k, fields = GOLDEN_CONFIGS[config]
+    cfg = ModelConfig(method=method, k=1 if method is FusionMethod.BASELINE else k, **fields)
+    bundle = build_model(cfg, 3)
+    samples, _ = gen_dataset(1, 4, GenConfig(frames=cfg.n_input))
+    with Tape() as tape:
+        loss = batch_loss(bundle, *_batch_arrays(samples))
+    assert_leaf_gradients(tape, loss, bundle.params.values())
+
+
+@pytest.mark.parametrize("group", sorted(SUITES))
+def test_gradcheck_cases_get_float64_leaf_shaped_gradients_of_leaves_only(group):
+    for _, f, params in SUITES[group][0]():
+        with Tape() as tape:
+            tape.watch(*params.values())
+            loss = f()
+        assert_leaf_gradients(tape, loss, params.values())

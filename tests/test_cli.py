@@ -21,7 +21,8 @@ from framefuse.synthclips import GenConfig, gen_dataset, save_dataset
 from framefuse.training import TrainConfig
 
 FIXTURE = Path(__file__).parent / "data" / "ablation_16frame.csv"
-EXPERIMENTS = sorted((Path(__file__).parents[1] / "experiments").glob("*.json"))
+ROOT = Path(__file__).parents[1]
+EXPERIMENTS = sorted((ROOT / "experiments").glob("*.json"))
 
 TINY_TRAIN = {"total_steps": 2, "warmup_steps": 1, "batch": 4, "seed": 0}
 
@@ -308,7 +309,37 @@ def test_committed_experiment_configs_build_specs(capsys, tmp_path, monkeypatch,
     code, _, err = run(capsys, "grid", "--config", str(config),
                        "--out", str(tmp_path / "x.csv"))
     assert (code, err) == (0, "")
-    assert specs[0].axis.value == json.loads(config.read_text())["axis"]
+    fields = json.loads(config.read_text())
+    assert specs[0].axis.value == fields["axis"]
+    assert specs[0].k_values == tuple(fields["k_values"])
+    assert specs[0].train == TrainConfig(**fields["train"])
+
+
+@pytest.mark.parametrize("section", ("CLI", "Experiments"))
+def test_readme_commands_parse(section):
+    """Every `framefuse` line of the section's code block parses, and the
+    configs it names exist."""
+    block = (ROOT / "README.md").read_text().split(f"\n## {section}\n")[1].split("```")[1]
+    lines = [line.split("#")[0].split() for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["framefuse"]]
+    assert commands
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        assert args.command == argv[0]
+        if getattr(args, "config", None):
+            assert (ROOT / args.config).is_file(), args.config
+
+
+def test_grid_that_trains_no_step_writes_no_rows(capsys, tmp_path):
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps({
+        "axis": "fixed-frames", "n_input": 8, "k_values": [2], "methods": ["pllava-pool"],
+        "train": {"total_steps": 0, "warmup_steps": 0, "batch": 4}}))
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(capsys, "grid", "--config", str(cfg_path), "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert_one_error_line(err, "train.total_steps must be at least 1")
+    assert not out.exists()
 
 
 def test_quick_configs_run_their_full_configs_grid():

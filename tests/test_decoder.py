@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from framefuse.autodiff import Tensor
+from framefuse.autodiff import Tape, Tensor, backward, multiply, sum_all
 from framefuse.decoder import (answer_logits, build_causal_mask, causal_decode,
-                               decode_hidden, init_decoder_params, predict,
-                               rotary_tables)
+                               init_decoder_params, predict, rotary_tables)
 from framefuse.errors import BadConfig, ShapeMismatch
 from framefuse.frontend import FusionMethod
 from framefuse.pipeline import ModelConfig
 from framefuse.rng import RngState
+from oracles import decode_all_positions
 
 CFG = ModelConfig(method=FusionMethod.BASELINE, out_hidden=6, dec_layers=1,
                   dec_hidden=8, dec_heads=2, dec_ffn=12, vocab=40)
@@ -62,21 +62,40 @@ def test_causal_mask_shape():
     assert np.array_equal(allowed, np.tril(np.ones((4, 4), dtype=bool)))
 
 
-def test_decode_hidden_shape():
+def test_decode_all_positions_shape():
     params = small_decoder()
     rng = np.random.default_rng(1)
-    out = decode_hidden(*batch_of(rng), CFG, params)
+    out = decode_all_positions(*batch_of(rng), CFG, params)
     assert out.shape == (2, 8, 8)  # B, L+Q, hidden
 
 
 def test_causal_decode_returns_last_position():
+    # causal_decode norms only the last position; every other op is the same
     params = small_decoder()
     rng = np.random.default_rng(2)
     batch = batch_of(rng)
-    hidden = decode_hidden(*batch, CFG, params)
+    hidden = decode_all_positions(*batch, CFG, params)
     final = causal_decode(*batch, CFG, params)
     assert final.shape == (2, 8)
     assert np.array_equal(final.data, hidden.data[:, -1, :])
+
+
+def test_causal_decode_gradients_match_the_all_positions_reference():
+    params = small_decoder()
+    for p in params.values():
+        p.requires_grad = True
+    rng = np.random.default_rng(3)
+    video, ids = batch_of(rng)
+    weight = Tensor(rng.normal(size=(2, 8)))
+    with Tape() as tape:
+        got = backward(tape, sum_all(multiply(causal_decode(video, ids, CFG, params), weight)))
+    full = np.zeros((2, 8, 8))  # B, L+Q, hidden: the weight on the last position only
+    full[:, -1, :] = weight.data
+    with Tape() as tape:
+        want = backward(tape, sum_all(multiply(decode_all_positions(video, ids, CFG, params),
+                                               Tensor(full))))
+    for name, p in params.items():
+        assert np.array_equal(got[p], want[p]), name
 
 
 def test_causality_prefix_invariance():
@@ -84,10 +103,10 @@ def test_causality_prefix_invariance():
     params = small_decoder()
     rng = np.random.default_rng(5)
     video, ids = batch_of(rng, b=1)
-    base = decode_hidden(video, ids, CFG, params).data
+    base = decode_all_positions(video, ids, CFG, params).data
     ids = ids.copy()
     ids[0, -1] = (ids[0, -1] + 7) % 40
-    changed = decode_hidden(video, ids, CFG, params).data
+    changed = decode_all_positions(video, ids, CFG, params).data
     assert np.array_equal(base[:, :-1, :], changed[:, :-1, :])
     assert not np.array_equal(base[:, -1, :], changed[:, -1, :])
 

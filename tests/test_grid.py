@@ -79,6 +79,33 @@ def test_cells_below_the_action_order_floor_are_rejected(axis, kw, n_input):
         tiny_spec(axis, **kw)
 
 
+@pytest.mark.parametrize("axis, kw", [
+    (GridAxis.FIXED_FRAMES, dict(n_input=8, k_values=(2,))),
+    (GridAxis.FIXED_BUDGET, dict(n_over_k=8, k_values=(1,))),
+])
+def test_a_grid_that_trains_no_step_is_rejected(axis, kw):
+    # such a grid used to write rows for untrained models, which report rendered
+    untrained = TrainConfig(total_steps=0, warmup_steps=0, batch=4)
+    with pytest.raises(BadConfig, match="train.total_steps must be at least 1, got 0"):
+        tiny_spec(axis, train=untrained, **kw)
+
+
+@pytest.mark.parametrize("axis, kw, named", [
+    (GridAxis.FIXED_FRAMES, dict(n_input=8, k_values=(2, 2),
+                                 methods=(FusionMethod.POST_POOL_PLLAVA,)), "k_values: 2"),
+    (GridAxis.FIXED_BUDGET, dict(n_over_k=8, k_values=(1, 1)), "k_values: 1"),
+    (GridAxis.FIXED_FRAMES, dict(n_input=8, k_values=(2,),
+                                 methods=(FusionMethod.POST_POOL_PLLAVA,
+                                          FusionMethod.POST_QFORMER,
+                                          FusionMethod.POST_POOL_PLLAVA)),
+     "methods: 'pllava-pool'"),
+])
+def test_a_repeated_method_or_k_is_rejected(axis, kw, named):
+    # a repeat used to train the same cells again and write twin rows
+    with pytest.raises(BadConfig, match=f"{named} is listed twice"):
+        tiny_spec(axis, **kw)
+
+
 def test_fixed_frames_cell_order():
     spec = tiny_spec(GridAxis.FIXED_FRAMES, n_input=8, k_values=(1, 2, 4),
                      methods=(FusionMethod.POST_POOL_PLLAVA,
