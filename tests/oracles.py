@@ -16,8 +16,8 @@ pixels and rebuilds the rows for the projection's weight gradient.
 RngState draws its arrays in numpy lanes; scalar_normal_array and
 scalar_uniform_array draw the same values one `next_u64` call at a time.
 
-decoder.causal_decode runs the final norm on the last position only;
-decode_all_positions norms every position, as the decoder did before.
+decoder.causal_decode norms only the last position, the one the answer head
+reads; decode_all_positions runs the same stack and norms every position.
 
 autodiff.gelu computes in place; gelu_closed_form and gelu_grad_closed_form
 are the same expressions written out whole.

@@ -258,6 +258,15 @@ def test_unreached_leaf_gets_zero_gradient():
     assert np.array_equal(grads[dead], np.zeros(4))
 
 
+def test_a_loss_off_the_tape_reaches_no_leaf():
+    x = param(np.ones(3))
+    with Tape() as tape:
+        sum_all(x)
+        grads = backward(tape, constant(np.array(2.0)))
+    assert grads._by_tid == {}
+    assert np.array_equal(grads[x], np.zeros(3))
+
+
 def test_add_broadcast_gradient_folds():
     x = param(np.ones((2, 3)))
     b = param(np.ones(3))

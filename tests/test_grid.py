@@ -84,7 +84,7 @@ def test_cells_below_the_action_order_floor_are_rejected(axis, kw, n_input):
     (GridAxis.FIXED_BUDGET, dict(n_over_k=8, k_values=(1,))),
 ])
 def test_a_grid_that_trains_no_step_is_rejected(axis, kw):
-    # such a grid used to write rows for untrained models, which report rendered
+    # its rows would score untrained models, and report would render them as results
     untrained = TrainConfig(total_steps=0, warmup_steps=0, batch=4)
     with pytest.raises(BadConfig, match="train.total_steps must be at least 1, got 0"):
         tiny_spec(axis, train=untrained, **kw)
@@ -101,7 +101,7 @@ def test_a_grid_that_trains_no_step_is_rejected(axis, kw):
      "methods: 'pllava-pool'"),
 ])
 def test_a_repeated_method_or_k_is_rejected(axis, kw, named):
-    # a repeat used to train the same cells again and write twin rows
+    # a repeat would train the same cells again and write twin rows
     with pytest.raises(BadConfig, match=f"{named} is listed twice"):
         tiny_spec(axis, **kw)
 
